@@ -4,10 +4,25 @@ Measures are discretized on a fixed finite grid; the solvers minimize over
 the probability simplex on the grid nodes.  Grid infima upper-approximate the
 continuum infima and converge under refinement for the catalog potentials.
 
-* ``minimize_I`` -- entropic mirror descent (multiplicative weights) for the
-  entropy + interaction functional, with a monotone line-search safeguard.
-* ``minimize_J`` -- Frank-Wolfe with away steps for the pure energy
-  functional, whose linear minimization oracle is an argmin over nodes.
+Which solver runs depends on a convexity certificate.  The objectives differ
+from (1/2) w^T K w by terms that are linear or convex on the simplex, and
+only the curvature along the simplex matters: w^T K w is convex on the
+simplex exactly when K is positive semidefinite on its tangent space
+{x : 1^T x = 0}.  ``_tangent_psd_certified`` tests that by a Cholesky
+factorization of Z^T K Z, with Z = [I; -1^T] a basis of the tangent space.
+The Coulomb grid kernels in d = 1 and 2 pass although K itself is indefinite
+(smallest eigenvalue -140 on 201 nodes in d = 1).  A certified kernel
+with no tilt or a linear one makes the problem convex, so the solver's
+answer is global (``local=None``) and one start suffices.
+
+* ``minimize_J`` -- pure energy.  Convex problems go to an exact primal
+  active-set QP (``active_set_qp``) that solves the KKT system on the
+  current support; it ends at the optimum up to rounding.  Everything else
+  (uncertified kernels, non-linear tilts) runs Frank-Wolfe with away steps
+  from several starts and reports ``local=True``.
+* ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
+  monotone line-search safeguard: one start on convex problems, several on
+  the rest, which report ``local=True``.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
 
@@ -25,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ._enum import compositions_array
 from .measures import DiscreteMeasure, ReferenceMeasure, _as_points
@@ -33,7 +49,11 @@ from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 DEFAULT_TOL = 1e-8
 DEFAULT_STARTS = 5
 SCAN_NODE_LIMIT = 4
-SCAN_MIN_STEP = 1e-3
+# Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
+# four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
+SCAN_ROW_BUDGET = 2_000_000
+# Relative size of the Frank-Wolfe gap the active-set QP treats as rounding.
+QP_ROUNDING = 1e-13
 
 
 class GridSpec:
@@ -91,6 +111,7 @@ class MinimizationResult:
     iterations: int
     convergence_gap: float
     method: str
+    converged: bool
     seeds: list = field(default_factory=list)
     local: bool | None = None
     surrogate: dict | None = None
@@ -102,6 +123,7 @@ class MinimizationResult:
                 "iterations": self.iterations,
                 "convergence_gap": self.convergence_gap,
                 "method": self.method,
+                "converged": self.converged,
                 "seeds": self.seeds,
                 "local": self.local,
                 "surrogate": self.surrogate,
@@ -304,9 +326,8 @@ def _frank_wolfe_away(obj: _Objective, w0, tol, max_iter):
             break
         support = np.flatnonzero(w > 1e-16)
         a = int(support[np.argmax(g[support])])
-        fw_decrease = g[s] - float(w @ g)
-        away_decrease = float(w @ g) - g[a]
-        use_away = away_decrease > -fw_decrease and w[a] < 1.0 - 1e-16
+        away_decrease = g[a] - float(w @ g)
+        use_away = away_decrease > gap and w[a] < 1.0 - 1e-16
         if use_away:
             d = w.copy()
             d[a] -= 1.0
@@ -351,6 +372,77 @@ def _frank_wolfe_away(obj: _Objective, w0, tol, max_iter):
     return w, obj.value(w), it, gap
 
 
+def _tangent_hessian(K):
+    """Z^T K Z for the basis Z = [I; -1^T] of the tangent space {1^T x = 0}."""
+    last = K[:-1, -1]
+    return K[:-1, :-1] - last[:, None] - last[None, :] + K[-1, -1]
+
+
+def _support_step(KS, gS):
+    """A step p with 1^T p = 0 on the support, and whether it is the Newton step.
+
+    The Newton step goes to the minimizer of the quadratic on the support's
+    affine hull; it solves the KKT system [K_SS 1; 1^T 0] in the tangent basis.
+    Where the tangent Hessian is singular, p is instead a unit direction of
+    least curvature (zero up to rounding) along which the objective does not
+    increase.
+    """
+    H = _tangent_hessian(KS)
+    r = gS[:-1] - gS[-1]
+    try:
+        y = -cho_solve(cho_factor(H), r)
+        newton = True
+    except np.linalg.LinAlgError:
+        y = np.linalg.eigh(H)[1][:, 0]
+        if r @ y > 0:
+            y = -y
+        newton = False
+    return np.append(y, -y.sum()), newton
+
+
+def _active_set_qp(K, v, max_iter):
+    """Exact primal active-set method for (1/2) w^T K w + v . w on the simplex,
+    for K positive semidefinite on the tangent space.
+
+    Starts at the best vertex.  From the minimizer on the current support it
+    adds the node of least gradient; otherwise it steps towards that minimizer
+    and, when the step leaves the simplex, stops at the first weight that
+    reaches zero and drops that node.  Like any primal active-set method it
+    ends after finitely many steps, at the optimum up to rounding;
+    ``max_iter`` bounds its add and drop steps.  Returns (w, iterations, gap).
+    """
+    floor = QP_ROUNDING * max(1.0, float(np.abs(K).max()), float(np.abs(v).max()))
+    w = np.zeros(len(v))
+    support = [int(np.argmin(0.5 * np.diag(K) + v))]
+    w[support[0]] = 1.0
+    stationary = True
+    it = 0
+    while True:
+        g = K[:, support] @ w[support] + v
+        j = int(np.argmin(g))
+        gap = float(w @ g - g[j])
+        # a stationary support that holds the least gradient is optimal to rounding
+        if gap <= floor or it >= max_iter or (stationary and j in support):
+            return w, it, gap
+        it += 1
+        if stationary:
+            support.append(j)
+        S = np.array(support)
+        p, newton = _support_step(K[np.ix_(S, S)], g[S])
+        shrinking = np.flatnonzero(p < 0)
+        ratios = w[S[shrinking]] / -p[shrinking]
+        alpha, blocking = (1.0 if newton else np.inf), None
+        if len(ratios) and ratios.min() < alpha:
+            alpha = float(ratios.min())
+            blocking = S[shrinking[np.argmin(ratios)]]
+        w[S] = np.maximum(w[S] + alpha * p, 0.0)
+        if blocking is not None:
+            w[blocking] = 0.0
+        w /= w.sum()
+        support = [i for i in support if w[i] > 0]
+        stationary = blocking is None or len(support) == 1
+
+
 def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
             seeds, local, tol):
     weights = np.zeros(len(all_nodes))
@@ -363,6 +455,7 @@ def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
         iterations=iterations,
         convergence_gap=float(gap),
         method=method,
+        converged=bool(gap <= tol),
         seeds=seeds,
         local=local,
         surrogate=obj.surrogate,
@@ -404,9 +497,38 @@ def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
                       surrogate=surrogate), feasible
 
 
-def _psd_certified(K) -> bool:
-    evals = np.linalg.eigvalsh(0.5 * (K + K.T))
-    return bool(evals.min() >= -1e-10 * max(1.0, abs(evals.max())))
+def _tangent_psd_certified(K) -> bool:
+    """True when K is positive semidefinite on the simplex tangent space
+    {1^T x = 0}, up to a shift of 1e-10 times its scale.  Then w^T K w is
+    convex on the simplex, whatever the sign of K's other eigenvalues."""
+    H = _tangent_hessian(K)
+    if len(H) == 0:
+        return True
+    scale = max(1.0, float(np.abs(H).max()))
+    try:
+        np.linalg.cholesky(H + 1e-10 * scale * np.eye(len(H)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _is_convex(obj: _Objective) -> bool:
+    """Certified convex: a tangent-PSD kernel and no tilt or a linear one."""
+    return (obj.tilt is None or isinstance(obj.tilt, LinearTilt)) \
+        and _tangent_psd_certified(obj.K)
+
+
+def _best_of(solver, obj, inits, tol, max_iter):
+    """Run ``solver`` from every start; the lowest value, with its gap, and the
+    iterations summed over all starts."""
+    best = None
+    total_iters = 0
+    for w0 in inits:
+        w, fval, it, gap = solver(obj, w0, tol, max_iter)
+        total_iters += it
+        if best is None or fval < best[1]:
+            best = (w, fval, gap)
+    return best, total_iters
 
 
 def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
@@ -415,42 +537,47 @@ def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
     """Minimize entropy + interaction (+ optional tilt) over the grid simplex.
 
     Entropic mirror descent with a backtracking safeguard, so the objective
-    decreases monotonically along every run; multi-start keeps the best value.
+    decreases monotonically along every run.  When the kernel passes the
+    tangent-space certificate and the tilt is absent or linear, the objective
+    is strictly convex: one run from the uniform start finds the global
+    minimum (``local=None``, ``seeds=[]``).  Otherwise ``starts`` runs, from
+    the uniform start, the reference weights and Dirichlet draws of ``seed``,
+    keep the best value, reported with ``local=True``.  ``converged`` says
+    whether the final gap is within ``tol``; a run stopped by ``max_iter`` or
+    by a failed line search above ``tol`` reports False.
     """
     obj, feasible = build_objective_I(pair, ref, grid, tilt)
-    inits = _starts(obj.k, obj.nu, starts, seed)
-    best = None
-    total_iters = 0
-    for w0 in inits:
-        w, fval, it, gap = _mirror_descent(obj, w0, tol, max_iter)
-        total_iters += it
-        if best is None or fval < best[1]:
-            best = (w, fval, gap)
-    local = None if _psd_certified(obj.K) else True
-    return _finish(obj, best[0], best[1], total_iters, best[2], "mirror_descent",
-                   feasible, grid.nodes, [seed], local, tol)
+    convex = _is_convex(obj)
+    inits = _starts(obj.k, obj.nu, 1 if convex else starts, seed)
+    (w, fval, gap), iters = _best_of(_mirror_descent, obj, inits, tol, max_iter)
+    return _finish(obj, w, fval, iters, gap, "mirror_descent", feasible, grid.nodes,
+                   [] if convex else [seed], None if convex else True, tol)
 
 
 def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
                max_iter=50000, starts=DEFAULT_STARTS, seed=0) -> MinimizationResult:
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
-    Frank-Wolfe with away steps; the linear minimization oracle is an argmin
-    of the first variation over nodes.  Results carry ``local=True`` unless
-    the kernel is certified positive semidefinite on the grid.
+    When the kernel passes the tangent-space certificate and the tilt is
+    absent or linear, the problem is a convex QP.  An exact active-set method
+    then solves it from the best vertex, with the linear tilt folded into V:
+    ``method="active_set_qp"``, ``local=None``, ``seeds=[]``, and ``max_iter``
+    bounds its add and drop steps.  Otherwise Frank-Wolfe with away steps runs
+    from ``starts`` starts drawn with ``seed`` and keeps the best value,
+    reported with ``local=True``; its linear minimization oracle is an argmin
+    of the first variation over nodes.  ``converged`` says whether the final
+    gap is within ``tol``.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
+    if _is_convex(obj):
+        v = obj.v if obj.tilt is None else obj.v + obj.tilt.g
+        w, it, gap = _active_set_qp(obj.K, v, max_iter)
+        return _finish(obj, w, obj.value(w), it, gap, "active_set_qp", feasible,
+                       grid.nodes, [], None, tol)
     inits = _starts(obj.k, None, starts, seed)
-    best = None
-    total_iters = 0
-    for w0 in inits:
-        w, fval, it, gap = _frank_wolfe_away(obj, w0, tol, max_iter)
-        total_iters += it
-        if best is None or fval < best[1]:
-            best = (w, fval, gap)
-    local = None if _psd_certified(obj.K) else True
-    return _finish(obj, best[0], best[1], total_iters, best[2], "frank_wolfe_away",
-                   feasible, grid.nodes, [seed], local, tol)
+    (w, fval, gap), iters = _best_of(_frank_wolfe_away, obj, inits, tol, max_iter)
+    return _finish(obj, w, fval, iters, gap, "frank_wolfe_away", feasible, grid.nodes,
+                   [seed], True, tol)
 
 
 def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
@@ -458,16 +585,21 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
 
     ``objective`` is either a callable on weight vectors or an objective with
     a ``value_batch`` method (as produced by the builders above).  Supports at
-    most four nodes and steps no finer than 1e-3; ties resolve to the
+    most four nodes and lattices of at most ``SCAN_ROW_BUDGET`` weight vectors
+    (step 1e-3 on up to three nodes, 0.01 on four); ties resolve to the
     lexicographically first weight vector in lattice order.
     """
     nodes = _as_points(nodes)
     k = len(nodes)
     if k > SCAN_NODE_LIMIT:
         raise ValueError(f"scan oracle supports at most {SCAN_NODE_LIMIT} nodes")
-    if step < SCAN_MIN_STEP:
-        raise ValueError(f"scan step below {SCAN_MIN_STEP} exceeds the budget")
+    if not 0 < step <= 1:
+        raise ValueError("scan step must lie in (0, 1]")
     resolution = int(round(1.0 / step))
+    rows = math.comb(resolution + k - 1, k - 1)
+    if rows > SCAN_ROW_BUDGET:
+        raise ValueError(f"scan lattice of {rows} weight vectors exceeds the budget "
+                         f"of {SCAN_ROW_BUDGET}")
     lattice = compositions_array(resolution, k).astype(float) / resolution
     if hasattr(objective, "value_batch"):
         vals = np.asarray(objective.value_batch(lattice), dtype=float)
@@ -486,6 +618,7 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
         iterations=len(lattice),
         convergence_gap=0.0,
         method="simplex_scan",
+        converged=True,
         seeds=[],
         local=None,
         surrogate=getattr(objective, "surrogate", None),

@@ -1,0 +1,187 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import v_quadratic, w_sqdist
+from gibbslab.measures import ReferenceMeasure
+from gibbslab.potentials import PotentialPair, coulomb_kernel, power_confinement
+from gibbslab.variational import (
+    DEFAULT_TOL,
+    SCAN_ROW_BUDGET,
+    GridSpec,
+    _best_of,
+    _Objective,
+    _active_set_qp,
+    _frank_wolfe_away,
+    _mirror_descent,
+    _starts,
+    _tangent_psd_certified,
+    build_objective_I,
+    build_objective_J,
+    minimize_I,
+    minimize_J,
+    simplex_scan_oracle,
+)
+
+# default_rng(0).uniform(-1, 1, (4, 2)): the fixed 4-node instance of the benchmark
+FOUR_NODES = np.array([
+    [0.27392337, -0.46042657],
+    [-0.91805295, -0.96694473],
+    [0.62654048, 0.82551115],
+    [0.21327155, 0.45899312],
+])
+SQUARE = [(-1.0, 1.0), (-1.0, 1.0)]
+# minimize_J on the 121-node grid of SQUARE; Frank-Wolfe stopped at 0.5407166668
+J_121_VALUE = 0.5406995345353415
+
+
+def coulomb_pair(d):
+    return PotentialPair(power_confinement(2.0), coulomb_kernel(d), dim=d, symmetric=True)
+
+
+def box(d):
+    return ReferenceMeasure.density_on_box(
+        lambda x: np.zeros(np.asarray(x).shape[:-1]), np.array([(-1.0, 1.0)] * d))
+
+
+def sqdist_pair():
+    return PotentialPair(v_quadratic, w_sqdist, dim=2, symmetric=True)
+
+
+def lattice_bracket(obj):
+    """The 0.01 lattice oracle's value and its lattice error, the Frank-Wolfe
+    gap at the lattice minimizer: a convex f* lies in [value - error, value]."""
+    scan = simplex_scan_oracle(obj, obj.nodes, 0.01)
+    index = {node.tobytes(): i for i, node in enumerate(obj.nodes)}
+    w = np.zeros(obj.k)
+    for atom, weight in zip(scan.minimizer.atoms, scan.minimizer.weights):
+        w[index[atom.tobytes()]] = weight
+    g = obj.grad(w)
+    return scan.value, float(w @ g - g.min())
+
+
+def test_frank_wolfe_away_converges_on_four_nodes():
+    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES))
+    w, _, it, gap = _frank_wolfe_away(obj, np.full(4, 0.25), 1e-8, 1000)
+    assert gap <= 1e-8
+    assert it < 1000
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=4)
+       .map(np.array)
+       .filter(lambda p: np.min(np.linalg.norm(p[:, None] - p[None], axis=-1)
+                                + 3 * np.eye(len(p))) > 0.05))
+def test_active_set_within_the_lattice_bracket(nodes):
+    result = minimize_J(coulomb_pair(2), GridSpec.from_points(nodes))
+    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(nodes))
+    oracle, lattice_error = lattice_bracket(obj)
+    slack = 1e-9 * max(1.0, abs(oracle))
+    assert result.method == "active_set_qp"
+    assert result.converged
+    assert oracle - lattice_error - slack <= result.value <= oracle + slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+    st.lists(st.integers(-2, 2), min_size=k, max_size=k))))
+def test_active_set_on_a_rank_one_kernel(draw):
+    # K = a a^T is singular on the tangent space of every support of three or
+    # more nodes, where the KKT system has no unique solution
+    a, v = (np.array(x, dtype=float) for x in draw)
+    obj = _Objective(np.arange(len(a), dtype=float)[:, None], np.outer(a, a), v=v / 2)
+    w, _, gap = _active_set_qp(obj.K, obj.v, 100)
+    assert gap <= 1e-12
+    oracle, lattice_error = lattice_bracket(obj)
+    assert oracle - lattice_error - 1e-9 <= obj.value(w) <= oracle + 1e-9
+
+
+def test_active_set_exact_on_the_121_node_grid():
+    result = minimize_J(coulomb_pair(2), GridSpec.regular(SQUARE, 0.2))
+    assert result.method == "active_set_qp"
+    assert result.convergence_gap <= 1e-12
+    assert result.converged
+    assert result.local is None
+    assert result.seeds == []
+    assert result.value <= J_121_VALUE + 1e-12
+    assert json.loads(result.to_json())["converged"] is True
+
+
+@pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.2)])
+def test_tangent_certificate_accepts_indefinite_coulomb_kernels(d, h):
+    obj, _ = build_objective_J(coulomb_pair(d), GridSpec.regular([(-1.0, 1.0)] * d, h))
+    assert np.linalg.eigvalsh(obj.K).min() < -1.0     # indefinite on all of R^k
+    assert _tangent_psd_certified(obj.K)
+
+
+def test_tangent_certificate_rejects_a_concave_kernel():
+    grid = GridSpec.regular(SQUARE, 0.5)
+    obj, _ = build_objective_J(sqdist_pair(), grid)
+    assert not _tangent_psd_certified(obj.K)
+    result = minimize_J(sqdist_pair(), grid, seed=7)
+    assert result.method == "frank_wolfe_away"
+    assert result.local is True
+    assert result.seeds == [7]
+    result_I = minimize_I(sqdist_pair(), box(2), grid, seed=7)
+    assert result_I.local is True
+    assert result_I.seeds == [7]
+
+
+def test_linear_tilt_equals_shifted_confinement():
+    grid = GridSpec.regular(SQUARE, 0.25)
+    g = np.random.default_rng(5).normal(scale=0.3, size=len(grid.nodes))
+    shift = {node.tobytes(): gi for node, gi in zip(grid.nodes, g)}
+    base = power_confinement(2.0)
+
+    def V(x):
+        x = np.asarray(x, dtype=float)
+        return base(x) + np.array([shift[p.tobytes()] for p in x.reshape(-1, 2)]
+                                  ).reshape(x.shape[:-1])
+
+    tilted = minimize_J(coulomb_pair(2), grid, tilt=g)
+    shifted = minimize_J(PotentialPair(V, coulomb_kernel(2), dim=2, symmetric=True), grid)
+    assert tilted.method == shifted.method == "active_set_qp"
+    assert tilted.value == pytest.approx(shifted.value, abs=1e-12)
+    np.testing.assert_array_equal(tilted.minimizer.atoms, shifted.minimizer.atoms)
+    np.testing.assert_allclose(tilted.minimizer.weights, shifted.minimizer.weights,
+                               atol=1e-12)
+
+
+def test_single_start_I_matches_best_of_five():
+    grid = GridSpec.regular(SQUARE, 0.2)
+    result = minimize_I(coulomb_pair(2), box(2), grid)
+    assert result.local is None and result.converged and result.seeds == []
+    obj, _ = build_objective_I(coulomb_pair(2), box(2), grid)
+    (_, best, _), _ = _best_of(_mirror_descent, obj, _starts(obj.k, obj.nu, 5, 0),
+                               DEFAULT_TOL, 20000)
+    assert result.value == pytest.approx(best, abs=1e-10)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda grid, n: minimize_J(coulomb_pair(2), grid, max_iter=n),
+    lambda grid, n: minimize_I(coulomb_pair(2), box(2), grid, max_iter=n),
+], ids=["J", "I"])
+def test_a_solve_stopped_by_max_iter_is_not_converged(solve):
+    result = solve(GridSpec.regular(SQUARE, 0.2), 2)
+    assert result.iterations == 2
+    assert result.convergence_gap > DEFAULT_TOL
+    assert not result.converged
+    assert json.loads(result.to_json())["converged"] is False
+
+
+@pytest.mark.parametrize("k, step", [(2, 1e-3), (3, 1e-3), (4, 0.01)])
+def test_scan_oracle_runs_within_its_row_budget(k, step):
+    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES[:k]))
+    scan = simplex_scan_oracle(obj, obj.nodes, step)
+    assert scan.iterations <= SCAN_ROW_BUDGET
+    assert scan.converged
+
+
+def test_scan_oracle_refuses_a_lattice_over_budget():
+    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES))
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        simplex_scan_oracle(obj, obj.nodes, 1e-3)
