@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -28,12 +27,3 @@ def compositions_array(total: int, parts: int) -> np.ndarray:
     ])
     return np.diff(padded, axis=1) - 1
 
-
-def log_multinomial(counts) -> float:
-    """log of the exact integer multinomial coefficient for a count vector."""
-    counts = [int(c) for c in counts]
-    n = sum(counts)
-    coeff = math.factorial(n)
-    for c in counts:
-        coeff //= math.factorial(c)
-    return math.log(coeff)

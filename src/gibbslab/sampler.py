@@ -7,8 +7,11 @@ Three generators:
   reference-categorical moves against a finite atom cloud.  Proposals landing
   where the energy is +inf (singularities, hard walls, outside the support)
   are rejected, so kept samples never violate the hard constraints.
-* ``exact_sample_finite`` -- exhaustive enumeration of all m^n configurations
-  on a finite reference, exact Gibbs probabilities, categorical sampling.
+* ``exact_sample_finite`` -- exact Gibbs probabilities of all m^n index
+  tuples on a finite reference, categorical sampling of tuple indices.  The
+  law is built one slot at a time (``exact_gibbs_law`` shares the recursion)
+  and is still bounded by a budget on m^n; only the drawn tuples are turned
+  into atoms.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -245,80 +248,79 @@ def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int,
     return all_samples, diags
 
 
-def _enumerate_energies(pair, atoms, n) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and log reference products for all m^n index tuples.
+def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:
+    """Normalized probabilities of all m^n index tuples, in mixed-radix order.
 
-    Index tuples are enumerated in mixed-radix (lexicographic) order; the
-    returned arrays align with np.unravel_index on shape (m,) * n.
+    Built one slot at a time: appending atom j as the new fastest digit of a
+    prefix adds j's site term -beta_n V_j / n + log w_j and, through ``prefix``,
+    the interaction -beta_n (W + W^T)_{aj} / (2 n^2) with every atom a already
+    in the prefix.  evaluate_V and evaluate_W refuse NaN and -inf and the
+    weights are positive and finite, so the only non-finite value is -inf.
     """
-    m = len(atoms)
-    v_at = evaluate_V(pair.V, atoms)
-    Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
-    total = m**n
-    digits = np.empty((total, n), dtype=np.int16)
-    ar = np.arange(total)
-    for slot in range(n - 1, -1, -1):
-        digits[:, slot] = ar % m
-        ar = ar // m
-
-    with np.errstate(invalid="ignore"):
-        H = np.zeros(total)
-        for slot in range(n):
-            H += v_at[digits[:, slot]]
-        H /= n
-        if n > 1:
-            inter = np.zeros(total)
-            for a in range(n):
-                for b in range(n):
-                    if a != b:
-                        vals = Wmat[digits[:, a], digits[:, b]]
-                        inter = inter + vals
-            H = H + inter / (2.0 * n * n)
-    H = np.where(np.isnan(H), np.inf, H)    # inf - inf cannot occur (no -inf), NaN guards anyway
-    return digits, H
+    if not ell.is_finite:
+        raise ValueError("exact law needs a finite reference measure")
+    if not beta_n > 0:
+        raise ValueError("beta_n must be positive")
+    m = len(ell.atoms)
+    if m**n > budget:
+        raise BudgetExceededError(f"enumeration of {m}^{n} configurations exceeds budget {budget}")
+    atoms = np.asarray(ell.atoms, dtype=float)
+    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
+    log_prob = site
+    if n > 1:
+        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
+        prefix = link
+        for slot in range(1, n):
+            log_prob = (log_prob[:, None] + site[None, :] + prefix).ravel()
+            if slot < n - 1:
+                prefix = (prefix[:, None, :] + link[None, :, :]).reshape(-1, m)
+    shift = log_prob.max()
+    if shift == -np.inf:
+        raise SamplerError("all configurations have infinite energy; the Gibbs law is empty")
+    log_prob -= shift
+    probs = np.exp(log_prob, out=log_prob)
+    probs /= probs.sum()
+    return probs
 
 
 def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
                         beta_n: float, seed: int, samples: int,
                         budget: int = ENUM_BUDGET_DEFAULT):
-    """Exact draws from the Gibbs law on a finite reference by full enumeration.
+    """Exact draws from the Gibbs law on a finite reference.
 
-    Enumerates all m^n configurations, forms probabilities proportional to
-    exp(-beta_n H_n) times the product of reference weights, and samples
-    categorically.
+    Computes the probabilities of all m^n index tuples by the slot recursion
+    of ``exact_gibbs_law`` (same m^n budget), draws flat tuple indices
+    categorically and converts only the drawn indices into atoms; the
+    (m^n, n) tuple array is never built.
     """
-    if beta_n <= 0:
-        raise ValueError("beta_n must be positive")
-    digits, probs = exact_gibbs_law(pair, ell, n, beta_n, budget)
+    probs = _tuple_law(pair, ell, n, beta_n, budget)
     atoms = np.asarray(ell.atoms, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picks = rng.choice(len(probs), size=samples, p=probs)
-    return [ParticleConfig(atoms[digits[k]]) for k in picks]
+    slots = np.stack(np.unravel_index(picks, (len(atoms),) * n), axis=1)
+    return [ParticleConfig(atoms[row]) for row in slots]
 
 
 def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,
                     budget: int = ENUM_BUDGET_DEFAULT):
     """Exact configuration probabilities on a finite reference.
 
-    Returns (index tuples array of shape (m^n, n), probability vector).
+    Returns (index tuples array of shape (m^n, n), probability vector), both
+    in lexicographic (mixed-radix) order of the tuples, aligned with
+    np.unravel_index on shape (m,) * n.  The probabilities, proportional to
+    exp(-beta_n H_n) times the product of reference weights, are built one
+    slot at a time, so no per-tuple energy sum is formed.  Raises
+    BudgetExceededError when m^n exceeds ``budget``.
     """
-    if not ell.is_finite:
-        raise ValueError("exact law needs a finite reference measure")
+    probs = _tuple_law(pair, ell, n, beta_n, budget)
     m = len(ell.atoms)
-    if m**n > budget:
-        raise BudgetExceededError(f"enumeration of {m}^{n} configurations exceeds budget {budget}")
-    atoms = np.asarray(ell.atoms, dtype=float)
-    digits, H = _enumerate_energies(pair, atoms, n)
-    logw = np.log(ell.weights)
-    log_prob = -beta_n * H + logw[digits].sum(axis=1)
-    finite = np.isfinite(log_prob)
-    if not np.any(finite):
-        raise SamplerError("all configurations have infinite energy; the Gibbs law is empty")
-    shift = log_prob[finite].max()
-    probs = np.zeros(len(log_prob))
-    probs[finite] = np.exp(log_prob[finite] - shift)
-    probs /= probs.sum()
-    return digits, probs
+    digits = np.empty((m,) * n + (n,), dtype=np.min_scalar_type(m - 1))
+    for slot in range(n):
+        column = [1] * n
+        column[slot] = m
+        digits[..., slot] = np.arange(m).reshape(column)
+    return digits.reshape(-1, n), probs
 
 
 def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):

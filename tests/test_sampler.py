@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import v_quadratic, v_zero, w_zero
-from gibbslab.measures import DiscreteMeasure, ReferenceMeasure
+from conftest import v_quadratic, v_zero, w_sqdist, w_zero
+from gibbslab.functionals import hamiltonian, rate_I, rate_J
+from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from gibbslab.potentials import PotentialPair, coulomb_kernel
 from gibbslab.sampler import (
     BudgetExceededError,
@@ -147,6 +148,85 @@ class TestExactFinite:
         pair = PotentialPair(v_bad, w_zero, dim=1)
         with pytest.raises(SamplerError):
             exact_sample_finite(pair, ell, n=1, beta_n=1.0, seed=0, samples=1)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_rejected(self, beta):
+        ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        pair = PotentialPair(v_zero, coulomb_kernel(2), dim=2, symmetric=True)
+        with pytest.raises(ValueError):
+            exact_gibbs_law(pair, ell, n=2, beta_n=beta)
+        with pytest.raises(ValueError):
+            exact_sample_finite(pair, ell, n=2, beta_n=beta, seed=0, samples=1)
+
+    def test_single_slot_many_atoms(self):
+        # n = 1 never uses W, and atom indices above the int16 range must survive
+        m = 40000
+        atoms = np.linspace(-1.0, 1.0, m)[:, None]
+        weights = np.linspace(0.5, 1.5, m)
+        ell = ReferenceMeasure.finite(atoms, weights)
+
+        def w_unused(x, y):
+            raise AssertionError("W evaluated for a single particle")
+
+        pair = PotentialPair(v_quadratic, w_unused, dim=1, symmetric=True)
+        digits, probs = exact_gibbs_law(pair, ell, n=1, beta_n=2.0)
+        expected = weights * np.exp(-2.0 * atoms[:, 0] ** 2)
+        np.testing.assert_allclose(probs, expected / expected.sum(), rtol=1e-12)
+        assert digits.shape == (m, 1)
+        np.testing.assert_array_equal(digits[:, 0], np.arange(m))
+
+    @pytest.mark.parametrize("case", ["asymmetric", "coulomb_d2"])
+    def test_law_ratios_match_hamiltonian(self, case):
+        # every pair of tuples: log p_s - log p_t = -beta (H_s - H_t) + sum log w
+        if case == "asymmetric":
+            atoms = np.array([[0.0], [0.7], [1.5], [2.0]])
+            w_asym = lambda x, y: w_sqdist(x, y) + 0.8 * np.asarray(x)[..., 0]
+            pair = PotentialPair(v_quadratic, w_asym, dim=1, symmetric=False)
+        else:
+            atoms = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9], [-0.5, 0.4]])
+            pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+        ell = ReferenceMeasure.finite(atoms, [1.0, 2.0, 0.5, 1.5])
+        beta, n = 1.7, 3
+        digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+        H = np.array([hamiltonian(ParticleConfig(atoms[row]), pair) for row in digits])
+        np.testing.assert_array_equal(probs == 0, H == np.inf)
+        live = np.isfinite(H)
+        assert live.sum() >= 24
+        logw = np.log(ell.weights)[digits[live]].sum(axis=1)
+        log_p = np.log(probs[live])
+        got = log_p[:, None] - log_p[None, :]
+        expected = -beta * (H[live][:, None] - H[live][None, :]) + logw[:, None] - logw[None, :]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+class TestLDPOnExactLaws:
+    """The paper's LDP on exact laws: -(1/beta_n) log P(L_n = c/n) approaches
+    the rate, I at beta_n = n and J at beta_n = n^2, up to their minima."""
+
+    @pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
+    @pytest.mark.parametrize("regime", ["I", "J"])
+    def test_sup_deviation_falls_with_n(self, regime):
+        atoms = np.array([[0.0], [1.0], [2.0]])
+        ell = ReferenceMeasure.finite(atoms, [1.0, 2.0, 1.5])
+        v_half = lambda x: 0.5 * v_quadratic(x)
+        # W has a finite diagonal, so n > m still leaves finite-energy states
+        pair = PotentialPair(v_half, w_sqdist, dim=1, symmetric=True)
+        sups = []
+        for n in (4, 8, 12):
+            beta = float(n if regime == "I" else n * n)
+            digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+            c0, c1 = ((digits == a).sum(axis=1) for a in (0, 1))
+            law = np.bincount(c0 * (n + 1) + c1, weights=probs, minlength=(n + 1) ** 2)
+            comps = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+            speed = np.array([-math.log(law[a * (n + 1) + b]) / beta for a, b, _ in comps])
+            rates = []
+            for c in comps:
+                mu = DiscreteMeasure(atoms, np.array(c) / n)
+                rates.append(float(rate_I(mu, pair, ell) if regime == "I" else rate_J(mu, pair)))
+            rates = np.array(rates)
+            sups.append(np.max(np.abs(speed - speed.min() - (rates - rates.min()))))
+        assert sups[0] > sups[1] > sups[2]
+        assert sups[2] < 0.15
 
 
 class TestIIDSample:
