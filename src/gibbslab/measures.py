@@ -5,14 +5,19 @@ measure: a list of distinct atoms in R^d with positive weights summing to one.
 Three metrics are provided:
 
 * ``d_bl``    -- bounded-Lipschitz distance, computed exactly as a small
-  linear program over function values on the union support.
+  linear program over function values on the union support.  Its Lipschitz
+  constraints are the sparse incidence matrix of the support's pairs.
 * ``d_psi``   -- bounded-Lipschitz part plus the discrepancy of psi-integrals,
   the weighted metric that upgrades weak convergence to psi-moment convergence.
   The weak-topology part uses d_bl as a computable surrogate for the
   Levy-Prohorov metric (they induce the same topology, d_w <= 3*sqrt(d_bl)).
 * ``wasserstein_p`` -- optimal transport cost with ground cost |x-y|^p.
   Returns the raw cost (no p-th root), via exact quantile coupling in
-  dimension one and a transportation LP otherwise.
+  dimension one and a transportation LP, with sparse marginal constraints,
+  otherwise.
+
+One canonicalizer, ``_merge_atoms``, sorts atoms and merges duplicates, both
+for a new measure and for the union support of two measures.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 WEIGHT_SUM_TOL = 1e-12
@@ -40,6 +46,19 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"dimension mismatch: expected d={dim}, got d={arr.shape[1]}")
     # normalize -0.0 to +0.0 so duplicate detection is stable
     return arr + 0.0
+
+
+def _merge_atoms(points: np.ndarray, weights: np.ndarray):
+    """Sort points lexicographically and sum the weights of exact duplicates.
+
+    The sort is stable and ``bincount`` adds in index order, so each sum
+    runs over the copies of an atom in their input order.
+    """
+    order = np.lexsort(points.T[::-1])
+    points = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = np.any(points[1:] != points[:-1], axis=1)
+    return points[first], np.bincount(np.cumsum(first) - 1, weights=weights[order])
 
 
 class DiscreteMeasure:
@@ -68,24 +87,7 @@ class DiscreteMeasure:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
-        # merge exact duplicates, then sort lexicographically for a canonical form
-        order = np.lexsort(atoms.T[::-1])
-        atoms = atoms[order]
-        weights = weights[order]
-        keep_atoms = []
-        keep_weights = []
-        i = 0
-        while i < len(atoms):
-            j = i + 1
-            w = weights[i]
-            while j < len(atoms) and np.array_equal(atoms[j], atoms[i]):
-                w += weights[j]
-                j += 1
-            keep_atoms.append(atoms[i])
-            keep_weights.append(w)
-            i = j
-        atoms = np.array(keep_atoms)
-        weights = np.array(keep_weights)
+        atoms, weights = _merge_atoms(atoms, weights)
 
         mask = weights > WEIGHT_DROP_TOL
         if not np.any(mask):
@@ -336,23 +338,8 @@ def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
 
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Union support points with signed weight difference mu - nu."""
-    pts = np.vstack([mu.atoms, nu.atoms])
-    signed = np.concatenate([mu.weights, -nu.weights])
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    signed = signed[order]
-    out_pts, out_w = [], []
-    i = 0
-    while i < len(pts):
-        j = i + 1
-        w = signed[i]
-        while j < len(pts) and np.array_equal(pts[j], pts[i]):
-            w += signed[j]
-            j += 1
-        out_pts.append(pts[i])
-        out_w.append(w)
-        i = j
-    return np.array(out_pts), np.array(out_w)
+    return _merge_atoms(np.vstack([mu.atoms, nu.atoms]),
+                        np.concatenate([mu.weights, -nu.weights]))
 
 
 def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -371,24 +358,17 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     k = len(pts)
     if k == 1:
         return 0.0
-    # rows: f_u - f_v <= |u - v| for every ordered pair u != v
-    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    # rows: f_u - f_v <= |u - v| and f_v - f_u <= |u - v| for every pair u < v
     iu, ju = np.triu_indices(k, 1)
-    rows = []
-    rhs = []
-    for a, b in zip(iu, ju):
-        r = np.zeros(k)
-        r[a], r[b] = 1.0, -1.0
-        rows.append(r.copy())
-        rhs.append(dists[a, b])
-        r[a], r[b] = -1.0, 1.0
-        rows.append(r)
-        rhs.append(dists[a, b])
+    pair = np.tile(np.arange(len(iu)), 2)
+    incidence = sparse.coo_array(
+        (np.repeat([1.0, -1.0], len(iu)), (pair, np.concatenate([iu, ju]))), shape=(len(iu), k))
+    dists = np.linalg.norm(pts[iu] - pts[ju], axis=1)
     res = linprog(
         c=-signed,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(-0.5, 0.5)] * k,
+        A_ub=sparse.vstack([incidence, -incidence]),
+        b_ub=np.concatenate([dists, dists]),
+        bounds=(-0.5, 0.5),
         method="highs",
     )
     if not res.success:
@@ -411,17 +391,12 @@ def _wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float
     cb = np.cumsum(nu.weights)
     levels = np.union1d(ca, cb)
     levels = levels[levels <= 1.0 + 1e-15]
-    prev = 0.0
-    terms = []
-    for lv in levels:
-        length = lv - prev
-        if length > 0:
-            mid = 0.5 * (prev + lv)
-            qa = xa[min(np.searchsorted(ca, mid), len(xa) - 1)]
-            qb = xb[min(np.searchsorted(cb, mid), len(xb) - 1)]
-            terms.append(length * abs(qa - qb) ** p)
-        prev = lv
-    return math.fsum(terms)
+    # levels are distinct and positive, so every interval has positive length
+    prev = np.r_[0.0, levels[:-1]]
+    mids = 0.5 * (prev + levels)
+    qa = xa[np.minimum(np.searchsorted(ca, mids), len(xa) - 1)]
+    qb = xb[np.minimum(np.searchsorted(cb, mids), len(xb) - 1)]
+    return math.fsum((levels - prev) * np.abs(qa - qb) ** p)
 
 
 def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
@@ -436,21 +411,13 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
         raise ValueError("p must be >= 1")
     cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=-1) ** p
     ka, kb = mu.support_size, nu.support_size
-    c = cost.ravel()
-    a_eq = []
-    b_eq = []
-    for i in range(ka):
-        row = np.zeros((ka, kb))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(mu.weights[i])
-    for j in range(kb):
-        row = np.zeros((ka, kb))
-        row[:, j] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(nu.weights[j])
-    res = linprog(c=c, A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=[(0, None)] * (ka * kb), method="highs")
+    # plan cell i * kb + j enters the row sum i of mu and the column sum j of nu
+    cells = np.arange(ka * kb)
+    marginal = np.concatenate([cells // kb, ka + cells % kb])
+    a_eq = sparse.coo_array((np.ones(2 * ka * kb), (marginal, np.tile(cells, 2))),
+                            shape=(ka + kb, ka * kb))
+    res = linprog(c=cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return max(0.0, res.fun)

@@ -22,7 +22,7 @@ reproducible from its recorded seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ class SamplerConfig:
     sigma: float = 0.5
     burn_in: int = 100
     thinning: int = 1
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     init: ParticleConfig | None = None
 
     def __post_init__(self):
@@ -71,7 +71,7 @@ class ChainDiagnostics:
     acceptance_rate: np.ndarray          # per sweep
     energy_trace: np.ndarray             # per kept sample
     ess: float                           # effective sample size of the trace
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     @property
     def mean_acceptance(self) -> float:
@@ -163,7 +163,7 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     used by the validation suite, receives (state_before, state_after) index
     tuples per elementary move on finite references.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     pts = _draw_init(pair, ref, cfg, rng)
     n = cfg.n
 
@@ -223,26 +223,15 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     return kept, diag
 
 
-def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int,
-                     threads: int = 1):
-    """Independent chains with seeds spawned from cfg.seed, merged by chain index."""
+def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
+    """Independent chains seeded by the children of SeedSequence(cfg.seed).spawn(chains).
+
+    Chain c is ``mh_sample`` with ``seed`` set to the c-th child; samples are
+    merged by chain index.
+    """
     spawned = np.random.SeedSequence(cfg.seed).spawn(chains)
-    chain_seeds = [int(ss.generate_state(1, np.uint64)[0]) for ss in spawned]
-    configs = [
-        SamplerConfig(n=cfg.n, beta_n=cfg.beta_n, sigma=cfg.sigma, burn_in=cfg.burn_in,
-                      thinning=cfg.thinning, seed=chain_seeds[c], init=cfg.init)
-        for c in range(chains)
-    ]
-
-    def run(c):
-        return mh_sample(pair, ref, configs[c], samples)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(chains)))
-    else:
-        results = [run(c) for c in range(chains)]
+    results = [mh_sample(pair, ref, replace(cfg, seed=child), samples)
+               for child in spawned]
     all_samples = [s for samp, _ in results for s in samp]
     diags = [d for _, d in results]
     return all_samples, diags

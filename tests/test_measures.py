@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbslab.measures import (
     DiscreteMeasure,
     ParticleConfig,
     ReferenceMeasure,
     WeightFunction,
+    _merge_atoms,
+    _union_support,
     d_bl,
     d_psi,
     empirical_measure,
@@ -61,6 +65,45 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure([[0.0], [1.0]], [1.0 - 1e-16, 1e-16])
         assert mu.support_size == 1
         assert mu.weights[0] == 1.0
+
+    def test_merge_in_two_dimensions(self):
+        # ties in the first coordinate, and ten copies of (0, 0): from nine
+        # copies on, a pairwise sum can differ from the sequential one
+        distinct = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, -1.0], [0.0, 0.0], [-0.5, 2.0]])
+        copies = np.array([1, 2, 3, 10, 1])
+        rng = np.random.default_rng(9)
+        which = rng.permutation(np.repeat(np.arange(len(distinct)), copies))
+        weights = rng.uniform(0.5, 1.5, len(which))
+        weights /= math.fsum(weights)
+        atoms, sums = _merge_atoms(distinct[which], weights)
+
+        order = [4, 3, 1, 2, 0]                        # lexicographic order of `distinct`
+        np.testing.assert_array_equal(atoms, distinct[order])
+        sequential = []
+        for j in order:
+            total = 0.0
+            for w in weights[which == j]:
+                total += w
+            sequential.append(total)
+        np.testing.assert_array_equal(sums, sequential)
+        heavy = weights[which == 3]
+        # the data tell the orders apart: exact and pairwise sums differ
+        assert sequential[1] != math.fsum(heavy)
+        assert sequential[1] != np.add.reduce(heavy)
+
+        mu = DiscreteMeasure(distinct[which], weights)
+        np.testing.assert_array_equal(mu.atoms, atoms)
+        np.testing.assert_array_equal(mu.weights, sums / math.fsum(sums))
+
+    def test_union_support_in_two_dimensions(self):
+        mu = DiscreteMeasure([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]], [0.5, 0.25, 0.25])
+        nu = DiscreteMeasure([[0.0, 1.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1.5]],
+                             [0.125, 0.375, 0.25, 0.25])
+        pts, signed = _union_support(mu, nu)
+        np.testing.assert_array_equal(
+            pts, [[0.0, 1.0], [0.0, 1.5], [0.0, 2.0], [1.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(signed, [0.125, -0.25, 0.25, 0.25, -0.375])
+        assert math.fsum(signed) == 0.0
 
     def test_canonical_equality(self):
         a = DiscreteMeasure([[1.0], [0.0]], [0.25, 0.75])
@@ -121,6 +164,19 @@ class TestBoundedLipschitz:
         with pytest.raises(ValueError):
             d_bl(DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([0.0, 0.0]))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_w1_on_unit_diameter(self, d, data):
+        # With diameter <= 1 a 1-Lipschitz f has range <= 1, so it shifts to
+        # |f| <= 1/2 without changing its integral against mu - nu: d_bl = W1.
+        coord = st.floats(0.0, 0.99 / math.sqrt(d))
+        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=5))
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8)
+        mu, nu = (empirical_measure(ParticleConfig([pool[i] for i in data.draw(index)]))
+                  for _ in range(2))
+        assert abs(d_bl(mu, nu) - wasserstein_p(mu, nu, 1)) <= 1e-9
+
 
 class TestDPsi:
     def test_zero_on_equal(self):
@@ -176,6 +232,29 @@ class TestWasserstein:
                 assert wasserstein_p(mu, nu, p) == pytest.approx(
                     wasserstein_lp(mu, nu, p), abs=1e-9
                 )
+
+    def test_quantile_matches_level_loop(self):
+        def level_loop(mu, nu, p):
+            ca, cb = np.cumsum(mu.weights), np.cumsum(nu.weights)
+            prev, terms = 0.0, []
+            for lv in np.union1d(ca, cb):
+                if lv > 1.0 + 1e-15:
+                    break
+                mid = 0.5 * (prev + lv)
+                qa = mu.atoms[min(np.searchsorted(ca, mid), mu.support_size - 1), 0]
+                qb = nu.atoms[min(np.searchsorted(cb, mid), nu.support_size - 1), 0]
+                terms.append((lv - prev) * abs(qa - qb) ** p)
+                prev = lv
+            return math.fsum(terms)
+
+        rng = np.random.default_rng(12)
+        for k in (1, 3, 8, 40):
+            mu = DiscreteMeasure.uniform(rng.normal(size=(k, 1)))
+            nu = DiscreteMeasure(rng.normal(size=(2 * k, 1)), _random_weights(rng, 2 * k))
+            for p in (1, 1.5, 2, 3):
+                # vectorised and scalar powers may round one ulp apart per term
+                assert wasserstein_p(mu, nu, p) == pytest.approx(
+                    level_loop(mu, nu, p), rel=4 * np.finfo(float).eps, abs=0.0)
 
     def test_p_below_one_rejected(self):
         mu = DiscreteMeasure.dirac([0.0])

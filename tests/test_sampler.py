@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,7 +323,17 @@ class TestDiagnostics:
         assert len(diags) == 3
         seeds = [d.seed for d in diags]
         assert len(set(seeds)) == 3
-        # thread count must not change results
-        samples2, _ = mh_sample_chains(pair, ref, cfg, samples=20, chains=3, threads=3)
-        for a, b in zip(samples, samples2):
-            assert np.array_equal(a.points, b.points)
+
+    def test_chains_seeded_by_spawn_children(self):
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-5.0, 5.0)])
+        cfg = SamplerConfig(n=3, beta_n=3.0, sigma=0.5, burn_in=5, thinning=2, seed=7)
+        chains = 3
+        samples, diags = mh_sample_chains(pair, ref, cfg, samples=10, chains=chains)
+        children = np.random.SeedSequence(cfg.seed).spawn(chains)
+        for c, child in enumerate(children):
+            alone, diag = mh_sample(pair, ref, replace(cfg, seed=child), samples=10)
+            assert diags[c].seed.spawn_key == child.spawn_key == (c,)
+            assert np.array_equal(diags[c].energy_trace, diag.energy_trace)
+            for a, b in zip(samples[10 * c:10 * (c + 1)], alone):
+                assert np.array_equal(a.points, b.points)
