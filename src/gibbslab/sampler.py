@@ -7,6 +7,10 @@ Three generators:
   reference-categorical moves against a finite atom cloud.  Proposals landing
   where the energy is +inf (singularities, hard walls, outside the support)
   are rejected, so kept samples never violate the hard constraints.
+  ``mh_sample_chains`` runs C such chains in lockstep on a (C, n, d) state
+  through the same kernel, of which ``mh_sample`` is the C = 1 call.  Every
+  chain carries a running H_n, updated on each accepted move, which is its
+  energy trace.
 * ``exact_sample_finite`` -- exact Gibbs probabilities of all m^n index
   tuples on a finite reference, categorical sampling of tuple indices.  The
   law is built one slot at a time (``exact_gibbs_law`` shares the recursion)
@@ -15,15 +19,15 @@ Three generators:
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
-All randomness flows through numpy ``SeedSequence`` spawning, so parallel
-chains with derived seeds are statistically independent and every run is
-reproducible from its recorded seed.
+All randomness flows through numpy ``SeedSequence``.  Chain c of
+``mh_sample_chains`` is seeded by the c-th spawn child of the configured seed
+(derived without advancing a caller's sequence) and draws only from its own
+Generator, so lockstep chains are statistically independent, each equals the
+chain run alone, and every run is reproducible from its recorded seed.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,9 +73,13 @@ class SamplerConfig:
 @dataclass
 class ChainDiagnostics:
     acceptance_rate: np.ndarray          # per sweep
-    energy_trace: np.ndarray             # per kept sample
+    energy_trace: np.ndarray             # per kept sample: the chain's running H_n
     ess: float                           # effective sample size of the trace
     seed: int | np.random.SeedSequence = 0
+    # per sweep: moves whose proposal has +inf energy or lies outside the
+    # reference's support, and moves that failed the Metropolis test
+    rejected_infinite: np.ndarray = field(kw_only=True)
+    rejected_metropolis: np.ndarray = field(kw_only=True)
 
     @property
     def mean_acceptance(self) -> float:
@@ -86,53 +94,45 @@ class ChainDiagnostics:
 
 
 def effective_sample_size(trace) -> float:
-    """Autocorrelation ESS with the usual cutoff at the first negative lag."""
+    """N / tau, with tau from Geyer's initial monotone sequence estimator.
+
+    The autocorrelations rho_t come from one FFT of the centred trace (the
+    biased autocovariance).  The pair sums Gamma_k = rho_{2k} + rho_{2k+1} are
+    cut at the first non-positive one and made non-increasing, and
+    tau = 2 sum_k Gamma_k - 1 (Geyer 1992).  tau is floored at 1, so the ESS
+    never exceeds N.
+    """
     x = np.asarray(trace, dtype=float)
     n = len(x)
     if n < 4 or np.allclose(x, x[0]):
         return float(n)
     x = x - x.mean()
-    var = float(np.dot(x, x)) / n
-    rho_sum = 0.0
-    for lag in range(1, n // 2):
-        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
-        if rho <= 0:
-            break
-        rho_sum += rho
-    return float(n / (1.0 + 2.0 * rho_sum))
-
-
-def _local_energy(pts, i, xi, pair, n):
-    """Energy terms of H_n involving site i with that site at position xi.
-
-    Per-site confinement plus the row/column interaction against the other
-    sites.  Returns +inf as soon as any term diverges.
-    """
-    v = float(evaluate_V(pair.V, xi[None, :])[0])
-    if v == np.inf:
-        return np.inf
-    others = np.delete(pts, i, axis=0)
-    if len(others) == 0:
-        return v / n
-    xi_rep = np.broadcast_to(xi, others.shape)
-    w_out = evaluate_W(pair.W, xi_rep, others)
-    if pair.symmetric:
-        w_sum = 2.0 * float(np.sum(w_out)) if np.all(np.isfinite(w_out)) else np.inf
-    else:
-        w_in = evaluate_W(pair.W, others, xi_rep)
-        both = np.concatenate([w_out, w_in])
-        w_sum = float(np.sum(both)) if np.all(np.isfinite(both)) else np.inf
-    if w_sum == np.inf:
-        return np.inf
-    return v / n + w_sum / (2.0 * n * n)
+    f = np.fft.rfft(x, 2 * n)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, 2 * n)[:n]
+    gamma = (acov[: 2 * (n // 2)] / acov[0]).reshape(-1, 2).sum(axis=1)
+    stop = np.flatnonzero(gamma <= 0)
+    if len(stop):
+        gamma = gamma[: stop[0]]
+    tau = 2.0 * float(np.sum(np.minimum.accumulate(gamma))) - 1.0
+    return float(n / max(tau, 1.0))
 
 
 def _draw_init(pair, ref, cfg, rng):
+    """A starting configuration of finite energy and finite reference
+    log-density, and its energy H_n."""
+
+    def energy_of(pts):
+        if not ref.is_finite and not np.all(np.isfinite(ref.log_density(pts))):
+            return np.inf
+        return hamiltonian(ParticleConfig(pts), pair)
+
     if cfg.init is not None:
         pts = np.array(cfg.init.points, dtype=float)
-        if hamiltonian(ParticleConfig(pts), pair) == np.inf:
-            raise SamplerError("user initial configuration has infinite energy")
-        return pts
+        energy = energy_of(pts)
+        if energy == np.inf:
+            raise SamplerError("user initial configuration has infinite energy "
+                               "or lies outside the reference's support")
+        return pts, energy
     for _ in range(INIT_RETRIES):
         if ref.is_finite:
             probs = ref.weights / ref.weights.sum()
@@ -141,11 +141,143 @@ def _draw_init(pair, ref, cfg, rng):
         else:
             box = ref.box
             pts = rng.uniform(box[:, 0], box[:, 1], size=(cfg.n, len(box)))
-        if hamiltonian(ParticleConfig(pts), pair) < np.inf:
-            return pts
+        energy = energy_of(pts)
+        if energy < np.inf:
+            return pts, energy
     raise SamplerError(
         f"no finite-energy initial configuration found in {INIT_RETRIES} draws"
     )
+
+
+def _chain_seeds(seed, chains):
+    """The seeds of ``SeedSequence(seed).spawn(chains)``, derived without spawning.
+
+    A ``SeedSequence`` seed is the parent as it is, and its child counter is
+    not advanced, so the caller's sequence is left unchanged.
+    """
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (c,),
+                                   pool_size=base.pool_size) for c in range(chains)]
+
+
+def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
+    """One Metropolis chain per seed, all advanced in lockstep.
+
+    The state is a (C, n, d) array.  Each sweep, chain c draws its n
+    proposals and then its n uniforms from its own Generator, so a chain's
+    stream does not depend on the other chains.  Site i keeps its position
+    until its own move, so the sweep's proposals, their V values and their
+    log-densities are computed before its first move (on a finite reference
+    V is evaluated once, on the atoms).  Site i's interaction with the other
+    n - 1 sites is one evaluate_W call of shape (2, C, n - 1), proposed rows
+    over current rows, plus a second call for the column terms of a
+    non-symmetric W.  Each chain carries its running H_n, moved by
+    e_prop - e_cur on every accepted move.  Returns one (kept configurations,
+    ChainDiagnostics) pair per seed.
+    """
+    n, d, beta = cfg.n, ref.dim, cfg.beta_n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    C = len(rngs)
+    starts = [_draw_init(pair, ref, cfg, rng) for rng in rngs]
+    energy = np.array([e for _, e in starts])
+    # index 0 holds the sweep's proposals, index 1 the chains' current state
+    pos = np.empty((2, C, n, d))
+    state = pos[1]
+    state[:] = [p for p, _ in starts]
+    # V / n and the log-density at the proposals (index 0) and the state (index 1)
+    v = np.empty((2, C, n))
+    v[1] = evaluate_V(pair.V, state.reshape(C * n, d)).reshape(C, n) / n
+    finite_mode = ref.is_finite
+    hook = _transition_hook if finite_mode else None
+    if finite_mode:
+        atoms = np.asarray(ref.atoms, dtype=float)
+        cdf = np.cumsum(ref.weights)
+        cdf /= cdf[-1]
+        v_atoms = evaluate_V(pair.V, atoms) / n
+        picks = np.empty((C, n), dtype=np.intp)
+        if hook is not None:
+            atom_index = {a.tobytes(): k for k, a in enumerate(atoms)}
+            state_idx = [atom_index[p.tobytes()] for p in state[0]]
+    else:
+        steps = np.empty((C, n, d))
+        ld = np.empty((2, C, n))
+        ld[1] = ref.log_density(state.reshape(C * n, d)).reshape(C, n)
+    u = np.empty((C, n))
+    rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i
+    w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
+    log_ratio, accepted = np.empty((C, n)), np.empty((C, n), dtype=bool)
+
+    kept = [[] for _ in range(C)]
+    traces, acc_counts, inf_counts = [], [], []
+    sweeps_done = 0
+    while len(kept[0]) < samples:
+        for c, rng in enumerate(rngs):
+            if finite_mode:
+                picks[c] = np.searchsorted(cdf, rng.random(n), side="right")
+            else:
+                steps[c] = rng.standard_normal((n, d))
+            u[c] = rng.random(n)
+        if finite_mode:
+            pos[0] = atoms[picks]
+            v[0] = v_atoms[picks]
+        else:
+            pos[0] = state + cfg.sigma * steps
+            ld[0] = ref.log_density(pos[0].reshape(C * n, d)).reshape(C, n)
+            v[0] = evaluate_V(pair.V, pos[0].reshape(C * n, d)).reshape(C, n) / n
+        # log1p(-u) for u in [0, 1) is finite, so it never passes a log ratio of -inf
+        log_u = np.log1p(-u)
+        for i in range(n):
+            e = v[:, :, i]
+            if n > 1:
+                x = pos[:, :, i, None, :]
+                y = state[:, rest[i]]
+                w_sum = evaluate_W(pair.W, x, y).sum(axis=-1)
+                if not pair.symmetric:
+                    w_sum += evaluate_W(pair.W, y, x).sum(axis=-1)
+                e = e + w_scale * w_sum
+            # The state's local energy and log-density are finite, so delta is
+            # finite or +inf and the log ratio is finite or -inf: no inf - inf.
+            delta = e[0] - e[1]
+            lr = log_ratio[:, i]
+            np.multiply(-beta, delta, out=lr)
+            if not finite_mode:
+                lr += ld[0, :, i] - ld[1, :, i]
+            take = np.less(log_u[:, i], lr, out=accepted[:, i])
+            for c in take.nonzero()[0]:
+                state[c, i] = pos[0, c, i]
+                v[1, c, i] = v[0, c, i]
+                energy[c] += delta[c]
+                if not finite_mode:
+                    ld[1, c, i] = ld[0, c, i]
+            if hook is not None:
+                before = tuple(state_idx)
+                if take[0]:
+                    state_idx[i] = int(picks[0, i])
+                hook(before, tuple(state_idx))
+        acc_counts.append(accepted.sum(axis=1))
+        inf_counts.append(np.sum(log_ratio == -np.inf, axis=1))
+        sweeps_done += 1
+        past_burn = sweeps_done > cfg.burn_in
+        due = (sweeps_done - cfg.burn_in - 1) % max(cfg.thinning, 1) == 0
+        if past_burn and due:
+            for c in range(C):
+                kept[c].append(ParticleConfig(state[c].copy()))
+            traces.append(energy.copy())
+
+    acc = np.array(acc_counts, dtype=np.int64).reshape(-1, C)
+    rej_inf = np.array(inf_counts, dtype=np.int64).reshape(-1, C)
+    trace = np.array(traces).reshape(-1, C)
+    return [
+        (kept[c], ChainDiagnostics(
+            acceptance_rate=acc[:, c] / n,
+            energy_trace=trace[:, c].copy(),
+            ess=effective_sample_size(trace[:, c]),
+            seed=seeds[c],
+            rejected_infinite=rej_inf[:, c].copy(),
+            rejected_metropolis=n - acc[:, c] - rej_inf[:, c],
+        ))
+        for c in range(C)
+    ]
 
 
 def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
@@ -157,84 +289,29 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     carries the reference log-density; against a finite reference the
     proposal redraws the site from the normalized atom cloud, which cancels
     the reference factor and leaves the pure energy ratio.  The normalization
-    constant is never needed.
+    constant is never needed.  This is the one-chain call of the lockstep
+    kernel behind ``mh_sample_chains``: each sweep draws its n proposals and
+    then its n uniforms at once, and the energy trace is the chain's running
+    H_n, updated on every accepted move, not recomputed per kept sample.
 
     Returns (kept configurations, ChainDiagnostics).  ``_transition_hook``,
     used by the validation suite, receives (state_before, state_after) index
     tuples per elementary move on finite references.
     """
-    rng = np.random.default_rng(cfg.seed)
-    pts = _draw_init(pair, ref, cfg, rng)
-    n = cfg.n
-
-    finite_mode = ref.is_finite
-    if finite_mode:
-        probs = ref.weights / ref.weights.sum()
-        atom_index = {a.tobytes(): k for k, a in enumerate(np.asarray(ref.atoms, dtype=float))}
-        state_idx = np.array([atom_index[p.tobytes()] for p in pts]) if _transition_hook else None
-
-    kept = []
-    energies = []
-    acc_rates = []
-    sweeps_done = 0
-    while len(kept) < samples:
-        accepted = 0
-        for i in range(n):
-            xi = pts[i]
-            if finite_mode:
-                k_new = rng.choice(len(ref.atoms), p=probs)
-                prop = ref.atoms[k_new].astype(float)
-                log_q = 0.0     # reference-categorical proposal cancels the ell factor
-            else:
-                prop = xi + cfg.sigma * rng.normal(size=xi.shape)
-                ld = ref.log_density(np.vstack([prop, xi]))
-                log_q = float(ld[0] - ld[1])
-            e_prop = _local_energy(pts, i, prop, pair, n)
-            if e_prop == np.inf or log_q == -np.inf:
-                if _transition_hook is not None and finite_mode:
-                    _transition_hook(tuple(state_idx), tuple(state_idx))
-                continue
-            e_cur = _local_energy(pts, i, xi, pair, n)
-            log_ratio = -cfg.beta_n * (e_prop - e_cur) + log_q
-            if math.log(rng.uniform()) < log_ratio:
-                pts[i] = prop
-                accepted += 1
-                if _transition_hook is not None and finite_mode:
-                    old = tuple(state_idx)
-                    state_idx[i] = k_new
-                    _transition_hook(old, tuple(state_idx))
-            elif _transition_hook is not None and finite_mode:
-                _transition_hook(tuple(state_idx), tuple(state_idx))
-        acc_rates.append(accepted / n)
-        sweeps_done += 1
-        past_burn = sweeps_done > cfg.burn_in
-        due = (sweeps_done - cfg.burn_in - 1) % max(cfg.thinning, 1) == 0
-        if past_burn and due:
-            config = ParticleConfig(pts.copy())
-            kept.append(config)
-            energies.append(hamiltonian(config, pair))
-
-    diag = ChainDiagnostics(
-        acceptance_rate=np.array(acc_rates),
-        energy_trace=np.array(energies),
-        ess=effective_sample_size(energies),
-        seed=cfg.seed,
-    )
-    return kept, diag
+    return _run_chains(pair, ref, cfg, [cfg.seed], samples, _transition_hook)[0]
 
 
 def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
-    """Independent chains seeded by the children of SeedSequence(cfg.seed).spawn(chains).
+    """Independent chains, run in lockstep, seeded as by SeedSequence(cfg.seed).spawn(chains).
 
-    Chain c is ``mh_sample`` with ``seed`` set to the c-th child; samples are
-    merged by chain index.
+    Chain c's seed is SeedSequence(entropy, spawn_key=spawn_key + (c,)) of
+    cfg.seed, or of SeedSequence(cfg.seed) for an int; a SeedSequence given
+    as cfg.seed is not advanced.  Every chain draws from its own Generator,
+    so chain c equals ``mh_sample`` run alone with that seed, bit for bit.
+    Samples are merged by chain index.
     """
-    spawned = np.random.SeedSequence(cfg.seed).spawn(chains)
-    results = [mh_sample(pair, ref, replace(cfg, seed=child), samples)
-               for child in spawned]
-    all_samples = [s for samp, _ in results for s in samp]
-    diags = [d for _, d in results]
-    return all_samples, diags
+    results = _run_chains(pair, ref, cfg, _chain_seeds(cfg.seed, chains), samples)
+    return [s for kept, _ in results for s in kept], [diag for _, diag in results]
 
 
 def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:

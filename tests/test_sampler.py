@@ -48,9 +48,10 @@ class TestMHGaussianTarget:
         pair = PotentialPair(v_hard_wall, w_zero, dim=1, symmetric=True)
         ref = ReferenceMeasure.lebesgue_box([(-1.0, 2.0)])
         cfg = SamplerConfig(n=3, beta_n=2.0, sigma=0.7, burn_in=50, thinning=1, seed=7)
-        kept, _ = mh_sample(pair, ref, cfg, samples=200)
+        kept, diag = mh_sample(pair, ref, cfg, samples=200)
         for k in kept:
             assert np.all(k.points >= 0.0) and np.all(k.points <= 1.0)
+        assert diag.rejected_infinite.sum() > 0
 
     def test_coulomb_never_coincident(self):
         # finite reference cloud makes exact coincidence proposable; the
@@ -78,6 +79,13 @@ class TestMHGaussianTarget:
         pair = PotentialPair(v_bad, w_zero, dim=1)
         ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])
         cfg = SamplerConfig(n=1, beta_n=1.0, seed=0)
+        with pytest.raises(SamplerError):
+            mh_sample(pair, ref, cfg, samples=1)
+
+    def test_init_outside_support_raises(self):
+        pair = PotentialPair(v_quadratic, w_zero, dim=1, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])
+        cfg = SamplerConfig(n=2, beta_n=1.0, seed=0, init=ParticleConfig([[0.0], [3.0]]))
         with pytest.raises(SamplerError):
             mh_sample(pair, ref, cfg, samples=1)
 
@@ -337,3 +345,84 @@ class TestDiagnostics:
             assert np.array_equal(diags[c].energy_trace, diag.energy_trace)
             for a, b in zip(samples[10 * c:10 * (c + 1)], alone):
                 assert np.array_equal(a.points, b.points)
+
+    def test_seed_sequence_seed_is_not_advanced(self):
+        # a chain's own seed fed back as cfg.seed spawns its sub-chains
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-5.0, 5.0)])
+        cfg = SamplerConfig(n=2, beta_n=2.0, sigma=0.5, burn_in=2, thinning=1, seed=11)
+        _, diags = mh_sample_chains(pair, ref, cfg, samples=5, chains=2)
+        parent = diags[0].seed
+        spawned_before = parent.n_children_spawned
+        samples, subs = mh_sample_chains(pair, ref, replace(cfg, seed=parent), samples=5, chains=3)
+        assert len(samples) == 15
+        assert parent.n_children_spawned == spawned_before
+        fresh = np.random.SeedSequence(parent.entropy, spawn_key=parent.spawn_key).spawn(3)
+        for c, (sub, child) in enumerate(zip(subs, fresh)):
+            assert sub.seed.spawn_key == child.spawn_key == parent.spawn_key + (c,)
+            assert np.array_equal(sub.seed.generate_state(4), child.generate_state(4))
+
+    @pytest.mark.parametrize("case", ["finite_reference", "asymmetric_W"])
+    def test_lockstep_chain_equals_chain_alone(self, case):
+        if case == "finite_reference":
+            ref = ReferenceMeasure.finite(np.linspace(-2.0, 2.0, 9)[:, None],
+                                          np.linspace(1.0, 2.0, 9))
+            pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+        else:
+            ref = ReferenceMeasure.lebesgue_box([(-3.0, 3.0), (-3.0, 3.0)])
+            w_asym = lambda x, y: w_sqdist(x, y) + 0.8 * np.asarray(x)[..., 0]
+            pair = PotentialPair(v_quadratic, w_asym, dim=2, symmetric=False)
+        cfg = SamplerConfig(n=4, beta_n=4.0, sigma=0.6, burn_in=3, thinning=2, seed=19)
+        samples, diags = mh_sample_chains(pair, ref, cfg, samples=12, chains=3)
+        for c, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+            alone, diag = mh_sample(pair, ref, replace(cfg, seed=child), samples=12)
+            for name in ("acceptance_rate", "energy_trace", "rejected_infinite",
+                         "rejected_metropolis"):
+                assert np.array_equal(getattr(diags[c], name), getattr(diag, name))
+            for a, b in zip(samples[12 * c:12 * (c + 1)], alone):
+                assert np.array_equal(a.points, b.points)
+            assert 0 < diag.mean_acceptance < 1
+            if case == "asymmetric_W":
+                energies = [hamiltonian(k, pair) for k in alone]
+                np.testing.assert_allclose(diag.energy_trace, energies, rtol=1e-12)
+
+    def test_running_energy_matches_hamiltonian(self):
+        pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-2.0, 2.0), (-2.0, 2.0)])
+        cfg = SamplerConfig(n=20, beta_n=20.0, sigma=0.3, burn_in=0, thinning=1, seed=4)
+        kept, diag = mh_sample(pair, ref, cfg, samples=2000)
+        energies = [hamiltonian(k, pair) for k in kept]
+        np.testing.assert_allclose(diag.energy_trace, energies, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["density", "finite"])
+    def test_rejection_causes_partition_each_sweep(self, mode):
+        if mode == "density":
+            pair = PotentialPair(v_hard_wall, coulomb_kernel(2), dim=2, symmetric=True)
+            ref = ReferenceMeasure.lebesgue_box([(-0.5, 1.5), (-0.5, 1.5)])
+        else:
+            # two atoms for three particles: coincident proposals have +inf energy
+            pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+            ref = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        cfg = SamplerConfig(n=3, beta_n=6.0, sigma=0.4, burn_in=10, thinning=1, seed=5)
+        _, diag = mh_sample(pair, ref, cfg, samples=200)
+        n = cfg.n
+        total = diag.acceptance_rate + diag.rejected_infinite / n + diag.rejected_metropolis / n
+        np.testing.assert_array_equal(total, np.ones(len(diag.acceptance_rate)))
+        assert diag.rejected_infinite.sum() > 0 and diag.rejected_metropolis.sum() > 0
+        assert np.all(diag.rejected_infinite >= 0) and np.all(diag.rejected_metropolis >= 0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_ess_on_ar1_traces(self, rho):
+        # the integrated autocorrelation time of AR(1) is (1 + rho) / (1 - rho);
+        # the mean over five independent traces damps the estimator's own noise
+        n = 20000
+        taus = []
+        for seed in range(5):
+            noise = np.random.default_rng(seed).normal(size=n) * math.sqrt(1 - rho * rho)
+            x = np.empty(n)
+            x[0] = noise[0] / math.sqrt(1 - rho * rho)
+            for t in range(1, n):
+                x[t] = rho * x[t - 1] + noise[t]
+            taus.append(n / effective_sample_size(x))
+        target = (1 + rho) / (1 - rho)
+        assert abs(np.mean(taus) / target - 1) < 0.10
