@@ -4,25 +4,31 @@ Measures are discretized on a fixed finite grid; the solvers minimize over
 the probability simplex on the grid nodes.  Grid infima upper-approximate the
 continuum infima and converge under refinement for the catalog potentials.
 
-Which solver runs depends on a convexity certificate.  The objectives differ
-from (1/2) w^T K w by terms that are linear or convex on the simplex, and
-only the curvature along the simplex matters: w^T K w is convex on the
+On a grid, J(w) = (1/2) w^T K w + v . w is a quadratic on the simplex for
+every interaction W, and I adds the relative entropy to the reference.  A
+linear tilt g . w (an array) is folded into v when the objective is built;
+only a non-linear tilt (an object with ``value`` and ``grad``) stays a
+separate term.
+
+A convexity certificate decides how far a solver's answer can be trusted.
+Only the curvature along the simplex matters: w^T K w is convex on the
 simplex exactly when K is positive semidefinite on its tangent space
 {x : 1^T x = 0}.  ``_tangent_psd_certified`` tests that by a Cholesky
 factorization of Z^T K Z, with Z = [I; -1^T] a basis of the tangent space.
 The Coulomb grid kernels in d = 1 and 2 pass although K itself is indefinite
-(smallest eigenvalue -140 on 201 nodes in d = 1).  A certified kernel
-with no tilt or a linear one makes the problem convex, so the solver's
-answer is global (``local=None``) and one start suffices.
+(smallest eigenvalue -140 on 201 nodes in d = 1); most masked, discontinuous
+kernels fail.  A certified kernel with no non-linear tilt makes the problem
+convex: one start suffices and the answer is global (``local=None``).
+Otherwise the solver runs from several starts and reports ``local=True``.
 
-* ``minimize_J`` -- pure energy.  Convex problems go to an exact primal
-  active-set QP (``active_set_qp``) that solves the KKT system on the
-  current support; it ends at the optimum up to rounding.  Everything else
-  (uncertified kernels, non-linear tilts) runs Frank-Wolfe with away steps
-  from several starts and reports ``local=True``.
+* ``minimize_J`` -- pure energy.  Without a non-linear tilt, an exact primal
+  active-set QP (``active_set_qp``) solves the KKT system on the current
+  support, from the best vertex and, on uncertified kernels, also from the
+  vertices of least gradient at the uniform point.  It ends at the optimum
+  of a convex problem, and at a KKT point of any other, up to rounding.  A
+  non-linear tilt runs entropic mirror descent.
 * ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
-  monotone line-search safeguard: one start on convex problems, several on
-  the rest, which report ``local=True``.
+  monotone line-search safeguard.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
 
@@ -49,6 +55,8 @@ from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 DEFAULT_TOL = 1e-8
 DEFAULT_STARTS = 5
 SCAN_NODE_LIMIT = 4
+# Most nodes a GridSpec accepts.
+GRID_NODE_CAP = 200000
 # Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
 # four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
 SCAN_ROW_BUDGET = 2_000_000
@@ -60,17 +68,17 @@ class GridSpec:
     """Finite node set for discretizing measures: a regular box grid or an
     explicit point list."""
 
-    def __init__(self, nodes, step=None, cap=200000):
+    def __init__(self, nodes, step=None):
         nodes = _as_points(nodes)
         if len(nodes) < 1:
             raise ValueError("grid needs at least one node")
-        if len(nodes) > cap:
-            raise ValueError(f"grid with {len(nodes)} nodes exceeds cap {cap}")
+        if len(nodes) > GRID_NODE_CAP:
+            raise ValueError(f"grid with {len(nodes)} nodes exceeds cap {GRID_NODE_CAP}")
         self._nodes = nodes
         self.step = step
 
     @classmethod
-    def regular(cls, bounds, h, cap=200000):
+    def regular(cls, bounds, h):
         b = np.asarray(bounds, dtype=float)
         if h <= 0:
             raise ValueError("grid step h must be positive")
@@ -79,11 +87,11 @@ class GridSpec:
             raise ValueError("each axis needs at least two nodes")
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(nodes, step=h, cap=cap)
+        return cls(nodes, step=h)
 
     @classmethod
-    def from_points(cls, points, cap=200000):
-        return cls(points, step=None, cap=cap)
+    def from_points(cls, points):
+        return cls(points, step=None)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -133,41 +141,28 @@ class MinimizationResult:
         )
 
 
-class LinearTilt:
-    """Linear functional of the weights: value g . w."""
-
-    def __init__(self, g):
-        self.g = np.asarray(g, dtype=float)
-
-    def value(self, w):
-        return float(self.g @ w)
-
-    def grad(self, w):
-        return self.g
-
-    def value_batch(self, wmat):
-        return wmat @ self.g
-
-
-def _resolve_tilt(tilt, k):
+def _fold_tilt(tilt, k):
+    """Split ``tilt`` into (g, non-linear tilt).  An array is the linear
+    functional g . w on the k feasible nodes, which the builders fold into v;
+    an object with ``value`` and ``grad`` stays a separate term."""
     if tilt is None:
-        return None
-    if isinstance(tilt, LinearTilt):
-        if len(tilt.g) != k:
-            raise ValueError("tilt length does not match feasible node count")
-        return tilt
+        return None, None
     if isinstance(tilt, (list, tuple, np.ndarray)):
         g = np.asarray(tilt, dtype=float)
-        if len(g) != k:
-            raise ValueError("tilt length does not match feasible node count")
-        return LinearTilt(g)
+        if g.shape != (k,):
+            raise ValueError(f"tilt of shape {g.shape} does not match the {k} "
+                             "feasible nodes")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("tilt values must be finite")
+        return g, None
     if hasattr(tilt, "value") and hasattr(tilt, "grad"):
-        return tilt
+        return None, tilt
     raise TypeError("tilt must be None, an array, or provide value/grad")
 
 
 class _Objective:
-    """Simplex objective: optional entropy vs nu, quadratic kernel, linear v, tilt."""
+    """Simplex objective: optional entropy vs nu, quadratic kernel, linear v and
+    an optional non-linear tilt."""
 
     def __init__(self, nodes, kernel, v=None, nu=None, tilt=None, surrogate=None):
         self.nodes = nodes
@@ -212,19 +207,17 @@ class _Objective:
                 terms = np.where(wmat > 0, wmat * np.log(wmat / self.nu), 0.0)
             totals = totals + terms.sum(axis=1)
         if self.tilt is not None:
-            if hasattr(self.tilt, "value_batch"):
-                totals = totals + self.tilt.value_batch(wmat)
-            else:
-                totals = totals + np.array([self.tilt.value(w) for w in wmat])
+            totals = totals + np.array([self.tilt.value(w) for w in wmat])
         return totals
 
 
-def _kernel_on_nodes(pair: PotentialPair, nodes, spacing):
+def _kernel_on_nodes(pair: PotentialPair, nodes, grid: GridSpec):
     """Symmetrized kernel matrix with the diagonal surrogate where singular."""
     K = pair_matrix(pair.W, nodes, nodes)
     surrogate = None
     diag = np.diag(K)
     if np.any(diag == np.inf):
+        spacing = grid.min_spacing()
         offset = spacing / 2.0
         probe = nodes.copy()
         probe[:, 0] += offset
@@ -307,71 +300,6 @@ def _mirror_descent(obj: _Objective, w0, tol, max_iter):
     return w, fval, it, gap
 
 
-def _frank_wolfe_away(obj: _Objective, w0, tol, max_iter):
-    w = np.array(w0, dtype=float)
-    w = w / w.sum()
-    Kw = obj.K @ w
-    fval = obj.value(w)
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = Kw.copy()
-        if obj.v is not None:
-            g += obj.v
-        if obj.tilt is not None:
-            g = g + obj.tilt.grad(w)
-        s = int(np.argmin(g))
-        gap = float(w @ g - g[s])
-        if gap < tol:
-            break
-        support = np.flatnonzero(w > 1e-16)
-        a = int(support[np.argmax(g[support])])
-        away_decrease = g[a] - float(w @ g)
-        use_away = away_decrease > gap and w[a] < 1.0 - 1e-16
-        if use_away:
-            d = w.copy()
-            d[a] -= 1.0
-            gamma_max = w[a] / (1.0 - w[a])
-            Kd = Kw - obj.K[:, a]
-        else:
-            d = -w.copy()
-            d[s] += 1.0
-            gamma_max = 1.0
-            Kd = obj.K[:, s] - Kw
-        lin = float(g @ d)
-        curv = float(d @ Kd)
-        if obj.tilt is None or isinstance(obj.tilt, LinearTilt):
-            gamma = gamma_max if curv <= 0 else min(gamma_max, max(0.0, -lin / curv))
-            if gamma <= 0:
-                break
-            w = w + gamma * d
-            Kw = Kw + gamma * Kd
-            fval = obj.value(w)
-        else:
-            gamma = gamma_max if curv <= 0 else min(gamma_max, max(1e-16, -lin / curv))
-            ok = False
-            for _ in range(60):
-                trial = w + gamma * d
-                ftrial = obj.value(trial)
-                if ftrial <= fval + 0.25 * gamma * lin:
-                    w = trial
-                    Kw = Kw + gamma * Kd
-                    fval = ftrial
-                    ok = True
-                    break
-                gamma *= 0.5
-            if not ok:
-                break
-        if it % 512 == 0:
-            Kw = obj.K @ w     # refresh accumulated drift
-        w = np.maximum(w, 0.0)
-        total = w.sum()
-        if abs(total - 1.0) > 1e-12:
-            w = w / total
-            Kw = obj.K @ w
-    return w, obj.value(w), it, gap
-
-
 def _tangent_hessian(K):
     """Z^T K Z for the basis Z = [I; -1^T] of the tangent space {1^T x = 0}."""
     last = K[:-1, -1]
@@ -383,9 +311,10 @@ def _support_step(KS, gS):
 
     The Newton step goes to the minimizer of the quadratic on the support's
     affine hull; it solves the KKT system [K_SS 1; 1^T 0] in the tangent basis.
-    Where the tangent Hessian is singular, p is instead a unit direction of
-    least curvature (zero up to rounding) along which the objective does not
-    increase.
+    Where the tangent Hessian is not positive definite (singular, or indefinite
+    on a kernel that fails the tangent-space certificate), p is instead a unit
+    direction of least curvature, zero or negative, along which the objective
+    does not increase; the caller follows it until a weight reaches zero.
     """
     H = _tangent_hessian(KS)
     r = gS[:-1] - gS[-1]
@@ -400,21 +329,25 @@ def _support_step(KS, gS):
     return np.append(y, -y.sum()), newton
 
 
-def _active_set_qp(K, v, max_iter):
-    """Exact primal active-set method for (1/2) w^T K w + v . w on the simplex,
-    for K positive semidefinite on the tangent space.
+def _active_set_qp(K, v, start, max_iter):
+    """Primal active-set method for (1/2) w^T K w + v . w on the simplex, for
+    any symmetric K, from the vertex of node ``start``.
 
-    Starts at the best vertex.  From the minimizer on the current support it
-    adds the node of least gradient; otherwise it steps towards that minimizer
-    and, when the step leaves the simplex, stops at the first weight that
-    reaches zero and drops that node.  Like any primal active-set method it
-    ends after finitely many steps, at the optimum up to rounding;
-    ``max_iter`` bounds its add and drop steps.  Returns (w, iterations, gap).
+    From the minimizer on the current support it adds the node of least
+    gradient; otherwise it steps towards that minimizer and, when the step
+    leaves the simplex, stops at the first weight that reaches zero and drops
+    that node.  Where the support has no minimizer (the tangent Hessian is
+    not positive definite), it follows a direction of least curvature to the
+    first weight that reaches zero.  When K is positive semidefinite on the
+    tangent space it ends after finitely many steps at the optimum up to
+    rounding; on any other K it ends at a KKT point, in general only a local
+    minimum.  ``max_iter`` bounds its add and drop steps.  Returns
+    (w, iterations, gap).
     """
     floor = QP_ROUNDING * max(1.0, float(np.abs(K).max()), float(np.abs(v).max()))
     w = np.zeros(len(v))
-    support = [int(np.argmin(0.5 * np.diag(K) + v))]
-    w[support[0]] = 1.0
+    support = [start]
+    w[start] = 1.0
     stationary = True
     it = 0
     while True:
@@ -476,11 +409,11 @@ def build_objective_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec
     if len(feasible) == 0:
         raise ValueError("empty feasible grid: no node carries reference mass")
     sub = nodes[feasible]
-    K, surrogate = _kernel_on_nodes(pair, sub, grid.min_spacing())
+    K, surrogate = _kernel_on_nodes(pair, sub, grid)
     nu = nu_full[feasible]
     nu = nu / nu.sum()
-    tilt = _resolve_tilt(tilt, len(feasible))
-    return _Objective(sub, K, v=None, nu=nu, tilt=tilt, surrogate=surrogate), feasible
+    g, tilt = _fold_tilt(tilt, len(feasible))
+    return _Objective(sub, K, v=g, nu=nu, tilt=tilt, surrogate=surrogate), feasible
 
 
 def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
@@ -491,10 +424,10 @@ def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
     if len(feasible) == 0:
         raise ValueError("all confinement values are infinite on the grid")
     sub = nodes[feasible]
-    K, surrogate = _kernel_on_nodes(pair, sub, grid.min_spacing())
-    tilt = _resolve_tilt(tilt, len(feasible))
-    return _Objective(sub, K, v=v_vals[feasible], nu=None, tilt=tilt,
-                      surrogate=surrogate), feasible
+    K, surrogate = _kernel_on_nodes(pair, sub, grid)
+    g, tilt = _fold_tilt(tilt, len(feasible))
+    v = v_vals[feasible] if g is None else v_vals[feasible] + g
+    return _Objective(sub, K, v=v, nu=None, tilt=tilt, surrogate=surrogate), feasible
 
 
 def _tangent_psd_certified(K) -> bool:
@@ -512,10 +445,12 @@ def _tangent_psd_certified(K) -> bool:
     return True
 
 
-def _is_convex(obj: _Objective) -> bool:
-    """Certified convex: a tangent-PSD kernel and no tilt or a linear one."""
-    return (obj.tilt is None or isinstance(obj.tilt, LinearTilt)) \
-        and _tangent_psd_certified(obj.K)
+def _vertex_starts(K, v, count):
+    """Start nodes of the QP: the best vertex, then the nodes of least gradient
+    K.mean(1) + v at the uniform weights, ``count`` nodes in all."""
+    best = int(np.argmin(0.5 * np.diag(K) + v))
+    order = np.argsort(K.mean(1) + v, kind="stable")
+    return [best] + [int(i) for i in order[order != best][:max(count - 1, 0)]]
 
 
 def _best_of(solver, obj, inits, tol, max_iter):
@@ -529,6 +464,13 @@ def _best_of(solver, obj, inits, tol, max_iter):
         if best is None or fval < best[1]:
             best = (w, fval, gap)
     return best, total_iters
+
+
+def _by_mirror_descent(obj, feasible, grid, convex, tol, max_iter, starts, seed):
+    inits = _starts(obj.k, obj.nu, 1 if convex else starts, seed)
+    (w, fval, gap), iters = _best_of(_mirror_descent, obj, inits, tol, max_iter)
+    return _finish(obj, w, fval, iters, gap, "mirror_descent", feasible, grid.nodes,
+                   [] if convex else [seed], None if convex else True, tol)
 
 
 def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
@@ -547,37 +489,35 @@ def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
     by a failed line search above ``tol`` reports False.
     """
     obj, feasible = build_objective_I(pair, ref, grid, tilt)
-    convex = _is_convex(obj)
-    inits = _starts(obj.k, obj.nu, 1 if convex else starts, seed)
-    (w, fval, gap), iters = _best_of(_mirror_descent, obj, inits, tol, max_iter)
-    return _finish(obj, w, fval, iters, gap, "mirror_descent", feasible, grid.nodes,
-                   [] if convex else [seed], None if convex else True, tol)
+    convex = obj.tilt is None and _tangent_psd_certified(obj.K)
+    return _by_mirror_descent(obj, feasible, grid, convex, tol, max_iter, starts, seed)
 
 
 def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
                max_iter=50000, starts=DEFAULT_STARTS, seed=0) -> MinimizationResult:
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
-    When the kernel passes the tangent-space certificate and the tilt is
-    absent or linear, the problem is a convex QP.  An exact active-set method
-    then solves it from the best vertex, with the linear tilt folded into V:
-    ``method="active_set_qp"``, ``local=None``, ``seeds=[]``, and ``max_iter``
-    bounds its add and drop steps.  Otherwise Frank-Wolfe with away steps runs
-    from ``starts`` starts drawn with ``seed`` and keeps the best value,
-    reported with ``local=True``; its linear minimization oracle is an argmin
-    of the first variation over nodes.  ``converged`` says whether the final
-    gap is within ``tol``.
+    With no tilt or a linear one (folded into V), J is a quadratic on the
+    simplex, and the exact active-set QP solves it (``method="active_set_qp"``,
+    ``seeds=[]``; ``max_iter`` bounds its add and drop steps).  When the kernel
+    passes the tangent-space certificate the QP is convex: one run from the
+    best vertex ends at the global minimum (``local=None``).  Otherwise the QP
+    runs from ``starts`` vertices, the best one and those of least gradient at
+    the uniform weights, and keeps the lowest value, a KKT point reported with
+    ``local=True``.  A non-linear tilt runs entropic mirror descent from
+    ``starts`` starts drawn with ``seed`` (``local=True``).  ``converged`` says
+    whether the final gap is within ``tol``.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
-    if _is_convex(obj):
-        v = obj.v if obj.tilt is None else obj.v + obj.tilt.g
-        w, it, gap = _active_set_qp(obj.K, v, max_iter)
-        return _finish(obj, w, obj.value(w), it, gap, "active_set_qp", feasible,
-                       grid.nodes, [], None, tol)
-    inits = _starts(obj.k, None, starts, seed)
-    (w, fval, gap), iters = _best_of(_frank_wolfe_away, obj, inits, tol, max_iter)
-    return _finish(obj, w, fval, iters, gap, "frank_wolfe_away", feasible, grid.nodes,
-                   [seed], True, tol)
+    if obj.tilt is not None:
+        return _by_mirror_descent(obj, feasible, grid, False, tol, max_iter, starts, seed)
+    certified = _tangent_psd_certified(obj.K)
+    runs = [_active_set_qp(obj.K, obj.v, start, max_iter)
+            for start in _vertex_starts(obj.K, obj.v, 1 if certified else starts)]
+    w, _, gap = min(runs, key=lambda run: obj.value(run[0]))
+    return _finish(obj, w, obj.value(w), sum(run[1] for run in runs), gap,
+                   "active_set_qp", feasible, grid.nodes, [], None if certified else True,
+                   tol)
 
 
 def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import v_quadratic, w_sqdist
+from gibbslab import variational
 from gibbslab.measures import ReferenceMeasure
-from gibbslab.potentials import PotentialPair, coulomb_kernel, power_confinement
+from gibbslab.potentials import (
+    PotentialPair,
+    Region,
+    coulomb_kernel,
+    masked_interaction,
+    power_confinement,
+)
 from gibbslab.variational import (
     DEFAULT_TOL,
     SCAN_ROW_BUDGET,
@@ -15,10 +22,10 @@ from gibbslab.variational import (
     _best_of,
     _Objective,
     _active_set_qp,
-    _frank_wolfe_away,
     _mirror_descent,
     _starts,
     _tangent_psd_certified,
+    _vertex_starts,
     build_objective_I,
     build_objective_J,
     minimize_I,
@@ -63,13 +70,6 @@ def lattice_bracket(obj):
     return scan.value, float(w @ g - g.min())
 
 
-def test_frank_wolfe_away_converges_on_four_nodes():
-    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES))
-    w, _, it, gap = _frank_wolfe_away(obj, np.full(4, 0.25), 1e-8, 1000)
-    assert gap <= 1e-8
-    assert it < 1000
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=4)
        .map(np.array)
@@ -86,15 +86,17 @@ def test_active_set_within_the_lattice_bracket(nodes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 4).flatmap(lambda k: st.tuples(
+@given(st.sampled_from([1.0, -1.0]), st.integers(3, 4).flatmap(lambda k: st.tuples(
     st.lists(st.integers(-2, 2), min_size=k, max_size=k),
     st.lists(st.integers(-2, 2), min_size=k, max_size=k))))
-def test_active_set_on_a_rank_one_kernel(draw):
+def test_active_set_on_a_rank_one_kernel(sign, draw):
     # K = a a^T is singular on the tangent space of every support of three or
-    # more nodes, where the KKT system has no unique solution
+    # more nodes, where the KKT system has no unique solution; K = -a a^T is
+    # concave, and its minimum lies at the best vertex, the QP's first start
     a, v = (np.array(x, dtype=float) for x in draw)
-    obj = _Objective(np.arange(len(a), dtype=float)[:, None], np.outer(a, a), v=v / 2)
-    w, _, gap = _active_set_qp(obj.K, obj.v, 100)
+    obj = _Objective(np.arange(len(a), dtype=float)[:, None], sign * np.outer(a, a),
+                     v=v / 2)
+    w, _, gap = _active_set_qp(obj.K, obj.v, _vertex_starts(obj.K, obj.v, 1)[0], 100)
     assert gap <= 1e-12
     oracle, lattice_error = lattice_bracket(obj)
     assert oracle - lattice_error - 1e-9 <= obj.value(w) <= oracle + 1e-9
@@ -111,6 +113,24 @@ def test_active_set_exact_on_the_121_node_grid():
     assert json.loads(result.to_json())["converged"] is True
 
 
+def test_min_spacing_only_for_a_singular_diagonal(monkeypatch):
+    calls = []
+    spacing = GridSpec.min_spacing
+    monkeypatch.setattr(GridSpec, "min_spacing", lambda grid: calls.append(1) or spacing(grid))
+    build_objective_J(coulomb_pair(1), GridSpec.from_points(FOUR_NODES[:, :1]))
+    assert calls == []
+    obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES))
+    assert calls == [1]
+    assert obj.surrogate["spacing"] == spacing(GridSpec.from_points(FOUR_NODES))
+
+
+def test_grid_node_cap(monkeypatch):
+    monkeypatch.setattr(variational, "GRID_NODE_CAP", 8)
+    assert len(GridSpec.from_points(FOUR_NODES).nodes) == 4
+    with pytest.raises(ValueError, match="exceeds cap 8"):
+        GridSpec.regular(SQUARE, 0.5)
+
+
 @pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.2)])
 def test_tangent_certificate_accepts_indefinite_coulomb_kernels(d, h):
     obj, _ = build_objective_J(coulomb_pair(d), GridSpec.regular([(-1.0, 1.0)] * d, h))
@@ -123,9 +143,9 @@ def test_tangent_certificate_rejects_a_concave_kernel():
     obj, _ = build_objective_J(sqdist_pair(), grid)
     assert not _tangent_psd_certified(obj.K)
     result = minimize_J(sqdist_pair(), grid, seed=7)
-    assert result.method == "frank_wolfe_away"
+    assert result.method == "active_set_qp"
     assert result.local is True
-    assert result.seeds == [7]
+    assert result.seeds == []
     result_I = minimize_I(sqdist_pair(), box(2), grid, seed=7)
     assert result_I.local is True
     assert result_I.seeds == [7]
@@ -149,6 +169,76 @@ def test_linear_tilt_equals_shifted_confinement():
     np.testing.assert_array_equal(tilted.minimizer.atoms, shifted.minimizer.atoms)
     np.testing.assert_allclose(tilted.minimizer.weights, shifted.minimizer.weights,
                                atol=1e-12)
+
+
+# Frank-Wolfe with away steps from five starts, the solver minimize_J used on
+# uncertified kernels before the QP served them, reached these values
+@pytest.mark.parametrize("kind, d, h, frank_wolfe_value", [
+    ("w1", 1, 0.05, -0.08309375),
+    ("w2", 2, 0.1, 0.2351047790),
+])
+def test_active_set_on_uncertified_masked_kernels(kind, d, h, frank_wolfe_value):
+    W = masked_interaction(kind, coulomb_kernel(d), Region.box([[-0.5, 0.5]] * d),
+                           segment_samples=50)
+    pair = PotentialPair(power_confinement(2.0), W, dim=d, symmetric=True)
+    grid = GridSpec.regular([(-1.0, 1.0)] * d, h)
+    assert not _tangent_psd_certified(build_objective_J(pair, grid)[0].K)
+    result = minimize_J(pair, grid)
+    assert result.method == "active_set_qp"
+    assert result.local is True
+    assert result.convergence_gap <= 1e-12
+    assert result.converged
+    assert result.value <= frank_wolfe_value + 1e-9
+
+
+def test_vertex_starts():
+    K = np.array([[0.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 4.0]])
+    v = np.array([1.0, 0.0, -1.0])
+    # 0.5 diag(K) + v = (1, 1, 1): the first node; K.mean(1) + v = (7/3, 5/3, 2/3)
+    assert _vertex_starts(K, v, 1) == [0]
+    assert _vertex_starts(K, v, 2) == [0, 2]
+    assert _vertex_starts(K, v, 5) == [0, 2, 1]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda grid, tilt: minimize_J(coulomb_pair(2), grid, tilt=tilt),
+    lambda grid, tilt: minimize_I(coulomb_pair(2), box(2), grid, tilt=tilt),
+], ids=["J", "I"])
+@pytest.mark.parametrize("bad", ["column", "nan", "-inf"])
+def test_a_malformed_tilt_raises(solve, bad):
+    grid = GridSpec.regular(SQUARE, 0.5)
+    g = np.zeros(len(grid.nodes))
+    if bad == "column":
+        g = g[:, None]
+    else:
+        g[3] = {"nan": np.nan, "-inf": -np.inf}[bad]
+    with pytest.raises(ValueError, match="tilt"):
+        solve(grid, g)
+
+
+def test_linear_tilt_on_I_equals_shifted_confinement():
+    grid = GridSpec.regular(SQUARE, 0.25)
+    g = np.random.default_rng(6).normal(scale=0.3, size=len(grid.nodes))
+    shift = {node.tobytes(): gi for node, gi in zip(grid.nodes, g)}
+    base = power_confinement(2.0)
+
+    def V(x):
+        x = np.asarray(x, dtype=float)
+        return base(x) + np.array([shift[p.tobytes()] for p in x.reshape(-1, 2)]
+                                  ).reshape(x.shape[:-1])
+
+    tilted = minimize_I(coulomb_pair(2), box(2), grid, tilt=g)
+    shifted = minimize_I(PotentialPair(V, coulomb_kernel(2), dim=2, symmetric=True),
+                         box(2), grid)
+    # shifting V by g renormalizes the reference: the values differ by the
+    # log of its normalizer, sum_i nu_i exp(-g_i)
+    nu = build_objective_I(coulomb_pair(2), box(2), grid)[0].nu
+    assert tilted.converged and shifted.converged
+    assert tilted.local is None and shifted.local is None
+    assert tilted.value == pytest.approx(shifted.value - np.log(nu @ np.exp(-g)), abs=1e-10)
+    np.testing.assert_array_equal(tilted.minimizer.atoms, shifted.minimizer.atoms)
+    np.testing.assert_allclose(tilted.minimizer.weights, shifted.minimizer.weights,
+                               atol=1e-8)
 
 
 def test_single_start_I_matches_best_of_five():
