@@ -6,7 +6,9 @@ Three metrics are provided:
 
 * ``d_bl``    -- bounded-Lipschitz distance, computed exactly as a small
   linear program over function values on the union support.  Its Lipschitz
-  constraints are the sparse incidence matrix of the support's pairs.
+  constraints are one ranged row per pair the box |f| <= 1/2 does not
+  already satisfy: pairs closer than 1, and in d = 1 only neighbours, whose
+  rows imply the rest along the line.
 * ``d_psi``   -- bounded-Lipschitz part plus the discrepancy of psi-integrals,
   the weighted metric that upgrades weak convergence to psi-moment convergence.
   The weak-topology part uses d_bl as a computable surrogate for the
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 WEIGHT_SUM_TOL = 1e-12
 # weights below this after merging are dropped and the measure renormalized,
@@ -347,8 +349,12 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
     Maximizes |integral of f d(mu - nu)| over test functions with
     max(Lip(f), 2*sup|f|) <= 1; only the values of f on the union support
-    matter, so the sup is a finite LP with pairwise Lipschitz constraints
-    and the box constraint |f| <= 1/2.
+    matter, so the sup is a finite LP with the box |f| <= 1/2 and one ranged
+    row -|u - v| <= f_u - f_v <= |u - v| per kept pair.  A pair at distance
+    >= 1 keeps no row: the box already gives |f_u - f_v| <= 1 <= |u - v|.
+    In d = 1 only neighbours on the sorted support keep rows: by the
+    triangle inequality along the line, the neighbour rows imply every other
+    pair's.  With no row left, d_bl is the total variation (1/2) sum |mu - nu|.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
@@ -358,19 +364,21 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     k = len(pts)
     if k == 1:
         return 0.0
-    # rows: f_u - f_v <= |u - v| and f_v - f_u <= |u - v| for every pair u < v
-    iu, ju = np.triu_indices(k, 1)
-    pair = np.tile(np.arange(len(iu)), 2)
-    incidence = sparse.coo_array(
-        (np.repeat([1.0, -1.0], len(iu)), (pair, np.concatenate([iu, ju]))), shape=(len(iu), k))
+    # _merge_atoms sorts the support, so in d = 1 neighbours are consecutive
+    if mu.dim == 1:
+        iu = np.arange(k - 1)
+        ju = iu + 1
+    else:
+        iu, ju = np.triu_indices(k, 1)
     dists = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    res = linprog(
-        c=-signed,
-        A_ub=sparse.vstack([incidence, -incidence]),
-        b_ub=np.concatenate([dists, dists]),
-        bounds=(-0.5, 0.5),
-        method="highs",
-    )
+    near = dists < 1.0
+    iu, ju, dists = iu[near], ju[near], dists[near]
+    # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]
+    rows = np.tile(np.arange(len(iu)), 2)
+    incidence = sparse.csr_array(
+        (np.repeat([1.0, -1.0], len(iu)), (rows, np.concatenate([iu, ju]))), shape=(len(iu), k))
+    res = milp(c=-signed, constraints=LinearConstraint(incidence, -dists, dists),
+               bounds=Bounds(-0.5, 0.5))
     if not res.success:
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return max(0.0, -res.fun)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,6 +227,19 @@ def masked_interaction(kind: str, h, region: Region, segment_samples: int = 1000
 # -----------------------------------------------------------------------------
 # sampled assumption checks
 # -----------------------------------------------------------------------------
+# Most violations a report lists as examples; ``violation_count`` has the total.
+VIOLATION_EXAMPLES = 20
+
+
+class PairSample(NamedTuple):
+    """Pairs of probe points, and how many of the plan's pairs they cover."""
+
+    x: np.ndarray
+    y: np.ndarray
+    total: int                  # ordered pairs in the plan
+    seed: int | None            # subsampling seed; None when every pair is here
+
+
 class ProbePlan:
     """Finite probe of points/pairs: a regular grid on a box or a seeded cloud."""
 
@@ -253,28 +266,40 @@ class ProbePlan:
     def points(self) -> np.ndarray:
         return self._points
 
-    def pairs(self):
-        """All ordered pairs of probe points, subsampled to the pair budget."""
+    def pairs(self) -> PairSample:
+        """All ordered pairs of probe points, or, over the pair budget,
+        ``pair_limit`` pairs drawn with replacement with seed 0."""
         pts = self._points
         k = len(pts)
         if k * k <= self.pair_limit:
             ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-            return pts[ii.ravel()], pts[jj.ravel()]
-        rng = np.random.default_rng(0)
+            return PairSample(pts[ii.ravel()], pts[jj.ravel()], k * k, None)
+        seed = 0
+        rng = np.random.default_rng(seed)
         ii = rng.integers(0, k, size=self.pair_limit)
         jj = rng.integers(0, k, size=self.pair_limit)
-        return pts[ii], pts[jj]
+        return PairSample(pts[ii], pts[jj], k * k, seed)
 
 
 @dataclass
 class AssumptionReport:
-    """Result of a sampled assumption check; sampled only, never exhaustive."""
+    """Result of a sampled assumption check; sampled only, never exhaustive.
+
+    ``violations`` lists at most ``VIOLATION_EXAMPLES`` examples and
+    ``violation_count`` counts them all.  ``pairs_checked`` of the probe's
+    ``pairs_total`` ordered pairs were evaluated; ``sample_seed`` is the seed
+    that drew them, None when every pair was checked.
+    """
 
     assumption: str
     minima: dict
     violations: list
     probe: str
     exhaustive: bool = False
+    pairs_checked: int = field(default=0, kw_only=True)
+    pairs_total: int = field(default=0, kw_only=True)
+    sample_seed: int | None = field(default=None, kw_only=True)
+    violation_count: int = field(default=0, kw_only=True)
 
     @property
     def ok(self) -> bool:
@@ -283,18 +308,21 @@ class AssumptionReport:
 
 def check_assumption_B1(pair: PotentialPair, probe: ProbePlan) -> AssumptionReport:
     """Sampled check of the uniform lower bound on W against the declared c."""
-    xs, ys = probe.pairs()
+    xs, ys, total, seed = probe.pairs()
     vals = evaluate_W(pair.W, xs, ys)
     finite = vals[np.isfinite(vals)]
     est = float(finite.min()) if finite.size else np.inf
     violations = []
+    count = 0
     c = pair.declared_lower_bound_c
     if c is not None:
-        bad = vals < c
-        for i in np.flatnonzero(bad)[:20]:
+        bad = np.flatnonzero(vals < c)
+        count = len(bad)
+        for i in bad[:VIOLATION_EXAMPLES]:
             violations.append({"x": xs[i].tolist(), "y": ys[i].tolist(), "W": float(vals[i])})
     return AssumptionReport(
-        assumption="B1", minima={"W": est}, violations=violations, probe=probe.description
+        assumption="B1", minima={"W": est}, violations=violations, probe=probe.description,
+        violation_count=count, pairs_checked=len(xs), pairs_total=total, sample_seed=seed
     )
 
 
@@ -305,7 +333,7 @@ def check_assumption_C1(pair: PotentialPair, eps1: float, probe: ProbePlan,
         raise ValueError("eps1 must lie in (0, 1)")
     pts = probe.points()
     v_vals = evaluate_V(pair.V, pts)
-    xs, ys = probe.pairs()
+    xs, ys, total, seed = probe.pairs()
     coupled = evaluate_W(pair.W, xs, ys) + eps1 * (evaluate_V(pair.V, xs) + evaluate_V(pair.V, ys))
     v_fin = v_vals[np.isfinite(v_vals)]
     c_fin = coupled[np.isfinite(coupled)]
@@ -314,15 +342,21 @@ def check_assumption_C1(pair: PotentialPair, eps1: float, probe: ProbePlan,
         "W+eps1(V+V)": float(c_fin.min()) if c_fin.size else np.inf,
     }
     violations = []
+    count = 0
     if declared_c_prime is not None:
-        for i in np.flatnonzero(v_vals < declared_c_prime)[:20]:
+        bad = np.flatnonzero(v_vals < declared_c_prime)
+        count += len(bad)
+        for i in bad[:VIOLATION_EXAMPLES]:
             violations.append({"x": pts[i].tolist(), "V": float(v_vals[i])})
     if declared_c is not None:
-        for i in np.flatnonzero(coupled < declared_c)[:20]:
+        bad = np.flatnonzero(coupled < declared_c)
+        count += len(bad)
+        for i in bad[:VIOLATION_EXAMPLES]:
             violations.append({"x": xs[i].tolist(), "y": ys[i].tolist(),
                                "coupled": float(coupled[i])})
     return AssumptionReport(
-        assumption="C1", minima=minima, violations=violations, probe=probe.description
+        assumption="C1", minima=minima, violations=violations, probe=probe.description,
+        violation_count=count, pairs_checked=len(xs), pairs_total=total, sample_seed=seed
     )
 
 

@@ -26,7 +26,8 @@ Otherwise the solver runs from several starts and reports ``local=True``.
   support, from the best vertex and, on uncertified kernels, also from the
   vertices of least gradient at the uniform point.  It ends at the optimum
   of a convex problem, and at a KKT point of any other, up to rounding.  A
-  non-linear tilt runs entropic mirror descent.
+  non-linear tilt runs entropic mirror descent, and its minimizer drops the
+  tiny weights of KKT-inactive nodes.
 * ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
   monotone line-search safeguard.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
@@ -62,6 +63,9 @@ GRID_NODE_CAP = 200000
 SCAN_ROW_BUDGET = 2_000_000
 # Relative size of the Frank-Wolfe gap the active-set QP treats as rounding.
 QP_ROUNDING = 1e-13
+# Weights below this, at nodes whose gradient is above the least one by more
+# than tol, are dropped from a mirror-descent minimizer of J.
+SUPPORT_DROP_TOL = 1e-9
 
 
 class GridSpec:
@@ -466,9 +470,34 @@ def _best_of(solver, obj, inits, tol, max_iter):
     return best, total_iters
 
 
+def _drop_inactive(obj, w, fval, gap, tol):
+    """Zero the KKT-inactive nodes of a minimizer without an entropy term.
+
+    Mirror descent's multiplicative updates never set a weight to zero, so a
+    node whose gradient stays above the least one keeps a tiny weight.  Those
+    nodes, weight below ``SUPPORT_DROP_TOL`` and gradient above g.min() + tol,
+    are dropped and the rest renormalized; the cleaned point replaces w only
+    if its value is not above fval by more than 1e-12 relative.
+    """
+    g = obj.grad(w)
+    drop = (w < SUPPORT_DROP_TOL) & (g > g.min() + tol)
+    if not drop.any():
+        return w, fval, gap
+    clean = np.where(drop, 0.0, w)
+    clean /= clean.sum()
+    value = obj.value(clean)
+    if value > fval + 1e-12 * max(1.0, abs(fval)):
+        return w, fval, gap
+    g = obj.grad(clean)
+    return clean, value, float(clean @ g - g.min())
+
+
 def _by_mirror_descent(obj, feasible, grid, convex, tol, max_iter, starts, seed):
     inits = _starts(obj.k, obj.nu, 1 if convex else starts, seed)
     (w, fval, gap), iters = _best_of(_mirror_descent, obj, inits, tol, max_iter)
+    if obj.nu is None:
+        # J with a non-linear tilt; the entropy of I keeps every weight positive
+        w, fval, gap = _drop_inactive(obj, w, fval, gap, tol)
     return _finish(obj, w, fval, iters, gap, "mirror_descent", feasible, grid.nodes,
                    [] if convex else [seed], None if convex else True, tol)
 
@@ -505,8 +534,11 @@ def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
     runs from ``starts`` vertices, the best one and those of least gradient at
     the uniform weights, and keeps the lowest value, a KKT point reported with
     ``local=True``.  A non-linear tilt runs entropic mirror descent from
-    ``starts`` starts drawn with ``seed`` (``local=True``).  ``converged`` says
-    whether the final gap is within ``tol``.
+    ``starts`` starts drawn with ``seed`` (``local=True``); nodes left with a
+    weight below ``SUPPORT_DROP_TOL`` and a gradient above the least one by
+    more than ``tol`` are then dropped, unless that raises the value by more
+    than 1e-12 relative.  ``converged`` says whether the final gap is within
+    ``tol``.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
     if obj.tilt is not None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gibbslab.measures import (
     DiscreteMeasure,
@@ -31,6 +32,26 @@ def bruteforce_d_bl_two_points(dist, grid=2001):
     feasible = np.abs(f0 - f1) <= dist + 1e-12
     obj = np.abs(f0 - f1)
     return obj[feasible].max()
+
+
+def all_pairs_d_bl(mu, nu):
+    """Independent oracle: the primal LP over the atoms of mu and nu, unmerged,
+    with two Lipschitz rows for every pair u < v and the box |f| <= 1/2."""
+    pts = np.vstack([mu.atoms, nu.atoms])
+    signed = np.concatenate([mu.weights, -nu.weights])
+    k = len(pts)
+    rows, rhs = [], []
+    for u in range(k):
+        for v in range(u + 1, k):
+            for sign in (1.0, -1.0):
+                row = np.zeros(k)
+                row[u], row[v] = sign, -sign
+                rows.append(row)
+                rhs.append(np.linalg.norm(pts[u] - pts[v]))
+    res = linprog(-signed, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(-0.5, 0.5),
+                  method="highs")
+    assert res.success
+    return -res.fun
 
 
 def bruteforce_w1_2x2(xa, xb, wa, wb, p):
@@ -176,6 +197,47 @@ class TestBoundedLipschitz:
         mu, nu = (empirical_measure(ParticleConfig([pool[i] for i in data.draw(index)]))
                   for _ in range(2))
         assert abs(d_bl(mu, nu) - wasserstein_p(mu, nu, 1)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_all_pairs_lp(self, d, data):
+        # spreads well past 1, so some pairs keep a row and some do not; drawing
+        # indices into a small pool repeats atoms within and across the measures
+        coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6))
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8)
+        mu, nu = (empirical_measure(ParticleConfig([pool[i] for i in data.draw(index)]))
+                  for _ in range(2))
+        assert abs(d_bl(mu, nu) - all_pairs_d_bl(mu, nu)) <= 1e-9
+
+    def test_no_close_pair_is_total_variation(self):
+        # every pair of the union support is >= 1 apart, so no Lipschitz row is kept
+        # (dyadic weights, so the total variation is exact in floating point)
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.5, 0.25, 0.25])
+        nu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0], [3.0, -2.0]], [0.125, 0.5, 0.375])
+        pts, signed = _union_support(mu, nu)
+        gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        assert gaps[np.triu_indices(len(pts), 1)].min() >= 1.0
+        assert d_bl(mu, nu) == 0.5 * math.fsum(np.abs(signed)) == 0.875
+
+    def test_single_close_pair(self):
+        # a and b are 0.6 apart, c is >= 1 from both: maximize
+        # 0.5 f_a - 0.2 f_b - 0.3 f_c with |f_a - f_b| <= 0.6, so f_a = 1/2,
+        # f_b = -0.1, f_c = -1/2
+        a, b, c = [0.0, 0.0, 0.0], [0.0, 0.36, 0.48], [1.0, 1.0, 1.0]
+        mu = DiscreteMeasure([a, c], [0.5, 0.5])
+        nu = DiscreteMeasure([b, c], [0.2, 0.8])
+        assert d_bl(mu, nu) == pytest.approx(0.42, abs=1e-12)
+        assert d_bl(nu, mu) == pytest.approx(0.42, abs=1e-12)
+
+    def test_only_neighbours_close_on_the_line(self):
+        # neighbours are 0.6 apart and every other pair >= 1.2: the zigzag
+        # f = 1/2, -0.1, 1/2, -0.1 attains the bound (0.6 + 0.6) / 2
+        mu = DiscreteMeasure([[0.0], [1.2]], [0.5, 0.5])
+        nu = DiscreteMeasure([[0.6], [1.8]], [0.5, 0.5])
+        assert d_bl(mu, nu) == pytest.approx(0.6, abs=1e-12)
+        assert d_bl(nu, mu) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestDPsi:

@@ -7,6 +7,7 @@ from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction
 from gibbslab.potentials import (
     PotentialPair,
     PotentialValueError,
+    VIOLATION_EXAMPLES,
     ProbePlan,
     Region,
     SuperlinearFunction,
@@ -159,6 +160,40 @@ class TestAssumptionChecks:
         report = check_assumption_C1(pair, 0.9, ProbePlan.grid([(-20, 20)], per_axis=41),
                                      declared_c=0.0)
         assert not report.ok
+
+    def test_plan_over_the_pair_limit_says_so(self):
+        probe = ProbePlan.grid([(-1, 1)], per_axis=200)
+        xs, ys, total, seed = probe.pairs()
+        assert (len(xs), len(ys), total, seed) == (20000, 20000, 40000, 0)
+        pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1,
+                             declared_lower_bound_c=0.0)
+        for report in (check_assumption_B1(pair, probe), check_assumption_C1(pair, 0.5, probe)):
+            coverage = (report.pairs_checked, report.pairs_total, report.sample_seed)
+            assert coverage == (20000, 40000, 0)
+
+    def test_plan_within_the_pair_limit_checks_every_pair(self):
+        pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)
+        report = check_assumption_C1(pair, 0.5, ProbePlan.grid([(-1, 1)], per_axis=7))
+        assert (report.pairs_checked, report.pairs_total, report.sample_seed) == (49, 49, None)
+
+    def test_violations_counted_past_the_examples(self):
+        W = lambda x, y: -np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1) ** 2
+        pair = PotentialPair(power_confinement(2), W, dim=2, declared_lower_bound_c=0.0)
+        report = check_assumption_B1(pair, ProbePlan.grid([(-1, 1)] * 2, per_axis=5))
+        # W < 0 on every ordered pair of distinct points: 25^2 - 25
+        assert report.violation_count == 600
+        assert len(report.violations) == VIOLATION_EXAMPLES == 20
+        # C1 counts violations of both declared bounds: V = |x|^2 < 0.3 at 3 of
+        # the 13 points (-0.5, 0, 0.5), and W + (1/2)(V(x) + V(y)) < 0 on the
+        # pairs where the cubic -|x - y|^3 dominates
+        W3 = lambda x, y: -np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1) ** 3
+        probe = ProbePlan.grid([(-3, 3)], per_axis=13)
+        report = check_assumption_C1(PotentialPair(power_confinement(2), W3, dim=1), 0.5,
+                                     probe, declared_c=0.0, declared_c_prime=0.3)
+        xs, ys, _, _ = probe.pairs()
+        coupled = -np.abs(xs - ys)[:, 0] ** 3 + 0.5 * (xs[:, 0] ** 2 + ys[:, 0] ** 2)
+        assert report.violation_count == 3 + int(np.sum(coupled < 0.0))
+        assert report.violation_count > 2 * VIOLATION_EXAMPLES
 
     def test_eps1_range_validated(self):
         pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)

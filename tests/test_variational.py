@@ -16,10 +16,12 @@ from gibbslab.potentials import (
     power_confinement,
 )
 from gibbslab.variational import (
+    DEFAULT_STARTS,
     DEFAULT_TOL,
     SCAN_ROW_BUDGET,
     GridSpec,
     _best_of,
+    _drop_inactive,
     _Objective,
     _active_set_qp,
     _mirror_descent,
@@ -239,6 +241,55 @@ def test_linear_tilt_on_I_equals_shifted_confinement():
     np.testing.assert_array_equal(tilted.minimizer.atoms, shifted.minimizer.atoms)
     np.testing.assert_allclose(tilted.minimizer.weights, shifted.minimizer.weights,
                                atol=1e-8)
+
+
+class SquaredMean:
+    """The non-linear tilt (1/2) (x . w)^2, x the nodes' first coordinate."""
+
+    def __init__(self, nodes):
+        self.x = nodes[:, 0]
+
+    def value(self, w):
+        return 0.5 * float(self.x @ w) ** 2
+
+    def grad(self, w):
+        return float(self.x @ w) * self.x
+
+
+def test_nonlinear_tilt_on_J_keeps_the_untilted_support():
+    # the untilted minimizer is symmetric, so x . w = 0 there and the tilt,
+    # >= 0, leaves the minimum and its 21 atoms in place
+    pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
+    grid = GridSpec.regular([(-1.0, 1.0)], 0.05)
+    tilt = SquaredMean(grid.nodes)
+    untilted = minimize_J(pair, grid)
+    tilted = minimize_J(pair, grid, tilt=tilt)
+    assert tilted.method == "mirror_descent" and tilted.converged
+    assert untilted.minimizer.support_size == 21
+    np.testing.assert_array_equal(tilted.minimizer.atoms, untilted.minimizer.atoms)
+    # mirror descent alone leaves two spurious atoms above the measure's drop tolerance
+    obj, _ = build_objective_J(pair, grid, tilt)
+    inits = _starts(obj.k, None, DEFAULT_STARTS, 0)
+    (raw, raw_value, _), _ = _best_of(_mirror_descent, obj, inits, DEFAULT_TOL, 50000)
+    assert np.sum(raw > 1e-15) == 23
+    assert abs(tilted.value - raw_value) <= 1e-12
+    w = np.zeros(obj.k)
+    w[np.searchsorted(obj.nodes[:, 0], tilted.minimizer.atoms[:, 0])] = tilted.minimizer.weights
+    assert tilted.value == pytest.approx(obj.value(w), abs=1e-15)
+
+
+@pytest.mark.parametrize("v, dropped", [([0.0, 2.0, 3.0], True), ([0.0, 2.0, 0.5], False)])
+def test_drop_inactive_keeps_a_clean_point_only_if_no_worse(v, dropped):
+    # node 2 has weight 5e-10 and a gradient above the least one; dropping it
+    # moves its mass to nodes 0 and 1, which lowers the value only when its
+    # gradient lies above the mean gradient w . g = 1
+    obj = _Objective(np.zeros((3, 1)), np.zeros((3, 3)), v=np.array(v))
+    w = np.array([0.5, 0.5 - 5e-10, 5e-10])
+    g = obj.grad(w)
+    clean, value, gap = _drop_inactive(obj, w, obj.value(w), float(w @ g - g.min()), 1e-8)
+    assert bool(clean[2] == 0.0) is dropped
+    assert value == obj.value(clean)
+    assert bool(value < obj.value(w)) is dropped
 
 
 def test_single_start_I_matches_best_of_five():
