@@ -10,7 +10,10 @@ Three generators:
   ``mh_sample_chains`` runs C such chains in lockstep on a (C, n, d) state
   through the same kernel, of which ``mh_sample`` is the C = 1 call.  Every
   chain carries a running H_n, updated on each accepted move, which is its
-  energy trace.
+  energy trace.  W is evaluated in two batched blocks per sweep, all
+  proposals against the state and against each other, and each chain keeps
+  its state's (n, n) interaction matrix current on every accepted move, so
+  the site loop makes no W call; memory is O(C n^2).
 * ``exact_sample_finite`` -- exact Gibbs probabilities of all m^n index
   tuples on a finite reference, categorical sampling of tuple indices.  The
   law is built one slot at a time (``exact_gibbs_law`` shares the recursion)
@@ -27,13 +30,14 @@ chain run alone, and every run is reproducible from its recorded seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from .potentials import PotentialPair, evaluate_V, evaluate_W
-from .functionals import hamiltonian
+from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
 
 ENUM_BUDGET_DEFAULT = 10**7
 INIT_RETRIES = 100
@@ -86,9 +90,11 @@ class ChainDiagnostics:
         return float(np.mean(self.acceptance_rate)) if len(self.acceptance_rate) else 0.0
 
     def to_csv(self, path) -> None:
-        lines = ["sweep,acceptance"]
-        for i, a in enumerate(self.acceptance_rate):
-            lines.append(f"{i},{a:.17g}")
+        """One row per sweep: acceptance rate and the two rejection counts."""
+        lines = ["sweep,acceptance,rejected_infinite,rejected_metropolis"]
+        for i, (a, r_inf, r_met) in enumerate(zip(
+                self.acceptance_rate, self.rejected_infinite, self.rejected_metropolis)):
+            lines.append(f"{i},{a:.17g},{r_inf},{r_met}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -117,33 +123,68 @@ def effective_sample_size(trace) -> float:
     return float(n / max(tau, 1.0))
 
 
-def _draw_init(pair, ref, cfg, rng):
-    """A starting configuration of finite energy and finite reference
-    log-density, and its energy H_n."""
+def _interactions(pair, x, y, rest):
+    """S(x_i, y_j) for j != i in a (C, n, n) array with a zero diagonal.
 
-    def energy_of(pts):
-        if not ref.is_finite and not np.all(np.isfinite(ref.log_density(pts))):
-            return np.inf
-        return hamiltonian(ParticleConfig(pts), pair)
+    x and y are (C, n, d); S = W for a symmetric W and W(x, y) + W(y, x)
+    otherwise.  The pairs come from ``rest``, so W never sees a site paired
+    with itself, and n = 1 makes no call.
+    """
+    C, n, _ = x.shape
+    out = np.zeros((C, n, n))
+    if n > 1:
+        xi, yj = x[:, :, None, :], np.take(y, rest, axis=1)
+        vals = evaluate_W(pair.W, xi, yj)
+        if not pair.symmetric:
+            vals += evaluate_W(pair.W, yj, xi)
+        # flattened, the off-diagonal entries in row-major order are the first
+        # n of every n + 1 entries after the first: a strided view
+        off = out.reshape(C, n * n)[:, 1:].reshape(C, n - 1, n + 1)[:, :, :n]
+        off[...] = vals.reshape(C, n - 1, n)
+    return out
 
+
+def _draw_starts(pair, ref, cfg, rngs, rest):
+    """Starting configurations of finite energy and finite reference
+    log-density, one per Generator, and what the kernel keeps of them.
+
+    Every chain draws once; the chains whose draw has infinite energy draw
+    again, each from its own Generator, up to INIT_RETRIES draws.  Returns the
+    (C, n, d) state, V / n at it, its log-density (None on a finite
+    reference), its interaction matrix S(x_i, x_j) and the chains' H_n, which
+    is (1/n) sum V + sum S / (2 n^2), halved again for a non-symmetric W.
+    """
+    C, n, d = len(rngs), cfg.n, ref.dim
+    pts = np.empty((C, n, d))
+    v, Y = np.empty((C, n)), np.empty((C, n, n))
+    ld = None if ref.is_finite else np.empty((C, n))
+    energy = np.full(C, np.inf)
+    pair_norm = 2.0 * n * n if pair.symmetric else 4.0 * n * n
+    todo = np.arange(C)
+    for _ in range(1 if cfg.init is not None else INIT_RETRIES):
+        for c in todo:
+            if cfg.init is not None:
+                pts[c] = cfg.init.points
+            elif ref.is_finite:
+                probs = ref.weights / ref.weights.sum()
+                pts[c] = ref.atoms[rngs[c].choice(len(ref.atoms), size=n, p=probs)]
+            else:
+                box = ref.box
+                pts[c] = rngs[c].uniform(box[:, 0], box[:, 1], size=(n, d))
+        raw_v = evaluate_V(pair.V, pts[todo].reshape(-1, d)).reshape(-1, n)
+        v[todo] = raw_v / n
+        Y[todo] = _interactions(pair, pts[todo], pts[todo], rest)
+        if ld is not None:
+            ld[todo] = ref.log_density(pts[todo].reshape(-1, d)).reshape(-1, n)
+        for c, vals in zip(todo, raw_v):
+            if ld is None or np.all(np.isfinite(ld[c])):
+                energy[c] = math.fsum(vals) / n + math.fsum(Y[c].ravel()) / pair_norm
+        todo = todo[energy[todo] == np.inf]
+        if not len(todo):
+            return pts, v, ld, Y, energy
     if cfg.init is not None:
-        pts = np.array(cfg.init.points, dtype=float)
-        energy = energy_of(pts)
-        if energy == np.inf:
-            raise SamplerError("user initial configuration has infinite energy "
-                               "or lies outside the reference's support")
-        return pts, energy
-    for _ in range(INIT_RETRIES):
-        if ref.is_finite:
-            probs = ref.weights / ref.weights.sum()
-            idx = rng.choice(len(ref.atoms), size=cfg.n, p=probs)
-            pts = ref.atoms[idx].astype(float)
-        else:
-            box = ref.box
-            pts = rng.uniform(box[:, 0], box[:, 1], size=(cfg.n, len(box)))
-        energy = energy_of(pts)
-        if energy < np.inf:
-            return pts, energy
+        raise SamplerError("user initial configuration has infinite energy "
+                           "or lies outside the reference's support")
     raise SamplerError(
         f"no finite-energy initial configuration found in {INIT_RETRIES} draws"
     )
@@ -165,28 +206,34 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
 
     The state is a (C, n, d) array.  Each sweep, chain c draws its n
     proposals and then its n uniforms from its own Generator, so a chain's
-    stream does not depend on the other chains.  Site i keeps its position
-    until its own move, so the sweep's proposals, their V values and their
-    log-densities are computed before its first move (on a finite reference
-    V is evaluated once, on the atoms).  Site i's interaction with the other
-    n - 1 sites is one evaluate_W call of shape (2, C, n - 1), proposed rows
-    over current rows, plus a second call for the column terms of a
-    non-symmetric W.  Each chain carries its running H_n, moved by
-    e_prop - e_cur on every accepted move.  Returns one (kept configurations,
-    ChainDiagnostics) pair per seed.
+    stream does not depend on the other chains.  Site i is read only at its
+    own move, so the sweep's proposals, their V values and log-densities are
+    computed before its first move (on a finite reference V is evaluated
+    once, on the atoms), and the state, V and log-density are written back
+    once, at the end of the sweep, through the ``accepted`` mask.
+
+    W is evaluated once per sweep, not once per site.  With S = W for a
+    symmetric W and S = W(x, y) + W(y, x) otherwise, each sweep builds two
+    (C, n, n) blocks with a zero diagonal: X = S(prop_i, x_j), every proposal
+    against the sweep's starting state, and Q = S(prop_i, prop_j), every
+    proposal against the others.  Y = S(x_i, x_j) for the current state is
+    built once, at the start, and kept current: when site i accepts, column i
+    of X becomes column i of Q, and row and column i of Y become row i of X.
+    Site i's energy change is then (v0_i - v1_i) + (row sum of X - row sum of
+    Y) / n^2 (/ 2n^2 for a non-symmetric W), taken fresh from set values, so
+    it never forms inf - inf and never drifts.  Memory is O(C n^2): three
+    (C, n, n) float arrays, 80 KB each at C = 4 and n = 50, plus the
+    C n (n - 1) gathered pairs of a block; a block costs one W call of those
+    pairs, two for a non-symmetric W.  Each chain carries its running H_n,
+    moved by that change on every accepted move.  Returns one (kept
+    configurations, ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
-    starts = [_draw_init(pair, ref, cfg, rng) for rng in rngs]
-    energy = np.array([e for _, e in starts])
-    # index 0 holds the sweep's proposals, index 1 the chains' current state
-    pos = np.empty((2, C, n, d))
-    state = pos[1]
-    state[:] = [p for p, _ in starts]
-    # V / n and the log-density at the proposals (index 0) and the state (index 1)
-    v = np.empty((2, C, n))
-    v[1] = evaluate_V(pair.V, state.reshape(C * n, d)).reshape(C, n) / n
+    rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i
+    w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
+    state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, rest)
     finite_mode = ref.is_finite
     hook = _transition_hook if finite_mode else None
     if finite_mode:
@@ -200,11 +247,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
             state_idx = [atom_index[p.tobytes()] for p in state[0]]
     else:
         steps = np.empty((C, n, d))
-        ld = np.empty((2, C, n))
-        ld[1] = ref.log_density(state.reshape(C * n, d)).reshape(C, n)
     u = np.empty((C, n))
-    rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i
-    w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
     log_ratio, accepted = np.empty((C, n)), np.empty((C, n), dtype=bool)
 
     kept = [[] for _ in range(C)]
@@ -218,42 +261,42 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
                 steps[c] = rng.standard_normal((n, d))
             u[c] = rng.random(n)
         if finite_mode:
-            pos[0] = atoms[picks]
-            v[0] = v_atoms[picks]
+            prop = atoms[picks]
+            v_prop = v_atoms[picks]
         else:
-            pos[0] = state + cfg.sigma * steps
-            ld[0] = ref.log_density(pos[0].reshape(C * n, d)).reshape(C, n)
-            v[0] = evaluate_V(pair.V, pos[0].reshape(C * n, d)).reshape(C, n) / n
+            prop = state + cfg.sigma * steps
+            ld_prop = ref.log_density(prop.reshape(C * n, d)).reshape(C, n)
+            v_prop = evaluate_V(pair.V, prop.reshape(C * n, d)).reshape(C, n) / n
+        X = _interactions(pair, prop, state, rest)
+        Q = _interactions(pair, prop, prop, rest)
+        # The state's V, log-density and interactions are finite, so dv and
+        # the row sums of X - Y are finite or +inf, and base is finite or -inf:
+        # the log ratio base - beta w_scale (X - Y).sum() never forms inf - inf.
+        dv = v_prop - v_state
+        base = -beta * dv
+        if not finite_mode:
+            base += ld_prop - ld_state
         # log1p(-u) for u in [0, 1) is finite, so it never passes a log ratio of -inf
         log_u = np.log1p(-u)
         for i in range(n):
-            e = v[:, :, i]
-            if n > 1:
-                x = pos[:, :, i, None, :]
-                y = state[:, rest[i]]
-                w_sum = evaluate_W(pair.W, x, y).sum(axis=-1)
-                if not pair.symmetric:
-                    w_sum += evaluate_W(pair.W, y, x).sum(axis=-1)
-                e = e + w_scale * w_sum
-            # The state's local energy and log-density are finite, so delta is
-            # finite or +inf and the log ratio is finite or -inf: no inf - inf.
-            delta = e[0] - e[1]
-            lr = log_ratio[:, i]
-            np.multiply(-beta, delta, out=lr)
-            if not finite_mode:
-                lr += ld[0, :, i] - ld[1, :, i]
+            w_diff = (X[:, i] - Y[:, i]).sum(axis=-1)
+            lr = np.subtract(base[:, i], beta * w_scale * w_diff, out=log_ratio[:, i])
             take = np.less(log_u[:, i], lr, out=accepted[:, i])
-            for c in take.nonzero()[0]:
-                state[c, i] = pos[0, c, i]
-                v[1, c, i] = v[0, c, i]
-                energy[c] += delta[c]
-                if not finite_mode:
-                    ld[1, c, i] = ld[0, c, i]
+            if take.any():
+                np.add(energy, dv[:, i] + w_scale * w_diff, out=energy, where=take)
+                moved = take[:, None]
+                np.copyto(X[:, :, i], Q[:, :, i], where=moved)
+                np.copyto(Y[:, i], X[:, i], where=moved)
+                np.copyto(Y[:, :, i], X[:, i], where=moved)
             if hook is not None:
                 before = tuple(state_idx)
                 if take[0]:
                     state_idx[i] = int(picks[0, i])
                 hook(before, tuple(state_idx))
+        np.copyto(state, prop, where=accepted[:, :, None])
+        np.copyto(v_state, v_prop, where=accepted)
+        if not finite_mode:
+            np.copyto(ld_state, ld_prop, where=accepted)
         acc_counts.append(accepted.sum(axis=1))
         inf_counts.append(np.sum(log_ratio == -np.inf, axis=1))
         sweeps_done += 1
@@ -291,8 +334,12 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     the reference factor and leaves the pure energy ratio.  The normalization
     constant is never needed.  This is the one-chain call of the lockstep
     kernel behind ``mh_sample_chains``: each sweep draws its n proposals and
-    then its n uniforms at once, and the energy trace is the chain's running
-    H_n, updated on every accepted move, not recomputed per kept sample.
+    then its n uniforms at once and evaluates W in two blocks, the proposals
+    against the state and against each other; the state's (n, n) interaction
+    matrix, built once, is kept current on every accepted move, so a move
+    costs O(n) array work and no W call, and memory is O(n^2).  The energy
+    trace is the chain's running H_n, updated on every accepted move, not
+    recomputed per kept sample.
 
     Returns (kept configurations, ChainDiagnostics).  ``_transition_hook``,
     used by the validation suite, receives (state_before, state_after) index

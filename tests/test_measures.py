@@ -48,8 +48,9 @@ def all_pairs_d_bl(mu, nu):
                 row[u], row[v] = sign, -sign
                 rows.append(row)
                 rhs.append(np.linalg.norm(pts[u] - pts[v]))
+    # without presolve, which accepts rows violated within 1e-7
     res = linprog(-signed, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(-0.5, 0.5),
-                  method="highs")
+                  method="highs", options={"presolve": False})
     assert res.success
     return -res.fun
 
@@ -238,6 +239,19 @@ class TestBoundedLipschitz:
         nu = DiscreteMeasure([[0.6], [1.8]], [0.5, 0.5])
         assert d_bl(mu, nu) == pytest.approx(0.6, abs=1e-12)
         assert d_bl(nu, mu) == pytest.approx(0.6, abs=1e-12)
+
+    def test_gap_below_the_solver_feasibility_tolerance(self):
+        # two atoms eps = 2^-24 apart, under HiGHS's 1e-7 feasibility tolerance:
+        # the rows must still hold exactly.  f(0) = 1/2, f(1) = -1/2 and
+        # f(eps) = 1/2 - eps give 1/2 + eps / 2; and with f(0) = f(eps) = -1/2,
+        # f(1/2) = 0, f(1) = 1/2 the second pair gives 1/2 + 1/3
+        eps = 2.0**-24
+        mu = DiscreteMeasure.dirac([0.0])
+        nu = DiscreteMeasure.uniform([[1.0], [eps]])
+        assert d_bl(mu, nu) == pytest.approx(0.5 + eps / 2, abs=1e-15)
+        mu = DiscreteMeasure.dirac([1.0])
+        nu = DiscreteMeasure.uniform([[0.0], [0.5], [eps]])
+        assert d_bl(mu, nu) == pytest.approx(0.5 + 1 / 3, abs=1e-15)
 
 
 class TestDPsi:

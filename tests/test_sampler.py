@@ -22,6 +22,43 @@ from gibbslab.sampler import (
 )
 
 
+def reference_metropolis(pair, ref, cfg, seed, sweeps):
+    """Independent single-site Metropolis from cfg.init: a plain loop over the
+    sites that scores every proposal with a full ``hamiltonian``.  It draws the
+    kernel's stream, per sweep n proposals and then n uniforms u, and its
+    uniform is 1 - u.  Returns the state, the accept flags, the number of
+    moves with log ratio -inf and H_n after every sweep."""
+    rng = np.random.default_rng(seed)
+    n, d = cfg.n, ref.dim
+    x = np.array(cfg.init.points, dtype=float)
+    energy = hamiltonian(ParticleConfig(x), pair)
+    cdf = np.cumsum(ref.weights) / np.sum(ref.weights) if ref.is_finite else None
+    states, accepts, infinite, energies = [], [], [], []
+    for _ in range(sweeps):
+        if ref.is_finite:
+            props = ref.atoms[np.searchsorted(cdf, rng.random(n), side="right")]
+        else:
+            props = x + cfg.sigma * rng.standard_normal((n, d))
+        u = rng.random(n)
+        flags, infs = [], 0
+        for i in range(n):
+            y = x.copy()
+            y[i] = props[i]
+            e_new = hamiltonian(ParticleConfig(y), pair)
+            log_ratio = -cfg.beta_n * (e_new - energy)
+            if not ref.is_finite:
+                log_ratio += ref.log_density(y[i:i + 1])[0] - ref.log_density(x[i:i + 1])[0]
+            infs += log_ratio == -np.inf
+            flags.append(bool(np.log1p(-u[i]) < log_ratio))
+            if flags[-1]:
+                x, energy = y, e_new
+        states.append(x.copy())
+        accepts.append(flags)
+        infinite.append(infs)
+        energies.append(energy)
+    return np.array(states), np.array(accepts), np.array(infinite), np.array(energies)
+
+
 def v_hard_wall(x):
     pts = np.asarray(x, dtype=float)
     inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=-1)
@@ -426,3 +463,112 @@ class TestDiagnostics:
             taus.append(n / effective_sample_size(x))
         target = (1 + rho) / (1 - rho)
         assert abs(np.mean(taus) / target - 1) < 0.10
+
+
+def w_asymmetric(x, y):
+    return w_sqdist(x, y) + 0.8 * np.asarray(x)[..., 0]
+
+
+def reference_case(case):
+    """A pair, a reference and a finite-energy start of n = 5 sites."""
+    if case == "finite":
+        # six atoms for five sites: coincident proposals have +inf energy
+        ref = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                                       [0.5, 0.5], [-0.5, 0.8]], [1.0, 2.0, 1.0, 1.5, 0.5, 1.0])
+        start = ref.atoms[:5]
+    else:
+        box = ReferenceMeasure.lebesgue_box([(-1.0, 1.0), (-1.0, 1.0)])
+        ref = box
+        if case == "weighted_density":
+            # a log-density that is not constant on its support
+            ref = ReferenceMeasure.density_on_box(
+                lambda x: box.log_density(x) - np.sum(np.abs(x), axis=-1), box.box)
+        start = np.array([[0.0, 0.0], [0.5, 0.1], [-0.4, 0.6], [0.2, -0.7], [-0.8, -0.3]])
+    W = w_asymmetric if case == "asymmetric_W" else coulomb_kernel(2)
+    pair = PotentialPair(v_quadratic, W, dim=2, symmetric=case != "asymmetric_W")
+    cfg = SamplerConfig(n=5, beta_n=5.0, sigma=0.6, burn_in=0, thinning=1, seed=29,
+                        init=ParticleConfig(start))
+    return pair, ref, cfg
+
+
+class TestAgainstReferenceMetropolis:
+    """The lockstep kernel against ``reference_metropolis``: the same stream
+    gives the same moves, and the running energy equals a full hamiltonian."""
+
+    SWEEPS = 40
+
+    def assert_same_chain(self, kept, diag, reference, n):
+        states, accepts, infinite, energies = reference
+        # the kept states and the per-sweep counts pin down the accept
+        # sequence, up to a proposal equal to its site's position (on atoms)
+        np.testing.assert_array_equal(np.array([k.points for k in kept]), states)
+        np.testing.assert_array_equal(diag.acceptance_rate, accepts.sum(axis=1) / n)
+        np.testing.assert_array_equal(diag.rejected_infinite, infinite)
+        np.testing.assert_allclose(diag.energy_trace, energies, rtol=1e-12, atol=0)
+        assert 0 < accepts.mean() < 1
+
+    @pytest.mark.parametrize("case", ["density", "weighted_density", "finite", "asymmetric_W"])
+    def test_mh_sample(self, case):
+        pair, ref, cfg = reference_case(case)
+        kept, diag = mh_sample(pair, ref, cfg, samples=self.SWEEPS)
+        reference = reference_metropolis(pair, ref, cfg, cfg.seed, self.SWEEPS)
+        self.assert_same_chain(kept, diag, reference, cfg.n)
+        if case == "finite":
+            assert diag.rejected_infinite.sum() > 0
+
+    def test_mh_sample_chains(self):
+        pair, ref, cfg = reference_case("density")
+        samples, diags = mh_sample_chains(pair, ref, cfg, samples=self.SWEEPS, chains=3)
+        for c, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+            reference = reference_metropolis(pair, ref, cfg, child, self.SWEEPS)
+            kept = samples[self.SWEEPS * c:self.SWEEPS * (c + 1)]
+            self.assert_same_chain(kept, diags[c], reference, cfg.n)
+
+
+class CountingW:
+    """W wrapper that counts its calls and, if asked, refuses a pair of two
+    identical points (in density mode: a site paired with itself)."""
+
+    def __init__(self, W, refuse_identical):
+        self.W, self.refuse_identical, self.calls = W, refuse_identical, 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        if self.refuse_identical:
+            xb, yb = np.broadcast_arrays(x, y)
+            if np.any(np.all(xb == yb, axis=-1)):
+                raise AssertionError("W received a site paired with itself")
+        return self.W(x, y)
+
+
+class TestWCallsPerSweep:
+    @pytest.mark.parametrize("case", ["density", "finite", "asymmetric_W"])
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_one_start_call_and_two_blocks_per_sweep(self, case, chains):
+        pair, ref, cfg = reference_case(case)
+        counter = CountingW(pair.W, refuse_identical=not ref.is_finite)
+        counted = PotentialPair(pair.V, counter, dim=2, symmetric=pair.symmetric)
+        cfg = replace(cfg, burn_in=3, thinning=2)
+        _, diags = mh_sample_chains(counted, ref, cfg, samples=6, chains=chains)
+        sweeps = len(diags[0].acceptance_rate)
+        assert sweeps == 3 + 1 + 2 * 5
+        per_sym = 1 if pair.symmetric else 2
+        assert counter.calls <= per_sym * (1 + 2 * sweeps)
+
+
+class TestDiagnosticsCSV:
+    def test_round_trip(self, tmp_path):
+        pair = PotentialPair(v_hard_wall, coulomb_kernel(2), dim=2, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-0.5, 1.5), (-0.5, 1.5)])
+        cfg = SamplerConfig(n=3, beta_n=6.0, sigma=0.4, burn_in=10, thinning=1, seed=5)
+        _, diag = mh_sample(pair, ref, cfg, samples=30)
+        path = tmp_path / "chain.csv"
+        diag.to_csv(path)
+        table = np.genfromtxt(path, delimiter=",", names=True)
+        assert table.dtype.names == ("sweep", "acceptance", "rejected_infinite",
+                                     "rejected_metropolis")
+        np.testing.assert_array_equal(table["sweep"], np.arange(40))
+        np.testing.assert_array_equal(table["acceptance"], diag.acceptance_rate)
+        np.testing.assert_array_equal(table["rejected_infinite"], diag.rejected_infinite)
+        np.testing.assert_array_equal(table["rejected_metropolis"], diag.rejected_metropolis)
+        assert diag.rejected_infinite.sum() > 0 and diag.rejected_metropolis.sum() > 0
