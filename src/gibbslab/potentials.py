@@ -25,13 +25,17 @@ class PotentialValueError(ValueError):
     """A potential produced NaN (typically inf - inf) or -inf."""
 
 
+def _has_nan_or_minus_inf(vals) -> bool:
+    """One reduction: the minimum of a non-empty array is NaN if any entry is."""
+    return vals.size > 0 and not vals.min() > -np.inf
+
+
 def evaluate_V(V, points) -> np.ndarray:
     """Evaluate a confinement at (k, d) points, validating extended-real rules."""
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(V(pts), dtype=float)
-    bad = np.isnan(vals) | (vals == -np.inf)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
+    if _has_nan_or_minus_inf(vals):
+        idx = np.argwhere(np.isnan(vals) | (vals == -np.inf))[0]
         raise PotentialValueError(
             f"confinement returned {vals[tuple(idx)]} at point {pts[tuple(idx)]}"
         )
@@ -43,9 +47,8 @@ def evaluate_W(W, x, y) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     vals = np.asarray(W(xa, ya), dtype=float)
-    bad = np.isnan(vals) | (vals == -np.inf)
-    if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
+    if _has_nan_or_minus_inf(vals):
+        idx = tuple(np.argwhere(np.isnan(vals) | (vals == -np.inf))[0])
         bx = np.broadcast_arrays(xa, ya)[0][idx]
         by = np.broadcast_arrays(xa, ya)[1][idx]
         raise PotentialValueError(
@@ -106,23 +109,25 @@ def coulomb_kernel(d: int):
 
     K(z) = -|z| for d = 1, -log|z| for d = 2, and |z|^(2-d) for d > 2.
     The kernel is +inf on the diagonal for d >= 2 and 0 there for d = 1.
+    For d >= 2 it is a power or log of the squared distance |z|^2, so no
+    square root is taken; d = 1 reads the single coordinate.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
 
     if d == 1:
         def W(x, y):
-            return -np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
+            return -np.abs((np.asarray(x) - np.asarray(y))[..., 0])
     elif d == 2:
         def W(x, y):
-            r = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
+            z = np.asarray(x) - np.asarray(y)
             with np.errstate(divide="ignore"):
-                return np.where(r > 0, -np.log(np.where(r > 0, r, 1.0)), np.inf)
+                return -0.5 * np.log(np.einsum("...i,...i->...", z, z))
     else:
         def W(x, y):
-            r = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
+            z = np.asarray(x) - np.asarray(y)
             with np.errstate(divide="ignore"):
-                return np.where(r > 0, np.where(r > 0, r, 1.0) ** (2 - d), np.inf)
+                return np.einsum("...i,...i->...", z, z) ** ((2 - d) / 2)
     return W
 
 

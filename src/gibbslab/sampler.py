@@ -12,8 +12,13 @@ Three generators:
   chain carries a running H_n, updated on each accepted move, which is its
   energy trace.  W is evaluated in two batched blocks per sweep, all
   proposals against the state and against each other, and each chain keeps
-  its state's (n, n) interaction matrix current on every accepted move, so
-  the site loop makes no W call; memory is O(C n^2).
+  its state's (n, n) interaction matrix current; memory is O(C n^2).  A
+  sweep still moves its sites one after another, but its n accept decisions
+  are settled together: given the earlier sites that accepted, a site's
+  energy change is linear in their indicator through a strictly
+  lower-triangular matrix, so the decisions are the unique fixed point of a
+  threshold system, which at most n + 1 batched matrix-vector passes reach,
+  with no Python loop over sites.
 * ``exact_sample_finite`` -- exact Gibbs probabilities of all m^n index
   tuples on a finite reference, categorical sampling of tuple indices.  The
   law is built one slot at a time (``exact_gibbs_law`` shares the recursion)
@@ -30,6 +35,7 @@ chain run alone, and every run is reproducible from its recorded seed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,17 +90,22 @@ class ChainDiagnostics:
     # reference's support, and moves that failed the Metropolis test
     rejected_infinite: np.ndarray = field(kw_only=True)
     rejected_metropolis: np.ndarray = field(kw_only=True)
+    # per sweep: fixed-point passes that settled the sweep's accept decisions
+    # (1 when every site rejects at once, at most n + 1)
+    passes: np.ndarray = field(kw_only=True)
 
     @property
     def mean_acceptance(self) -> float:
         return float(np.mean(self.acceptance_rate)) if len(self.acceptance_rate) else 0.0
 
     def to_csv(self, path) -> None:
-        """One row per sweep: acceptance rate and the two rejection counts."""
-        lines = ["sweep,acceptance,rejected_infinite,rejected_metropolis"]
-        for i, (a, r_inf, r_met) in enumerate(zip(
-                self.acceptance_rate, self.rejected_infinite, self.rejected_metropolis)):
-            lines.append(f"{i},{a:.17g},{r_inf},{r_met}")
+        """One row per sweep: acceptance rate, the two rejection counts and
+        the fixed-point passes."""
+        lines = ["sweep,acceptance,rejected_infinite,rejected_metropolis,passes"]
+        for i, (a, r_inf, r_met, p) in enumerate(zip(
+                self.acceptance_rate, self.rejected_infinite, self.rejected_metropolis,
+                self.passes)):
+            lines.append(f"{i},{a:.17g},{r_inf},{r_met},{p}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -201,6 +212,79 @@ def _chain_seeds(seed, chains):
                                    pool_size=base.pool_size) for c in range(chains)]
 
 
+@functools.cache
+def _strictly_lower(n):
+    """The (n, n) 0/1 mask of the entries below the diagonal."""
+    return np.tri(n, k=-1)
+
+
+def _settle_sweep(X, Q, Y, base, log_u, bw):
+    """The n accept decisions of one sweep of C chains, all at once.
+
+    X = S(prop_i, x_j), Q = S(prop_i, prop_j) and the state's Y = S(x_i, x_j)
+    are (C, n, n) with a zero diagonal, Y finite and Q symmetric; base is the
+    (C, n) log ratio without W, finite or -inf, and log_u = log(1 - u).  Site
+    i, moved after sites 0..i-1, sees the interaction change
+
+        w_i = sum_j (X - Y)[i, j] + (D a)_i,   D = Q - X - X^T + Y below the diagonal,
+
+    where a marks the earlier sites that accepted: their columns of X became
+    columns of Q, and Y[i, j] became X[j, i].  Site i accepts when
+    log_u_i < base_i - bw w_i.  Row i of D is zero on and above the diagonal,
+    so a_i depends on a_0..a_{i-1} alone, and the system has exactly one
+    fixed point, the sequential scan's outcome.  Iterating from a = 0 settles
+    sites 0..t-1 for good in pass t, so the passes stop, when one changes
+    nothing, after at most n + 1 of them.
+
+    +inf entries of X and Q are counted by the same recurrence on indicator
+    blocks and zeroed in place in X and Q; a site whose row keeps one has log
+    ratio -inf.  An accepted site's effective row is finite, so the finite
+    parts never form inf - inf.  Y is then brought to the state after the
+    sweep, in place: accepted rows from X, accepted columns from X^T, and
+    Q where both sites accepted, all of them entries that were finite.  Returns the (C, n) accept mask, log ratios
+    and w, and the passes each chain needed.
+    """
+    C, n, _ = X.shape
+    blocked = None
+    if X.max() == np.inf or Q.max() == np.inf:
+        inf_X, inf_Q = X == np.inf, Q == np.inf
+        X[inf_X], Q[inf_Q] = 0.0, 0.0
+        row_inf = inf_X.sum(axis=2)
+        D_inf = (inf_Q.astype(float) - inf_X) * _strictly_lower(n)
+        blocked = row_inf > 0
+    row = (X - Y).sum(axis=2)
+    accepted = np.zeros((C, n), dtype=bool)
+    passes = np.ones(C, dtype=np.int64)
+    w_diff = row
+    for t in range(1, n + 2):  # pass t; a chain it changes needs pass t + 1
+        log_ratio = base - bw * w_diff
+        if blocked is not None:
+            log_ratio[blocked] = -np.inf
+        take = log_u < log_ratio
+        changed = (take != accepted).any(axis=1)
+        if not changed.any():
+            break
+        if t == 1:  # some site accepts: D is needed from here on
+            D = Q - X
+            D -= X.transpose(0, 2, 1)
+            D += Y
+            D *= _strictly_lower(n)
+        passes[changed] = t + 1
+        accepted = take
+        a = accepted.astype(float)[:, :, None]
+        w_diff = row + np.matmul(D, a)[:, :, 0]
+        if blocked is not None:
+            blocked = row_inf + np.matmul(D_inf, a)[:, :, 0] > 0
+    else:
+        raise AssertionError("a lower-triangular threshold system took more than n + 1 passes")
+    if accepted.any():
+        rows, cols = accepted[:, :, None], accepted[:, None, :]
+        np.copyto(Y, X, where=rows)
+        np.copyto(Y, X.transpose(0, 2, 1), where=cols)
+        np.copyto(Y, Q, where=rows & cols)
+    return accepted, log_ratio, w_diff, passes
+
+
 def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
     """One Metropolis chain per seed, all advanced in lockstep.
 
@@ -217,16 +301,19 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
     (C, n, n) blocks with a zero diagonal: X = S(prop_i, x_j), every proposal
     against the sweep's starting state, and Q = S(prop_i, prop_j), every
     proposal against the others.  Y = S(x_i, x_j) for the current state is
-    built once, at the start, and kept current: when site i accepts, column i
-    of X becomes column i of Q, and row and column i of Y become row i of X.
-    Site i's energy change is then (v0_i - v1_i) + (row sum of X - row sum of
-    Y) / n^2 (/ 2n^2 for a non-symmetric W), taken fresh from set values, so
-    it never forms inf - inf and never drifts.  Memory is O(C n^2): three
-    (C, n, n) float arrays, 80 KB each at C = 4 and n = 50, plus the
-    C n (n - 1) gathered pairs of a block; a block costs one W call of those
-    pairs, two for a non-symmetric W.  Each chain carries its running H_n,
-    moved by that change on every accepted move.  Returns one (kept
-    configurations, ChainDiagnostics) pair per seed.
+    built once, at the start, and kept current.  The sweep's n sequential
+    accept decisions are then settled together by ``_settle_sweep``: given
+    the earlier sites that accepted, site i's energy change is linear in
+    their indicator through a strictly lower-triangular matrix, so the
+    decisions are the unique fixed point of a threshold system, reached by
+    batched (C, n, n) matrix-vector passes, at most n + 1 of them; only the
+    validation hook, when given, is replayed site by site from the decisions.
+    The running H_n of each chain moves by the sum of
+    its accepted sites' changes, (v1_i - v0_i) + w_i / n^2 (/ 2n^2 for a
+    non-symmetric W).  Memory is O(C n^2): a few (C, n, n) float arrays, 80
+    KB each at C = 4 and n = 50, plus the C n (n - 1) gathered pairs of a
+    block; a block costs one W call of those pairs, two for a non-symmetric
+    W.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -248,10 +335,9 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
     else:
         steps = np.empty((C, n, d))
     u = np.empty((C, n))
-    log_ratio, accepted = np.empty((C, n)), np.empty((C, n), dtype=bool)
 
     kept = [[] for _ in range(C)]
-    traces, acc_counts, inf_counts = [], [], []
+    traces, acc_counts, inf_counts, pass_counts = [], [], [], []
     sweeps_done = 0
     while len(kept[0]) < samples:
         for c, rng in enumerate(rngs):
@@ -269,28 +355,20 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
             v_prop = evaluate_V(pair.V, prop.reshape(C * n, d)).reshape(C, n) / n
         X = _interactions(pair, prop, state, rest)
         Q = _interactions(pair, prop, prop, rest)
-        # The state's V, log-density and interactions are finite, so dv and
-        # the row sums of X - Y are finite or +inf, and base is finite or -inf:
-        # the log ratio base - beta w_scale (X - Y).sum() never forms inf - inf.
+        # The state's V and log-density are finite, so dv is finite or +inf
+        # and base is finite or -inf.
         dv = v_prop - v_state
         base = -beta * dv
         if not finite_mode:
             base += ld_prop - ld_state
         # log1p(-u) for u in [0, 1) is finite, so it never passes a log ratio of -inf
-        log_u = np.log1p(-u)
-        for i in range(n):
-            w_diff = (X[:, i] - Y[:, i]).sum(axis=-1)
-            lr = np.subtract(base[:, i], beta * w_scale * w_diff, out=log_ratio[:, i])
-            take = np.less(log_u[:, i], lr, out=accepted[:, i])
-            if take.any():
-                np.add(energy, dv[:, i] + w_scale * w_diff, out=energy, where=take)
-                moved = take[:, None]
-                np.copyto(X[:, :, i], Q[:, :, i], where=moved)
-                np.copyto(Y[:, i], X[:, i], where=moved)
-                np.copyto(Y[:, :, i], X[:, i], where=moved)
-            if hook is not None:
+        accepted, log_ratio, w_diff, passes = _settle_sweep(
+            X, Q, Y, base, np.log1p(-u), beta * w_scale)
+        energy += (dv + w_scale * w_diff).sum(axis=1, where=accepted)
+        if hook is not None:
+            for i in range(n):
                 before = tuple(state_idx)
-                if take[0]:
+                if accepted[0, i]:
                     state_idx[i] = int(picks[0, i])
                 hook(before, tuple(state_idx))
         np.copyto(state, prop, where=accepted[:, :, None])
@@ -299,6 +377,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
             np.copyto(ld_state, ld_prop, where=accepted)
         acc_counts.append(accepted.sum(axis=1))
         inf_counts.append(np.sum(log_ratio == -np.inf, axis=1))
+        pass_counts.append(passes)
         sweeps_done += 1
         past_burn = sweeps_done > cfg.burn_in
         due = (sweeps_done - cfg.burn_in - 1) % max(cfg.thinning, 1) == 0
@@ -309,6 +388,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
 
     acc = np.array(acc_counts, dtype=np.int64).reshape(-1, C)
     rej_inf = np.array(inf_counts, dtype=np.int64).reshape(-1, C)
+    n_passes = np.array(pass_counts, dtype=np.int64).reshape(-1, C)
     trace = np.array(traces).reshape(-1, C)
     return [
         (kept[c], ChainDiagnostics(
@@ -318,6 +398,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
             seed=seeds[c],
             rejected_infinite=rej_inf[:, c].copy(),
             rejected_metropolis=n - acc[:, c] - rej_inf[:, c],
+            passes=n_passes[:, c].copy(),
         ))
         for c in range(C)
     ]
@@ -336,10 +417,14 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     kernel behind ``mh_sample_chains``: each sweep draws its n proposals and
     then its n uniforms at once and evaluates W in two blocks, the proposals
     against the state and against each other; the state's (n, n) interaction
-    matrix, built once, is kept current on every accepted move, so a move
-    costs O(n) array work and no W call, and memory is O(n^2).  The energy
-    trace is the chain's running H_n, updated on every accepted move, not
-    recomputed per kept sample.
+    matrix, built once, is kept current, and memory is O(n^2).  The sweep's
+    n accept decisions, which the sequential scan would take one site after
+    another, are the unique fixed point of a strictly lower-triangular
+    threshold system; ``_settle_sweep`` reaches it in at most n + 1 passes of
+    one (n, n) matrix-vector product each, and ``ChainDiagnostics.passes``
+    records how many each sweep took.  The energy trace is the chain's
+    running H_n, moved by every accepted move, not recomputed per kept
+    sample.
 
     Returns (kept configurations, ChainDiagnostics).  ``_transition_hook``,
     used by the validation suite, receives (state_before, state_after) index

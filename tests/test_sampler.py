@@ -13,6 +13,7 @@ from gibbslab.sampler import (
     BudgetExceededError,
     SamplerConfig,
     SamplerError,
+    _settle_sweep,
     effective_sample_size,
     exact_gibbs_law,
     exact_sample_finite,
@@ -414,7 +415,7 @@ class TestDiagnostics:
         for c, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
             alone, diag = mh_sample(pair, ref, replace(cfg, seed=child), samples=12)
             for name in ("acceptance_rate", "energy_trace", "rejected_infinite",
-                         "rejected_metropolis"):
+                         "rejected_metropolis", "passes"):
                 assert np.array_equal(getattr(diags[c], name), getattr(diag, name))
             for a, b in zip(samples[12 * c:12 * (c + 1)], alone):
                 assert np.array_equal(a.points, b.points)
@@ -469,6 +470,12 @@ def w_asymmetric(x, y):
     return w_sqdist(x, y) + 0.8 * np.asarray(x)[..., 0]
 
 
+def w_hard_core(x, y):
+    """+inf for points closer than 0.5, 0 otherwise."""
+    dist = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
+    return np.where(dist < 0.5, np.inf, 0.0)
+
+
 def reference_case(case):
     """A pair, a reference and a finite-energy start of n = 5 sites."""
     if case == "finite":
@@ -484,7 +491,7 @@ def reference_case(case):
             ref = ReferenceMeasure.density_on_box(
                 lambda x: box.log_density(x) - np.sum(np.abs(x), axis=-1), box.box)
         start = np.array([[0.0, 0.0], [0.5, 0.1], [-0.4, 0.6], [0.2, -0.7], [-0.8, -0.3]])
-    W = w_asymmetric if case == "asymmetric_W" else coulomb_kernel(2)
+    W = {"asymmetric_W": w_asymmetric, "hard_core": w_hard_core}.get(case, coulomb_kernel(2))
     pair = PotentialPair(v_quadratic, W, dim=2, symmetric=case != "asymmetric_W")
     cfg = SamplerConfig(n=5, beta_n=5.0, sigma=0.6, burn_in=0, thinning=1, seed=29,
                         init=ParticleConfig(start))
@@ -507,7 +514,8 @@ class TestAgainstReferenceMetropolis:
         np.testing.assert_allclose(diag.energy_trace, energies, rtol=1e-12, atol=0)
         assert 0 < accepts.mean() < 1
 
-    @pytest.mark.parametrize("case", ["density", "weighted_density", "finite", "asymmetric_W"])
+    @pytest.mark.parametrize("case", ["density", "weighted_density", "finite", "asymmetric_W",
+                                      "hard_core"])
     def test_mh_sample(self, case):
         pair, ref, cfg = reference_case(case)
         kept, diag = mh_sample(pair, ref, cfg, samples=self.SWEEPS)
@@ -515,6 +523,9 @@ class TestAgainstReferenceMetropolis:
         self.assert_same_chain(kept, diag, reference, cfg.n)
         if case == "finite":
             assert diag.rejected_infinite.sum() > 0
+        if case == "hard_core":
+            # several sites of one sweep propose inside another's core
+            assert diag.rejected_infinite.max() >= 2
 
     def test_mh_sample_chains(self):
         pair, ref, cfg = reference_case("density")
@@ -566,9 +577,106 @@ class TestDiagnosticsCSV:
         diag.to_csv(path)
         table = np.genfromtxt(path, delimiter=",", names=True)
         assert table.dtype.names == ("sweep", "acceptance", "rejected_infinite",
-                                     "rejected_metropolis")
+                                     "rejected_metropolis", "passes")
         np.testing.assert_array_equal(table["sweep"], np.arange(40))
         np.testing.assert_array_equal(table["acceptance"], diag.acceptance_rate)
         np.testing.assert_array_equal(table["rejected_infinite"], diag.rejected_infinite)
         np.testing.assert_array_equal(table["rejected_metropolis"], diag.rejected_metropolis)
+        np.testing.assert_array_equal(table["passes"], diag.passes)
         assert diag.rejected_infinite.sum() > 0 and diag.rejected_metropolis.sum() > 0
+
+
+def sequential_sweep(X, Q, Y, base, log_u, bw):
+    """A sweep's decisions by a plain scan over chains and sites: site i sums
+    its row of X - Y, and on accept column i of X becomes column i of Q and
+    row and column i of Y become row i of X.  Returns the accept mask, the
+    log ratios, the interaction changes and the final Y."""
+    X, Y = X.copy(), Y.copy()
+    C, n, _ = X.shape
+    accepted = np.zeros((C, n), dtype=bool)
+    log_ratio, w = np.empty((C, n)), np.empty((C, n))
+    for c in range(C):
+        for i in range(n):
+            w[c, i] = np.sum(X[c, i] - Y[c, i])
+            log_ratio[c, i] = base[c, i] - bw * w[c, i]
+            if log_u[c, i] < log_ratio[c, i]:
+                accepted[c, i] = True
+                X[c, :, i] = Q[c, :, i]
+                Y[c, i] = X[c, i]
+                Y[c, :, i] = X[c, i]
+    return accepted, log_ratio, w, Y
+
+
+def random_sweep(rng, C, n, inf_frac):
+    """Blocks of a sweep with a zero diagonal: X and a symmetric Q holding
+    +inf at a fraction of their entries, a symmetric finite Y, and a base
+    that is -inf at a fraction of the sites."""
+    def symmetric(a):
+        a = np.triu(a, 1)
+        return a + a.transpose(0, 2, 1)
+
+    off = ~np.eye(n, dtype=bool)
+    X = np.where((rng.random((C, n, n)) < inf_frac) & off, np.inf, rng.normal(size=(C, n, n)))
+    X *= off
+    Q = symmetric(np.where(rng.random((C, n, n)) < inf_frac, np.inf, rng.normal(size=(C, n, n))))
+    np.einsum("cii->ci", Q)[...] = 0.0
+    Y = symmetric(rng.normal(size=(C, n, n)))
+    base = np.where(rng.random((C, n)) < inf_frac, -np.inf, rng.normal(size=(C, n)))
+    log_u = np.log1p(-rng.random((C, n)))
+    return X, Q, Y, base, log_u
+
+
+class TestSettleSweep:
+    """``_settle_sweep`` against ``sequential_sweep`` on the same blocks."""
+
+    def assert_matches_scan(self, X, Q, Y, base, log_u, bw):
+        acc, lr, w, Y_scan = sequential_sweep(X, Q, Y, base, log_u, bw)
+        Y_fixed = Y.copy()
+        accepted, log_ratio, w_diff, passes = _settle_sweep(
+            X.copy(), Q.copy(), Y_fixed, base, log_u, bw)
+        np.testing.assert_array_equal(accepted, acc)
+        np.testing.assert_array_equal(log_ratio == -np.inf, lr == -np.inf)
+        live = lr > -np.inf
+        np.testing.assert_allclose(log_ratio[live], lr[live], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w_diff[live], w[live], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Y_fixed, Y_scan, rtol=0, atol=1e-15)
+        n = X.shape[1]
+        assert np.all((passes >= 1) & (passes <= n + 1))
+        return accepted, log_ratio, passes
+
+    def test_alternating_chain_needs_n_plus_one_passes(self):
+        # every site accepts alone, and an accepted left neighbour blocks it:
+        # pass t flips every site from t on, and the decisions alternate
+        for n in (1, 2, 3, 6, 9):
+            Q = np.zeros((1, n, n))
+            i = np.arange(1, n)
+            Q[0, i, i - 1] = Q[0, i - 1, i] = 10.0
+            X, Y = np.zeros((1, n, n)), np.zeros((1, n, n))
+            base, log_u = np.zeros((1, n)), np.full((1, n), np.log1p(-0.5))
+            accepted, _, passes = self.assert_matches_scan(X, Q, Y, base, log_u, 1.0)
+            np.testing.assert_array_equal(accepted[0], np.arange(n) % 2 == 0)
+            assert passes[0] == n + 1
+
+    def test_all_rejected_takes_one_pass(self):
+        X, Q, Y, base, log_u = random_sweep(np.random.default_rng(0), 2, 5, 0.0)
+        base[...] = -np.inf
+        accepted, _, passes = self.assert_matches_scan(X, Q, Y, base, log_u, 1.0)
+        assert not accepted.any()
+        np.testing.assert_array_equal(passes, [1, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("infs_per_row", [0.0, 0.5, 1.0])
+    def test_random_blocks(self, n, infs_per_row):
+        rng = np.random.default_rng(1000 * n + int(100 * infs_per_row))
+        freed = blocked = 0
+        for _ in range(20):
+            X, Q, Y, base, log_u = random_sweep(rng, 3, n, infs_per_row / n)
+            accepted, log_ratio, _ = self.assert_matches_scan(X, Q, Y, base, log_u, 0.7)
+            # the +inf recurrence at work: a site accepts although its row of
+            # X holds +inf (every such column accepted earlier, with a finite
+            # Q entry), or is blocked by +inf in Q alone
+            inf_row = np.isinf(X).any(axis=2)
+            freed += np.sum(accepted & inf_row)
+            blocked += np.sum((log_ratio == -np.inf) & ~inf_row & (base > -np.inf))
+        if infs_per_row > 0 and n >= 7:
+            assert freed > 0 and blocked > 0
