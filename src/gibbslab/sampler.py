@@ -76,8 +76,10 @@ class SamplerConfig:
             raise ValueError("beta_n must be positive")
         if self.sigma <= 0:
             raise ValueError("proposal step sigma must be positive")
-        if self.burn_in < 0 or self.thinning < 0:
-            raise ValueError("burn_in and thinning must be non-negative")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
+        if self.thinning < 1:
+            raise ValueError("thinning must be >= 1")
 
 
 @dataclass
@@ -155,6 +157,24 @@ def _interactions(pair, x, y, rest):
     return out
 
 
+def _refuse_asymmetric(pts, Y):
+    """Raise when a W declared symmetric is not, at the starting state.
+
+    Y holds W(x_i, x_j) and W(x_j, x_i); the kernel keeps only one of them
+    per pair for a symmetric W, so a difference above 1e-12 relative would
+    make the chain target the wrong law.
+    """
+    Yt = Y.transpose(0, 2, 1)
+    bad = np.abs(Y - Yt) > 1e-12 * np.maximum(np.abs(Y), np.abs(Yt))
+    if bad.any():
+        c, i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"W is declared symmetric, but W(x_{i}, x_{j}) = {float(Y[c, i, j])!r} and "
+            f"W(x_{j}, x_{i}) = {float(Y[c, j, i])!r} at x_{i} = {pts[c, i].tolist()}, "
+            f"x_{j} = {pts[c, j].tolist()} (chain {c}); declare the pair with "
+            "symmetric=False")
+
+
 def _draw_starts(pair, ref, cfg, rngs, rest):
     """Starting configurations of finite energy and finite reference
     log-density, one per Generator, and what the kernel keeps of them.
@@ -164,6 +184,8 @@ def _draw_starts(pair, ref, cfg, rngs, rest):
     (C, n, d) state, V / n at it, its log-density (None on a finite
     reference), its interaction matrix S(x_i, x_j) and the chains' H_n, which
     is (1/n) sum V + sum S / (2 n^2), halved again for a non-symmetric W.
+    For a W declared symmetric, a start whose matrix differs from its
+    transpose is refused (``_refuse_asymmetric``); this needs no W call.
     """
     C, n, d = len(rngs), cfg.n, ref.dim
     pts = np.empty((C, n, d))
@@ -192,6 +214,8 @@ def _draw_starts(pair, ref, cfg, rngs, rest):
                 energy[c] = math.fsum(vals) / n + math.fsum(Y[c].ravel()) / pair_norm
         todo = todo[energy[todo] == np.inf]
         if not len(todo):
+            if pair.symmetric:
+                _refuse_asymmetric(pts, Y)
             return pts, v, ld, Y, energy
     if cfg.init is not None:
         raise SamplerError("user initial configuration has infinite energy "
@@ -380,7 +404,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
         pass_counts.append(passes)
         sweeps_done += 1
         past_burn = sweeps_done > cfg.burn_in
-        due = (sweeps_done - cfg.burn_in - 1) % max(cfg.thinning, 1) == 0
+        due = (sweeps_done - cfg.burn_in - 1) % cfg.thinning == 0
         if past_burn and due:
             for c in range(C):
                 kept[c].append(ParticleConfig(state[c].copy()))

@@ -17,19 +17,28 @@ simplex exactly when K is positive semidefinite on its tangent space
 factorization of Z^T K Z, with Z = [I; -1^T] a basis of the tangent space.
 The Coulomb grid kernels in d = 1 and 2 pass although K itself is indefinite
 (smallest eigenvalue -140 on 201 nodes in d = 1); most masked, discontinuous
-kernels fail.  A certified kernel with no non-linear tilt makes the problem
-convex: one start suffices and the answer is global (``local=None``).
-Otherwise the solver runs from several starts and reports ``local=True``.
+kernels fail.
+
+Both solvers build their objective and hand it to one driver, ``_solve``,
+with one start policy and no randomness: two calls return the same result.
+A certified kernel with no non-linear tilt makes the problem convex: one
+start suffices and the answer is global (``local=None``).  Otherwise the
+driver runs ``DEFAULT_STARTS`` fixed starts, keeps the lowest value and
+reports ``local=True``.
 
 * ``minimize_J`` -- pure energy.  Without a non-linear tilt, an exact primal
-  active-set QP (``active_set_qp``) solves the KKT system on the current
+  active-set QP (``_active_set_qp``) solves the KKT system on the current
   support, from the best vertex and, on uncertified kernels, also from the
   vertices of least gradient at the uniform point.  It ends at the optimum
   of a convex problem, and at a KKT point of any other, up to rounding.  A
-  non-linear tilt runs entropic mirror descent, and its minimizer drops the
-  tiny weights of KKT-inactive nodes.
+  non-linear tilt runs entropic mirror descent from the uniform weights and
+  from the midpoints between them and those vertices, and its minimizer
+  drops the tiny weights of KKT-inactive nodes.
 * ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
-  monotone line-search safeguard.
+  monotone line-search safeguard, from the uniform weights and, on
+  uncertified kernels or under a non-linear tilt, also from the reference
+  weights and the midpoints between the uniform weights and the vertices of
+  least value or least gradient.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
 
@@ -44,20 +53,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._enum import compositions_array
-from .measures import DiscreteMeasure, ReferenceMeasure, _as_points
+from .measures import DiscreteMeasure, ReferenceMeasure, _as_points, _merge_atoms
 from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
 DEFAULT_STARTS = 5
 SCAN_NODE_LIMIT = 4
-# Most nodes a GridSpec accepts.
-GRID_NODE_CAP = 200000
+# Most entries of a GridSpec's (k, k, d) pair block.  A build allocates k x k
+# arrays, and the largest of them is that block: the node differences x_i - x_j
+# that W (through pair_matrix) and min_spacing form, 8 k^2 d bytes.  The check
+# runs on k^2 d before any such array exists, so a grid too fine fails with this
+# message instead of at the allocation.  2^27 entries are 1 GiB: 8192 nodes in
+# d = 2, where the 1681-node grid of step 0.05 on [-1, 1]^2 needs 45 MB.
+# Kernels that sample segments (masked_interaction) make blocks larger still.
+GRID_PAIR_BUDGET = 2**27
 # Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
 # four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
 SCAN_ROW_BUDGET = 2_000_000
@@ -68,6 +83,12 @@ QP_ROUNDING = 1e-13
 SUPPORT_DROP_TOL = 1e-9
 
 
+def _check_pair_budget(k, d):
+    if k * k * d > GRID_PAIR_BUDGET:
+        raise ValueError(f"a grid of {k} nodes in d = {d} has a (k, k, d) pair block of "
+                         f"{k * k * d} entries, which exceeds the budget of {GRID_PAIR_BUDGET}")
+
+
 class GridSpec:
     """Finite node set for discretizing measures: a regular box grid or an
     explicit point list."""
@@ -76,8 +97,7 @@ class GridSpec:
         nodes = _as_points(nodes)
         if len(nodes) < 1:
             raise ValueError("grid needs at least one node")
-        if len(nodes) > GRID_NODE_CAP:
-            raise ValueError(f"grid with {len(nodes)} nodes exceeds cap {GRID_NODE_CAP}")
+        _check_pair_budget(*nodes.shape)
         self._nodes = nodes
         self.step = step
 
@@ -89,6 +109,7 @@ class GridSpec:
         axes = [np.arange(lo, hi + h / 2, h) for lo, hi in b]
         if any(len(a) < 2 for a in axes):
             raise ValueError("each axis needs at least two nodes")
+        _check_pair_budget(math.prod(len(a) for a in axes), len(axes))
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
         return cls(nodes, step=h)
@@ -124,7 +145,6 @@ class MinimizationResult:
     convergence_gap: float
     method: str
     converged: bool
-    seeds: list = field(default_factory=list)
     local: bool | None = None
     surrogate: dict | None = None
 
@@ -136,7 +156,6 @@ class MinimizationResult:
                 "convergence_gap": self.convergence_gap,
                 "method": self.method,
                 "converged": self.converged,
-                "seeds": self.seeds,
                 "local": self.local,
                 "surrogate": self.surrogate,
                 "minimizer": json.loads(self.minimizer.to_json()),
@@ -241,8 +260,9 @@ def _node_reference(ref: ReferenceMeasure, pair: PotentialPair, nodes):
     """Normalized weights of exp(-V) ell restricted to the grid nodes."""
     v_vals = evaluate_V(pair.V, nodes)
     if ref.is_finite:
-        lookup = {a.tobytes(): w for a, w in
-                  zip(np.asarray(ref.atoms, dtype=float), ref.weights)}
+        # a finite reference may repeat an atom: its copies' weights add up
+        atoms, weights = _merge_atoms(ref.atoms + 0.0, ref.weights)
+        lookup = {a.tobytes(): w for a, w in zip(atoms, weights)}
         ell_w = np.array([lookup.get((n + 0.0).tobytes(), 0.0) for n in nodes])
     else:
         logdens = np.asarray(ref.log_density(nodes), dtype=float)
@@ -254,18 +274,6 @@ def _node_reference(ref: ReferenceMeasure, pair: PotentialPair, nodes):
     if not (0.0 < total < np.inf):
         raise ValueError("reference restricted to the grid has no mass")
     return raw / total
-
-
-def _starts(k, nu, starts, seed):
-    rng = np.random.default_rng(seed)
-    inits = [np.full(k, 1.0 / k)]
-    if nu is not None:
-        pos = np.maximum(nu, 1e-12)
-        inits.append(pos / pos.sum())
-    while len(inits) < starts:
-        w = rng.dirichlet(np.ones(k))
-        inits.append(np.maximum(w, 1e-12) / np.maximum(w, 1e-12).sum())
-    return inits[:max(starts, 1)]
 
 
 def _mirror_descent(obj: _Objective, w0, tol, max_iter):
@@ -381,7 +389,7 @@ def _active_set_qp(K, v, start, max_iter):
 
 
 def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
-            seeds, local, tol):
+            local, tol):
     weights = np.zeros(len(all_nodes))
     weights[feasible] = best_w
     keep = weights > 0
@@ -393,7 +401,6 @@ def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
         convergence_gap=float(gap),
         method=method,
         converged=bool(gap <= tol),
-        seeds=seeds,
         local=local,
         surrogate=obj.surrogate,
     )
@@ -457,19 +464,6 @@ def _vertex_starts(K, v, count):
     return [best] + [int(i) for i in order[order != best][:max(count - 1, 0)]]
 
 
-def _best_of(solver, obj, inits, tol, max_iter):
-    """Run ``solver`` from every start; the lowest value, with its gap, and the
-    iterations summed over all starts."""
-    best = None
-    total_iters = 0
-    for w0 in inits:
-        w, fval, it, gap = solver(obj, w0, tol, max_iter)
-        total_iters += it
-        if best is None or fval < best[1]:
-            best = (w, fval, gap)
-    return best, total_iters
-
-
 def _drop_inactive(obj, w, fval, gap, tol):
     """Zero the KKT-inactive nodes of a minimizer without an entropy term.
 
@@ -492,71 +486,97 @@ def _drop_inactive(obj, w, fval, gap, tol):
     return clean, value, float(clean @ g - g.min())
 
 
-def _by_mirror_descent(obj, feasible, grid, convex, tol, max_iter, starts, seed):
-    inits = _starts(obj.k, obj.nu, 1 if convex else starts, seed)
-    (w, fval, gap), iters = _best_of(_mirror_descent, obj, inits, tol, max_iter)
-    if obj.nu is None:
+def _solve(obj, feasible, grid, tol, max_iter):
+    """The one start policy behind ``minimize_I`` and ``minimize_J``.
+
+    A kernel that passes the tangent-space certificate (not tested under a
+    non-linear tilt, which leaves the problem non-quadratic) makes the problem
+    convex: one start, and the answer is global (``local=None``).  Otherwise
+    ``DEFAULT_STARTS`` starts run and the lowest value is kept, with
+    ``local=True``.  A quadratic J runs the active-set QP from the vertices of
+    ``_vertex_starts``.  I and a non-linearly tilted J run mirror descent from
+    the uniform weights, then nu (I only), then the midpoints between the
+    uniform weights and the vertices of ``_vertex_starts``; for I, -log nu is
+    added to v, so that the vertices are ranked by I's own vertex values and
+    gradient at the uniform weights.  Mirror descent's own values are
+    compared, and iterations are summed over the starts.
+    """
+    certified = obj.tilt is None and _tangent_psd_certified(obj.K)
+    count = 1 if certified else DEFAULT_STARTS
+    k = obj.k
+    v = np.zeros(k) if obj.v is None else obj.v
+    if obj.nu is None and obj.tilt is None:
+        method = "active_set_qp"
+        runs = []
+        for start in _vertex_starts(obj.K, v, count):
+            w, it, gap = _active_set_qp(obj.K, v, start, max_iter)
+            runs.append((w, obj.value(w), it, gap))
+    else:
+        method = "mirror_descent"
+        inits = [np.full(k, 1.0 / k)]
+        if obj.nu is not None:
+            inits.append(obj.nu)
+            v = v - np.log(obj.nu)
+        for j in _vertex_starts(obj.K, v, count):
+            inits.append(np.full(k, 0.5 / k))
+            inits[-1][j] += 0.5
+        runs = [_mirror_descent(obj, w0, tol, max_iter) for w0 in inits[:count]]
+    w, fval, _, gap = min(runs, key=lambda run: run[1])
+    if method == "mirror_descent" and obj.nu is None:
         # J with a non-linear tilt; the entropy of I keeps every weight positive
         w, fval, gap = _drop_inactive(obj, w, fval, gap, tol)
-    return _finish(obj, w, fval, iters, gap, "mirror_descent", feasible, grid.nodes,
-                   [] if convex else [seed], None if convex else True, tol)
+    return _finish(obj, w, fval, sum(run[2] for run in runs), gap, method, feasible,
+                   grid.nodes, None if certified else True, tol)
 
 
 def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
-               tilt=None, tol=DEFAULT_TOL, max_iter=20000, starts=DEFAULT_STARTS,
-               seed=0) -> MinimizationResult:
+               tilt=None, tol=DEFAULT_TOL, max_iter=20000) -> MinimizationResult:
     """Minimize entropy + interaction (+ optional tilt) over the grid simplex.
 
     Entropic mirror descent with a backtracking safeguard, so the objective
     decreases monotonically along every run.  When the kernel passes the
     tangent-space certificate and the tilt is absent or linear, the objective
-    is strictly convex: one run from the uniform start finds the global
-    minimum (``local=None``, ``seeds=[]``).  Otherwise ``starts`` runs, from
-    the uniform start, the reference weights and Dirichlet draws of ``seed``,
-    keep the best value, reported with ``local=True``.  ``converged`` says
-    whether the final gap is within ``tol``; a run stopped by ``max_iter`` or
-    by a failed line search above ``tol`` reports False.
+    is strictly convex: one run from the uniform weights finds the global
+    minimum (``local=None``).  Otherwise ``DEFAULT_STARTS`` runs, from the
+    uniform weights, the reference weights nu and the midpoints between the
+    uniform weights and the vertices of least value or least gradient there,
+    keep the lowest value, reported with ``local=True``.  Every start is
+    fixed, so two calls return the same result.  ``converged`` says whether
+    the final gap is within ``tol``; a run stopped by ``max_iter`` or by a
+    failed line search above ``tol`` reports False.
     """
     obj, feasible = build_objective_I(pair, ref, grid, tilt)
-    convex = obj.tilt is None and _tangent_psd_certified(obj.K)
-    return _by_mirror_descent(obj, feasible, grid, convex, tol, max_iter, starts, seed)
+    return _solve(obj, feasible, grid, tol, max_iter)
 
 
 def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
-               max_iter=50000, starts=DEFAULT_STARTS, seed=0) -> MinimizationResult:
+               max_iter=50000) -> MinimizationResult:
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
     With no tilt or a linear one (folded into V), J is a quadratic on the
-    simplex, and the exact active-set QP solves it (``method="active_set_qp"``,
-    ``seeds=[]``; ``max_iter`` bounds its add and drop steps).  When the kernel
-    passes the tangent-space certificate the QP is convex: one run from the
-    best vertex ends at the global minimum (``local=None``).  Otherwise the QP
-    runs from ``starts`` vertices, the best one and those of least gradient at
+    simplex, and the exact active-set QP solves it (``method="active_set_qp"``;
+    ``max_iter`` bounds its add and drop steps).  When the kernel passes the
+    tangent-space certificate the QP is convex: one run from the best vertex
+    ends at the global minimum (``local=None``).  Otherwise the QP runs from
+    ``DEFAULT_STARTS`` vertices, the best one and those of least gradient at
     the uniform weights, and keeps the lowest value, a KKT point reported with
-    ``local=True``.  A non-linear tilt runs entropic mirror descent from
-    ``starts`` starts drawn with ``seed`` (``local=True``); nodes left with a
-    weight below ``SUPPORT_DROP_TOL`` and a gradient above the least one by
-    more than ``tol`` are then dropped, unless that raises the value by more
-    than 1e-12 relative.  ``converged`` says whether the final gap is within
-    ``tol``.
+    ``local=True``.  A non-linear tilt runs entropic mirror descent from the
+    uniform weights and the midpoints between them and the same vertices
+    (``local=True``); nodes left with a weight below ``SUPPORT_DROP_TOL`` and
+    a gradient above the least one by more than ``tol`` are then dropped,
+    unless that raises the value by more than 1e-12 relative.  Every start is
+    fixed, so two calls return the same result.  ``converged`` says whether
+    the final gap is within ``tol``.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
-    if obj.tilt is not None:
-        return _by_mirror_descent(obj, feasible, grid, False, tol, max_iter, starts, seed)
-    certified = _tangent_psd_certified(obj.K)
-    runs = [_active_set_qp(obj.K, obj.v, start, max_iter)
-            for start in _vertex_starts(obj.K, obj.v, 1 if certified else starts)]
-    w, _, gap = min(runs, key=lambda run: obj.value(run[0]))
-    return _finish(obj, w, obj.value(w), sum(run[1] for run in runs), gap,
-                   "active_set_qp", feasible, grid.nodes, [], None if certified else True,
-                   tol)
+    return _solve(obj, feasible, grid, tol, max_iter)
 
 
 def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
     """Exhaustive weight-lattice scan: the brute-force ground truth.
 
-    ``objective`` is either a callable on weight vectors or an objective with
-    a ``value_batch`` method (as produced by the builders above).  Supports at
+    ``objective`` is an objective with a ``value_batch`` method, as the
+    builders above produce, on the points ``nodes``.  Supports at
     most four nodes and lattices of at most ``SCAN_ROW_BUDGET`` weight vectors
     (step 1e-3 on up to three nodes, 0.01 on four); ties resolve to the
     lexicographically first weight vector in lattice order.
@@ -573,25 +593,10 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
         raise ValueError(f"scan lattice of {rows} weight vectors exceeds the budget "
                          f"of {SCAN_ROW_BUDGET}")
     lattice = compositions_array(resolution, k).astype(float) / resolution
-    if hasattr(objective, "value_batch"):
-        vals = np.asarray(objective.value_batch(lattice), dtype=float)
-    else:
-        vals = np.array([float(objective(w)) for w in lattice])
+    vals = np.asarray(objective.value_batch(lattice), dtype=float)
     vals = np.where(np.isnan(vals), np.inf, vals)
     if np.all(vals == np.inf):
         raise ValueError("objective is infinite on the entire lattice")
     idx = int(np.argmin(vals))      # argmin returns the first (lexicographic) tie
-    w = lattice[idx]
-    keep = w > 0
-    minimizer = DiscreteMeasure(nodes[keep], w[keep] / w[keep].sum())
-    return MinimizationResult(
-        minimizer=minimizer,
-        value=float(vals[idx]),
-        iterations=len(lattice),
-        convergence_gap=0.0,
-        method="simplex_scan",
-        converged=True,
-        seeds=[],
-        local=None,
-        surrogate=getattr(objective, "surrogate", None),
-    )
+    return _finish(objective, lattice[idx], vals[idx], len(lattice), 0.0, "simplex_scan",
+                   np.arange(k), nodes, None, 0.0)

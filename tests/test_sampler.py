@@ -131,6 +131,20 @@ class TestMHGaussianTarget:
         with pytest.raises(ValueError):
             SamplerConfig(n=1, beta_n=1.0, sigma=0.0)
 
+    def test_zero_thinning_raises(self):
+        with pytest.raises(ValueError, match="thinning"):
+            SamplerConfig(n=1, beta_n=1.0, thinning=0)
+
+    def test_an_asymmetric_W_declared_symmetric_is_refused(self):
+        # declared symmetric, the kernel keeps only W(x_i, x_j) of each pair: with
+        # this configuration, 500 kept samples and no check, the running energy
+        # was off from the hamiltonian by up to 1.58
+        pair = PotentialPair(v_quadratic, w_asymmetric, dim=2, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0), (-1.0, 1.0)])
+        cfg = SamplerConfig(n=5, beta_n=5.0, burn_in=0, seed=3)
+        with pytest.raises(ValueError, match=r"declared symmetric, but W\(x_\d, x_\d\)"):
+            mh_sample(pair, ref, cfg, samples=500)
+
 
 class TestExactFinite:
     def test_single_particle_law(self):

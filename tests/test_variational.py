@@ -20,12 +20,10 @@ from gibbslab.variational import (
     DEFAULT_TOL,
     SCAN_ROW_BUDGET,
     GridSpec,
-    _best_of,
     _drop_inactive,
     _Objective,
     _active_set_qp,
     _mirror_descent,
-    _starts,
     _tangent_psd_certified,
     _vertex_starts,
     build_objective_I,
@@ -110,9 +108,10 @@ def test_active_set_exact_on_the_121_node_grid():
     assert result.convergence_gap <= 1e-12
     assert result.converged
     assert result.local is None
-    assert result.seeds == []
     assert result.value <= J_121_VALUE + 1e-12
-    assert json.loads(result.to_json())["converged"] is True
+    record = json.loads(result.to_json())
+    assert record["converged"] is True
+    assert "seeds" not in record
 
 
 def test_min_spacing_only_for_a_singular_diagonal(monkeypatch):
@@ -126,11 +125,17 @@ def test_min_spacing_only_for_a_singular_diagonal(monkeypatch):
     assert obj.surrogate["spacing"] == spacing(GridSpec.from_points(FOUR_NODES))
 
 
-def test_grid_node_cap(monkeypatch):
-    monkeypatch.setattr(variational, "GRID_NODE_CAP", 8)
-    assert len(GridSpec.from_points(FOUR_NODES).nodes) == 4
-    with pytest.raises(ValueError, match="exceeds cap 8"):
-        GridSpec.regular(SQUARE, 0.5)
+def test_grid_pair_budget(monkeypatch):
+    assert len(GridSpec.regular(SQUARE, 0.05).nodes) == 1681
+    # 40401 nodes: a (k, k, 2) pair block of 26 GB, refused before the mesh is built
+    with pytest.raises(ValueError, match="40401 nodes in d = 2 .* exceeds the budget"):
+        GridSpec.regular(SQUARE, 0.01)
+    monkeypatch.setattr(variational, "GRID_PAIR_BUDGET", 32)
+    assert len(GridSpec.from_points(FOUR_NODES).nodes) == 4      # 4 * 4 * 2 entries
+    with pytest.raises(ValueError, match="5 nodes in d = 2 .* 50 entries"):
+        GridSpec.from_points(np.vstack([FOUR_NODES, [[0.0, 0.0]]]))
+    with pytest.raises(ValueError, match="9 nodes in d = 2"):
+        GridSpec.regular(SQUARE, 1.0)
 
 
 @pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.2)])
@@ -144,13 +149,11 @@ def test_tangent_certificate_rejects_a_concave_kernel():
     grid = GridSpec.regular(SQUARE, 0.5)
     obj, _ = build_objective_J(sqdist_pair(), grid)
     assert not _tangent_psd_certified(obj.K)
-    result = minimize_J(sqdist_pair(), grid, seed=7)
+    result = minimize_J(sqdist_pair(), grid)
     assert result.method == "active_set_qp"
     assert result.local is True
-    assert result.seeds == []
-    result_I = minimize_I(sqdist_pair(), box(2), grid, seed=7)
+    result_I = minimize_I(sqdist_pair(), box(2), grid)
     assert result_I.local is True
-    assert result_I.seeds == [7]
 
 
 def test_linear_tilt_equals_shifted_confinement():
@@ -269,8 +272,12 @@ def test_nonlinear_tilt_on_J_keeps_the_untilted_support():
     np.testing.assert_array_equal(tilted.minimizer.atoms, untilted.minimizer.atoms)
     # mirror descent alone leaves two spurious atoms above the measure's drop tolerance
     obj, _ = build_objective_J(pair, grid, tilt)
-    inits = _starts(obj.k, None, DEFAULT_STARTS, 0)
-    (raw, raw_value, _), _ = _best_of(_mirror_descent, obj, inits, DEFAULT_TOL, 50000)
+    inits = [np.full(obj.k, 1.0 / obj.k)]
+    for j in _vertex_starts(obj.K, obj.v, DEFAULT_STARTS)[:DEFAULT_STARTS - 1]:
+        inits.append(np.full(obj.k, 0.5 / obj.k))
+        inits[-1][j] += 0.5
+    raw, raw_value, _, _ = min((_mirror_descent(obj, w0, DEFAULT_TOL, 50000) for w0 in inits),
+                               key=lambda run: run[1])
     assert np.sum(raw > 1e-15) == 23
     assert abs(tilted.value - raw_value) <= 1e-12
     w = np.zeros(obj.k)
@@ -295,10 +302,10 @@ def test_drop_inactive_keeps_a_clean_point_only_if_no_worse(v, dropped):
 def test_single_start_I_matches_best_of_five():
     grid = GridSpec.regular(SQUARE, 0.2)
     result = minimize_I(coulomb_pair(2), box(2), grid)
-    assert result.local is None and result.converged and result.seeds == []
+    assert result.local is None and result.converged
     obj, _ = build_objective_I(coulomb_pair(2), box(2), grid)
-    (_, best, _), _ = _best_of(_mirror_descent, obj, _starts(obj.k, obj.nu, 5, 0),
-                               DEFAULT_TOL, 20000)
+    inits = np.random.default_rng(0).dirichlet(np.ones(obj.k), 5)
+    best = min(_mirror_descent(obj, w0, DEFAULT_TOL, 20000)[1] for w0 in inits)
     assert result.value == pytest.approx(best, abs=1e-10)
 
 
@@ -326,3 +333,32 @@ def test_scan_oracle_refuses_a_lattice_over_budget():
     obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(FOUR_NODES))
     with pytest.raises(ValueError, match="exceeds the budget"):
         simplex_scan_oracle(obj, obj.nodes, 1e-3)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: minimize_I(sqdist_pair(), box(2), GridSpec.regular(SQUARE, 0.5)),
+    lambda: minimize_J(sqdist_pair(), GridSpec.regular(SQUARE, 0.5)),
+    lambda: minimize_J(coulomb_pair(1), GridSpec.regular([(-1.0, 1.0)], 0.05),
+                       tilt=SquaredMean(GridSpec.regular([(-1.0, 1.0)], 0.05).nodes)),
+], ids=["I", "J", "tilted_J"])
+def test_uncertified_solves_are_deterministic(solve):
+    first, second = solve(), solve()
+    assert first.local is True
+    assert (first.value, first.iterations, first.convergence_gap) == (
+        second.value, second.iterations, second.convergence_gap)
+    np.testing.assert_array_equal(first.minimizer.atoms, second.minimizer.atoms)
+    np.testing.assert_array_equal(first.minimizer.weights, second.minimizer.weights)
+
+
+def test_a_repeated_reference_atom_adds_its_weights():
+    # the copies of atom 0 weigh 1 + 1, as rate_I, the exact law and the sampler count them
+    pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
+    grid = GridSpec.from_points([[0.0], [1.0]])
+    repeated = minimize_I(pair, ReferenceMeasure.finite([[0.0], [0.0], [1.0]], [1.0, 1.0, 1.0]),
+                          grid)
+    merged = minimize_I(pair, ReferenceMeasure.finite([[0.0], [1.0]], [2.0, 1.0]), grid)
+    assert repeated.value == pytest.approx(merged.value, abs=1e-12)
+    assert repeated.value == pytest.approx(-0.1583, abs=1e-4)
+    np.testing.assert_allclose(repeated.minimizer.weights, merged.minimizer.weights,
+                               atol=1e-9)
+    np.testing.assert_allclose(repeated.minimizer.weights, [0.763, 0.237], atol=1e-3)
