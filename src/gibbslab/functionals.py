@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
+from .measures import (WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure,
+                       _merge_atoms)
 from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 
 NORMALIZATION_TOL = 1e-10
@@ -115,9 +116,14 @@ def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
 def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Kullback-Leibler divergence of mu against nu; +inf unless supp(mu) is
     contained in supp(nu).  Atom matching is exact on canonical coordinates."""
-    if mu.dim != nu.dim:
+    return _relative_entropy(mu, nu.atoms, nu.weights)
+
+
+def _relative_entropy(mu: DiscreteMeasure, atoms, weights) -> float:
+    """``relative_entropy`` against the measure with these distinct atoms and weights."""
+    if mu.dim != atoms.shape[1]:
         raise ValueError("dimension mismatch between measures")
-    lookup = {atom.tobytes(): w for atom, w in zip(nu.atoms, nu.weights)}
+    lookup = {atom.tobytes(): w for atom, w in zip(atoms, weights)}
     terms = []
     for atom, w in zip(mu.atoms, mu.weights):
         q = lookup.get(atom.tobytes())
@@ -136,12 +142,14 @@ def confinement_energy(mu: DiscreteMeasure, V) -> float:
     return math.fsum(mu.weights[mask] * vals[mask])
 
 
-def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
-    """The probability measure exp(-V) ell on a finite reference.
+def _gibbs_weights(ref: ReferenceMeasure, V, warn):
+    """Atoms and weights of exp(-V) ell, normalized, as ``DiscreteMeasure``
+    would hold them.
 
-    Normalizes in all cases; warns (rather than failing) when the declared
-    potential misses unit mass by more than the tolerance, since callers may
-    legitimately pass an unnormalized confinement.
+    The weights are divided by their total mass; then, as the constructor
+    does, repeated atoms are summed, weights at or below ``WEIGHT_DROP_TOL``
+    are dropped and the rest renormalized.  Warns, for the caller of the
+    public function, when the mass misses 1 by more than the tolerance.
     """
     if not ref.is_finite:
         raise ValueError("exact Gibbs reference needs a finite reference measure")
@@ -153,17 +161,30 @@ def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
         raise ValueError(f"exp(-V) ell has mass {total}; cannot normalize")
     if warn and abs(total - 1.0) > NORMALIZATION_TOL:
         warnings.warn(
-            f"exp(-V) ell has mass {total!r}, not 1; normalizing", stacklevel=2
+            f"exp(-V) ell has mass {total!r}, not 1; normalizing", stacklevel=3
         )
-    keep = raw > 0
-    return DiscreteMeasure(ref.atoms[keep], raw[keep] / total)
+    atoms, weights = _merge_atoms(ref.atoms, raw / total)
+    keep = weights > WEIGHT_DROP_TOL
+    return atoms[keep], weights[keep] / math.fsum(weights[keep])
+
+
+def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
+    """The probability measure exp(-V) ell on a finite reference.
+
+    Normalizes in all cases; warns (rather than failing) when the declared
+    potential misses unit mass by more than the tolerance, since callers may
+    legitimately pass an unnormalized confinement.
+    """
+    return DiscreteMeasure(*_gibbs_weights(ref, V, warn))
 
 
 def rate_I(mu: DiscreteMeasure, pair: PotentialPair, ref: ReferenceMeasure) -> FunctionalValue:
     """Speed-n rate functional: relative entropy against exp(-V) ell plus
-    the full interaction energy."""
-    nu = gibbs_reference(ref, pair.V)
-    entropy = relative_entropy(mu, nu)
+    the full interaction energy.
+
+    The weights of exp(-V) ell are the arrays of ``gibbs_reference``, taken
+    without building the measure."""
+    entropy = _relative_entropy(mu, *_gibbs_weights(ref, pair.V, warn=True))
     if not math.isfinite(entropy):
         return FunctionalValue(np.inf, {"entropy": np.inf, "interaction": None,
                                         "diverged": "entropy"})

@@ -19,11 +19,15 @@ Three generators:
   lower-triangular matrix, so the decisions are the unique fixed point of a
   threshold system, which at most n + 1 batched matrix-vector passes reach,
   with no Python loop over sites.
-* ``exact_sample_finite`` -- exact Gibbs probabilities of all m^n index
-  tuples on a finite reference, categorical sampling of tuple indices.  The
-  law is built one slot at a time (``exact_gibbs_law`` shares the recursion)
-  and is still bounded by a budget on m^n; only the drawn tuples are turned
-  into atoms.
+* ``exact_sample_finite`` -- exact draws on a finite reference.  The
+  particles are exchangeable, so H_n depends only on the counts of the m
+  atoms, and ``exact_count_law`` gives the exact law of those counts on the
+  C(n + m - 1, m - 1) compositions of n, under a budget on the entries of its
+  count array.  A drawn composition is expanded into atom indices and its
+  row shuffled uniformly, which gives every ordering its exact probability;
+  only the drawn rows are turned into atoms.  ``exact_gibbs_law`` keeps the
+  law of all m^n index tuples, built one slot at a time under a budget on
+  m^n, as the independent cross-check.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._enum import compositions_array
 from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from .potentials import PotentialPair, evaluate_V, evaluate_W
 from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
@@ -470,6 +475,24 @@ def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
     return [s for kept, _ in results for s in kept], [diag for _, diag in results]
 
 
+def _check_exact_args(ell, beta_n):
+    if not ell.is_finite:
+        raise ValueError("exact law needs a finite reference measure")
+    if not beta_n > 0:
+        raise ValueError("beta_n must be positive")
+
+
+def _normalize_log(log_prob) -> np.ndarray:
+    """exp(log_prob) normalized to sum 1, in place; log_prob is finite or -inf."""
+    shift = log_prob.max()
+    if shift == -np.inf:
+        raise SamplerError("all configurations have infinite energy; the Gibbs law is empty")
+    log_prob -= shift
+    probs = np.exp(log_prob, out=log_prob)
+    probs /= probs.sum()
+    return probs
+
+
 def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:
     """Normalized probabilities of all m^n index tuples, in mixed-radix order.
 
@@ -479,10 +502,7 @@ def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:
     in the prefix.  evaluate_V and evaluate_W refuse NaN and -inf and the
     weights are positive and finite, so the only non-finite value is -inf.
     """
-    if not ell.is_finite:
-        raise ValueError("exact law needs a finite reference measure")
-    if not beta_n > 0:
-        raise ValueError("beta_n must be positive")
+    _check_exact_args(ell, beta_n)
     m = len(ell.atoms)
     if m**n > budget:
         raise BudgetExceededError(f"enumeration of {m}^{n} configurations exceeds budget {budget}")
@@ -497,13 +517,73 @@ def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:
             log_prob = (log_prob[:, None] + site[None, :] + prefix).ravel()
             if slot < n - 1:
                 prefix = (prefix[:, None, :] + link[None, :, :]).reshape(-1, m)
-    shift = log_prob.max()
-    if shift == -np.inf:
-        raise SamplerError("all configurations have infinite energy; the Gibbs law is empty")
-    log_prob -= shift
-    probs = np.exp(log_prob, out=log_prob)
-    probs /= probs.sum()
-    return probs
+    return _normalize_log(log_prob)
+
+
+def _count_log_weights(pair, ell, n, beta_n, budget):
+    """The (C, m) compositions of n and their unnormalized log weights.
+
+    Composition c has log weight
+
+        log multinomial(n; c) + c.log w - beta_n [(c.v) / n
+            + (c^T S_off c + sum_a c_a (c_a - 1) S_aa) / (2 n^2)],   S = (W + W^T) / 2,
+
+    with the log factorials from a ``math.lgamma`` table.  A +inf in v or S
+    is never multiplied by a zero count: c gets log weight -inf when an
+    occupied atom has V = +inf, two occupied atoms have S = +inf, or an atom
+    with S_aa = +inf holds two or more particles.  ``budget`` bounds the
+    entries of the count array.
+    """
+    _check_exact_args(ell, beta_n)
+    m = len(ell.atoms)
+    entries = math.comb(n + m - 1, m - 1) * m
+    if entries > budget:
+        raise BudgetExceededError(
+            f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {budget}")
+    atoms = np.asarray(ell.atoms, dtype=float)
+    counts = compositions_array(n, m)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    c = counts.astype(float)
+    occupied = (counts > 0).astype(float)
+    v = evaluate_V(pair.V, atoms)
+    infinite = occupied @ (v == np.inf)
+    energy = c @ np.where(v == np.inf, 0.0, v) / n
+    if n > 1:
+        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+        S = 0.5 * (Wmat + Wmat.T)
+        inf_S = (S == np.inf).astype(float)
+        S[inf_S > 0] = 0.0
+        diag, inf_diag = np.diag(S).copy(), np.diag(inf_S).copy()
+        np.fill_diagonal(S, 0.0)
+        np.fill_diagonal(inf_S, 0.0)
+        infinite += ((occupied @ inf_S) * occupied).sum(axis=1) + (counts >= 2) @ inf_diag
+        energy += (((c @ S) * c).sum(axis=1) + (c * (c - 1.0)) @ diag) / (2.0 * n * n)
+    log_weight = log_fact[n] - log_fact[counts].sum(axis=1) + c @ np.log(ell.weights)
+    log_weight -= beta_n * energy
+    log_weight[infinite > 0] = -np.inf
+    return counts, log_weight
+
+
+def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,
+                    budget: int = ENUM_BUDGET_DEFAULT):
+    """Exact law of the counts of a configuration on a finite reference.
+
+    The particles are exchangeable, so H_n depends only on the counts c of
+    the m atoms, and the law of L_n = c / n is a law on the
+    C(n + m - 1, m - 1) compositions of n, against the m^n tuples of
+    ``exact_gibbs_law``.  Composition c has weight multinomial(n; c) times
+    prod_a w_a^{c_a} exp(-beta_n H_n(c)), with the diagonal of W counted
+    c_a (c_a - 1) times and a +inf never multiplied by a zero count (see
+    ``_count_log_weights``).  ``budget`` bounds the C * m entries of the
+    count array.
+
+    Returns (counts, probabilities): counts is the (C, m) int64 array of
+    ``_enum.compositions_array``, in lexicographic order.  Raises
+    BudgetExceededError over budget and SamplerError when every composition
+    has infinite energy.
+    """
+    counts, log_weight = _count_log_weights(pair, ell, n, beta_n, budget)
+    return counts, _normalize_log(log_weight)
 
 
 def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
@@ -511,17 +591,20 @@ def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
                         budget: int = ENUM_BUDGET_DEFAULT):
     """Exact draws from the Gibbs law on a finite reference.
 
-    Computes the probabilities of all m^n index tuples by the slot recursion
-    of ``exact_gibbs_law`` (same m^n budget), draws flat tuple indices
-    categorically and converts only the drawn indices into atoms; the
-    (m^n, n) tuple array is never built.
+    Draws compositions from ``exact_count_law`` (same budget, on the entries
+    of its count array), expands each into its atom indices in sorted order
+    and shuffles every row uniformly.  This is exact: the law is invariant
+    under permuting the particles, so each of the multinomial(n; c) orderings
+    of c has probability p(c) / multinomial(n; c).  Only the drawn rows are
+    turned into atoms.
     """
-    probs = _tuple_law(pair, ell, n, beta_n, budget)
+    counts, probs = exact_count_law(pair, ell, n, beta_n, budget)
     atoms = np.asarray(ell.atoms, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picks = rng.choice(len(probs), size=samples, p=probs)
-    slots = np.stack(np.unravel_index(picks, (len(atoms),) * n), axis=1)
-    return [ParticleConfig(atoms[row]) for row in slots]
+    drawn = counts[picks].ravel()
+    slots = np.repeat(np.tile(np.arange(len(atoms)), samples), drawn).reshape(samples, n)
+    return [ParticleConfig(points) for points in atoms[rng.permuted(slots, axis=1)]]
 
 
 def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,

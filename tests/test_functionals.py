@@ -214,6 +214,33 @@ class TestRateI:
         with pytest.warns(UserWarning):
             rate_I(DiscreteMeasure.uniform([[0.0], [1.0]]), pair, ell)
 
+    @pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
+    def test_repeated_atom_matches_the_gibbs_reference(self):
+        # the copies of 0 weigh 1 + 0.5 in exp(-V) ell
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [0.0], [2.0]], [1.0, 2.0, 0.5, 1.5])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        nu = gibbs_reference(ell, pair.V)
+        assert nu.support_size == 3
+        mu = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.3, 0.2])
+        expected = relative_entropy(mu, nu) + interaction_energy(mu, pair.W)
+        assert rate_I(mu, pair, ell).value == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
+    def test_dropped_gibbs_weight_diverges_both_ways(self):
+        # exp(-40) / 2 ~ 2e-18 falls under WEIGHT_DROP_TOL, so atom 2 leaves
+        # the support of exp(-V) ell
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]])
+        V = lambda x: np.where(np.asarray(x)[..., 0] > 1.5, 40.0, 0.0)
+        pair = PotentialPair(V, w_sqdist, dim=1, symmetric=True)
+        nu = gibbs_reference(ell, V)
+        assert nu.support_size == 2
+        on = DiscreteMeasure.uniform([[0.0], [2.0]])
+        assert relative_entropy(on, nu) + interaction_energy(on, pair.W) == np.inf
+        assert rate_I(on, pair, ell).value == np.inf
+        off = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
+        expected = relative_entropy(off, nu) + interaction_energy(off, pair.W)
+        assert rate_I(off, pair, ell).value == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
 
 class TestRateJ:
     def test_dirac(self):

@@ -199,6 +199,14 @@ class TestBoundedLipschitz:
                   for _ in range(2))
         assert abs(d_bl(mu, nu) - wasserstein_p(mu, nu, 1)) <= 1e-9
 
+    def test_equals_w1_on_a_nearly_collinear_triple(self):
+        # found by the test above: the transport LP solved with HiGHS's
+        # presolve gave W1 = 0.06250000186 here, against d_bl = 0.06250000062
+        pts = [(0.0, 0.0), (0.0, 0.5), (6.1e-5, 0.25)]
+        mu = empirical_measure(ParticleConfig(pts))
+        nu = empirical_measure(ParticleConfig([pts[0]] + pts))
+        assert abs(wasserstein_lp(mu, nu, 1) - d_bl(mu, nu)) <= 1e-12
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -13,8 +13,10 @@ from gibbslab.sampler import (
     BudgetExceededError,
     SamplerConfig,
     SamplerError,
+    _count_log_weights,
     _settle_sweep,
     effective_sample_size,
+    exact_count_law,
     exact_gibbs_law,
     exact_sample_finite,
     iid_sample,
@@ -196,11 +198,24 @@ class TestExactFinite:
             assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / 4000) + 1e-3
 
     def test_budget_guard(self):
+        # the tuple law's budget is on m^n = 10^9
         atoms = np.array([[float(i)] for i in range(10)])
         ell = ReferenceMeasure.finite(atoms)
         pair = PotentialPair(v_zero, w_zero, dim=1)
         with pytest.raises(BudgetExceededError):
-            exact_sample_finite(pair, ell, n=9, beta_n=1.0, seed=0, samples=1, budget=10**6)
+            exact_gibbs_law(pair, ell, n=9, beta_n=1.0, budget=10**6)
+
+    def test_count_budget_guard(self):
+        # n = 9 on 10 atoms: C(18, 9) = 48620 compositions, 486200 count entries
+        atoms = np.array([[float(i)] for i in range(10)])
+        ell = ReferenceMeasure.finite(atoms)
+        pair = PotentialPair(v_zero, w_zero, dim=1)
+        counts, _ = exact_count_law(pair, ell, n=9, beta_n=1.0, budget=486200)
+        assert counts.shape == (48620, 10)
+        with pytest.raises(BudgetExceededError):
+            exact_count_law(pair, ell, n=9, beta_n=1.0, budget=486199)
+        with pytest.raises(BudgetExceededError):
+            exact_sample_finite(pair, ell, n=9, beta_n=1.0, seed=0, samples=1, budget=486199)
 
     def test_all_infinite_rejected(self):
         atoms = np.array([[0.0]])
@@ -260,34 +275,137 @@ class TestExactFinite:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def count_marginal(digits, probs, counts):
+    """The tuple law's probabilities summed over the orderings of each row of counts."""
+    m = counts.shape[1]
+    tuple_counts = np.stack([(digits == a).sum(axis=1) for a in range(m)], axis=1)
+    row = {tuple(c): i for i, c in enumerate(counts.tolist())}
+    index = [row[tuple(c)] for c in tuple_counts.tolist()]
+    return np.bincount(index, weights=probs, minlength=len(counts))
+
+
+class TestCountLaw:
+    @pytest.mark.parametrize("case", ["d1_speed_n", "d1_speed_n2", "coulomb_d2", "repeated_atom"])
+    def test_equals_the_tuple_law_count_marginal(self, case):
+        rng = np.random.default_rng(3)
+        if case.startswith("d1"):
+            n = 5
+            ell = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (4, 1)), rng.uniform(0.5, 1.5, 4))
+            pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+            beta = float(n if case == "d1_speed_n" else n * n)
+        elif case == "coulomb_d2":
+            # the +inf diagonal leaves only the compositions with every count <= 1
+            n, beta = 3, 3.0
+            ell = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (5, 2)), rng.uniform(0.5, 1.5, 5))
+            pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+        else:
+            # atoms 0 and 2 coincide, so occupying both costs W(x, x) = +inf
+            n, beta = 3, 3.0
+            ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.3, 0.8]],
+                                          [1.0, 2.0, 0.5, 1.5])
+            pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+        counts, probs = exact_count_law(pair, ell, n=n, beta_n=beta)
+        digits, tuple_probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+        assert counts.shape == (math.comb(n + len(ell.atoms) - 1, n), len(ell.atoms))
+        np.testing.assert_array_equal(counts.sum(axis=1), n)
+        np.testing.assert_allclose(probs, count_marginal(digits, tuple_probs, counts),
+                                   rtol=0, atol=1e-14)
+        if case == "coulomb_d2":
+            np.testing.assert_array_equal(probs == 0, counts.max(axis=1) >= 2)
+        elif case == "repeated_atom":
+            dead = (counts.max(axis=1) >= 2) | ((counts[:, 0] > 0) & (counts[:, 2] > 0))
+            np.testing.assert_array_equal(probs == 0, dead)
+        else:
+            assert np.all(probs > 0)
+
+    def test_all_infinite_rejected(self):
+        # two particles on two atoms of a Coulomb plane: every composition has
+        # a coincident pair or an atom at V = +inf
+        v_wall = lambda x: np.where(np.asarray(x)[..., 0] > 0.5, np.inf, 0.0)
+        ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0]])
+        pair = PotentialPair(v_wall, coulomb_kernel(2), dim=2, symmetric=True)
+        with pytest.raises(SamplerError):
+            exact_count_law(pair, ell, n=2, beta_n=1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_rejected(self, beta):
+        ell = ReferenceMeasure.finite([[0.0], [1.0]])
+        pair = PotentialPair(v_zero, w_zero, dim=1)
+        with pytest.raises(ValueError):
+            exact_count_law(pair, ell, n=2, beta_n=beta)
+
+    def test_density_reference_rejected(self):
+        ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])
+        pair = PotentialPair(v_zero, w_zero, dim=1)
+        with pytest.raises(ValueError):
+            exact_count_law(pair, ref, n=2, beta_n=1.0)
+
+    def test_draws_are_exchangeable(self):
+        # three particles on three atoms: every ordering of a composition is
+        # equally likely, and the draws follow the tuple law
+        atoms = np.array([[0.0], [1.0], [2.0]])
+        ell = ReferenceMeasure.finite(atoms, [1.0, 2.0, 1.5])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        digits, probs = exact_gibbs_law(pair, ell, n=3, beta_n=3.0)
+        samples = 20000
+        draws = exact_sample_finite(pair, ell, n=3, beta_n=3.0, seed=11, samples=samples)
+        index = np.array([d.points[:, 0] for d in draws]).astype(int) @ [9, 3, 1]
+        freq = np.bincount(index, minlength=27) / samples
+        se = np.sqrt(probs * (1 - probs) / samples)
+        assert np.all(np.abs(freq - probs) < 4 * se + 1e-3)
+
+
 class TestLDPOnExactLaws:
-    """The paper's LDP on exact laws: -(1/beta_n) log P(L_n = c/n) approaches
-    the rate, I at beta_n = n and J at beta_n = n^2, up to their minima."""
+    """The paper's LDP on exact count laws: -(1/beta_n) log P(L_n = c/n)
+    approaches the rate, I at beta_n = n and J at beta_n = n^2, up to their
+    minima, uniformly over the compositions c of n.
+
+    The model has 3 atoms and W with a zero diagonal, so H_n(c) = J(c/n) and
+    the gap is the multinomial and reference factor (1/beta_n) log
+    (multinomial(n; c) prod w^c).  At beta_n = n, Stirling leaves
+    (m - 1)/2 log n / n of it; at beta_n = n^2 all of it is at most
+    (log m + log(max w / min w)) / n.  The log weights are taken before
+    normalizing, since most compositions' probabilities underflow at
+    beta_n = n^2.
+    """
+
+    atoms = np.array([[0.0], [1.0], [2.0]])
+    weights = np.array([1.0, 2.0, 1.5])
+
+    def pair(self):
+        return PotentialPair(lambda x: 0.5 * v_quadratic(x), w_sqdist, dim=1, symmetric=True)
 
     @pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
     @pytest.mark.parametrize("regime", ["I", "J"])
     def test_sup_deviation_falls_with_n(self, regime):
-        atoms = np.array([[0.0], [1.0], [2.0]])
-        ell = ReferenceMeasure.finite(atoms, [1.0, 2.0, 1.5])
-        v_half = lambda x: 0.5 * v_quadratic(x)
-        # W has a finite diagonal, so n > m still leaves finite-energy states
-        pair = PotentialPair(v_half, w_sqdist, dim=1, symmetric=True)
+        ell = ReferenceMeasure.finite(self.atoms, self.weights)
+        pair = self.pair()
+        v = pair.V(self.atoms)
+        K = pair.W(self.atoms[:, None, :], self.atoms[None, :, :])
+        nu = self.weights * np.exp(-v)
+        nu /= nu.sum()
+        sizes = (50, 100, 200, 400) if regime == "I" else (12, 50, 100, 200)
         sups = []
-        for n in (4, 8, 12):
+        for n in sizes:
             beta = float(n if regime == "I" else n * n)
-            digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
-            c0, c1 = ((digits == a).sum(axis=1) for a in (0, 1))
-            law = np.bincount(c0 * (n + 1) + c1, weights=probs, minlength=(n + 1) ** 2)
-            comps = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-            speed = np.array([-math.log(law[a * (n + 1) + b]) / beta for a, b, _ in comps])
-            rates = []
-            for c in comps:
-                mu = DiscreteMeasure(atoms, np.array(c) / n)
-                rates.append(float(rate_I(mu, pair, ell) if regime == "I" else rate_J(mu, pair)))
-            rates = np.array(rates)
-            sups.append(np.max(np.abs(speed - speed.min() - (rates - rates.min()))))
-        assert sups[0] > sups[1] > sups[2]
-        assert sups[2] < 0.15
+            counts, log_weight = _count_log_weights(pair, ell, n, beta, 10**7)
+            mu = counts / n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                entropy = np.where(counts > 0, mu * np.log(mu / nu), 0.0).sum(axis=1)
+            energy = 0.5 * ((mu @ K) * mu).sum(axis=1)
+            rate = entropy + energy if regime == "I" else mu @ v + energy
+            speed = -(log_weight - log_weight.max()) / beta
+            gap = np.abs(speed - (rate - rate.min()))
+            sups.append(gap.max())
+            for i in (0, len(counts) // 3, int(np.argmax(gap)), len(counts) - 1):
+                m_i = DiscreteMeasure(self.atoms, mu[i])
+                exact = rate_I(m_i, pair, ell) if regime == "I" else rate_J(m_i, pair)
+                assert rate[i] == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+            if regime == "I":
+                assert n * sups[-1] / math.log(n) <= 1.0
+            else:
+                assert n * sups[-1] <= math.log(3) + math.log(2)
+        assert all(a > b for a, b in zip(sups, sups[1:]))
 
 
 class TestIIDSample:
