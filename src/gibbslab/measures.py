@@ -4,11 +4,12 @@ A :class:`DiscreteMeasure` is the computational stand-in for a probability
 measure: a list of distinct atoms in R^d with positive weights summing to one.
 Three metrics are provided:
 
-* ``d_bl``    -- bounded-Lipschitz distance, computed exactly as a small
-  linear program over function values on the union support.  Its Lipschitz
-  constraints are one ranged row per pair the box |f| <= 1/2 does not
-  already satisfy: pairs closer than 1, and in d = 1 only neighbours, whose
-  rows imply the rest along the line.
+* ``d_bl``    -- bounded-Lipschitz distance, computed as one linear program
+  over function values on the union support, solved once by HiGHS without
+  presolve.  Its Lipschitz constraints are one ranged row per pair the box
+  |f| <= 1/2 does not already satisfy: pairs closer than 1, and in d = 1
+  only neighbours, whose rows imply the rest along the line.  d_bl is the
+  W_1 transport cost for the truncated metric min(|x - y|, 1).
 * ``d_psi``   -- bounded-Lipschitz part plus the discrepancy of psi-integrals,
   the weighted metric that upgrades weak convergence to psi-moment convergence.
   The weak-topology part uses d_bl as a computable surrogate for the
@@ -35,9 +36,6 @@ WEIGHT_SUM_TOL = 1e-12
 # weights below this after merging are dropped and the measure renormalized,
 # so entropy terms never see log(0) from stray near-zero mass
 WEIGHT_DROP_TOL = 1e-15
-# the largest excess over the box or a Lipschitz row that d_bl accepts in an
-# LP solution; HiGHS's vertices on the benchmark's pairs stay below 4e-16
-BL_FEASIBILITY_TOL = 1e-12
 
 
 def _as_points(points, dim: int | None = None) -> np.ndarray:
@@ -210,16 +208,15 @@ class ParticleConfig:
 class WeightFunction:
     """Positive continuous weight psi: R^d -> [0, inf) used by the d_psi metric.
 
-    ``satisfies_growth`` asserts that inf over the sphere of radius c of psi
-    diverges as c -> infinity; it holds by construction for the norm-power
-    catalog entries psi(x) = |x|^q with q > 0.
+    For d_psi to metrize weak convergence plus convergence of psi-integrals,
+    psi must grow: its infimum over the sphere of radius c diverges as
+    c -> infinity.  That is the caller's to ensure; it is not checked.  The
+    norm powers psi(x) = |x|^q with q > 0 satisfy it.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], description: str = "",
-                 satisfies_growth: bool = False):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], description: str = ""):
         self._fn = fn
         self.description = description or "custom"
-        self.satisfies_growth = satisfies_growth
 
     @classmethod
     def norm_power(cls, q: float) -> "WeightFunction":
@@ -227,7 +224,7 @@ class WeightFunction:
         def fn(points):
             pts = np.asarray(points, dtype=float)
             return np.linalg.norm(pts, axis=-1) ** q
-        return cls(fn, description=f"|x|^{q:g}", satisfies_growth=q > 0)
+        return cls(fn, description=f"|x|^{q:g}")
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -348,7 +345,7 @@ def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Bounded-Lipschitz distance, solved exactly as a linear program.
+    """Bounded-Lipschitz distance, solved as one linear program.
 
     Maximizes |integral of f d(mu - nu)| over test functions with
     max(Lip(f), 2*sup|f|) <= 1; only the values of f on the union support
@@ -358,6 +355,15 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     In d = 1 only neighbours on the sorted support keep rows: by the
     triangle inequality along the line, the neighbour rows imply every other
     pair's.  With no row left, d_bl is the total variation (1/2) sum |mu - nu|.
+
+    The same f are the functions 1-Lipschitz for min(|x - y|, 1), shifted to
+    |f| <= 1/2 (a shift does not change the integral against mu - nu), so
+    d_bl is the W_1 transport cost for that truncated metric.  The LP is
+    solved once, without presolve.  HiGHS accepts an f that breaks a row or
+    the box by up to its 1e-7 feasibility tolerance, so when atoms are closer
+    than that the value can exceed the optimum by up to about 1e-7: on
+    delta_1 against the uniform measure on 0, 1/2 and 2^-24 it returns 5/6,
+    against the optimum 5/6 - 2^-24/3.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
@@ -365,8 +371,6 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         return 0.0
     pts, signed = _union_support(mu, nu)
     k = len(pts)
-    if k == 1:
-        return 0.0
     # _merge_atoms sorts the support, so in d = 1 neighbours are consecutive
     if mu.dim == 1:
         iu = np.arange(k - 1)
@@ -380,18 +384,10 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     rows = np.tile(np.arange(len(iu)), 2)
     incidence = sparse.csr_array(
         (np.repeat([1.0, -1.0], len(iu)), (rows, np.concatenate([iu, ju]))), shape=(len(iu), k))
-    for presolve in (True, False):
-        res = milp(c=-signed, constraints=LinearConstraint(incidence, -dists, dists),
-                   bounds=Bounds(-0.5, 0.5), options={"presolve": presolve})
-        if not res.success:
-            raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-        # HiGHS's presolve can return f outside the box or a row by up to its
-        # 1e-7 feasibility tolerance, which moves the value by as much when
-        # points are closer than that; such an f is solved again without it
-        violation = max(np.max(np.abs(res.x)) - 0.5,
-                        np.max(np.abs(incidence @ res.x) - dists, initial=0.0))
-        if violation <= BL_FEASIBILITY_TOL:
-            break
+    res = milp(c=-signed, constraints=LinearConstraint(incidence, -dists, dists),
+               bounds=Bounds(-0.5, 0.5), options={"presolve": False})
+    if not res.success:
+        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return max(0.0, -res.fun)
 
 

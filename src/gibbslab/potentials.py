@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ReferenceMeasure, _as_points
+from .measures import DiscreteMeasure, ReferenceMeasure
 
 
 class PotentialValueError(ValueError):
@@ -67,35 +67,23 @@ def pair_matrix(W, a_points, b_points) -> np.ndarray:
 class PotentialPair:
     """The pair (V, W) with symmetry flag and declared assumption metadata.
 
-    ``declared_lower_bound_c`` is the claimed uniform lower bound on W;
-    ``declared_eps1`` the claimed coefficient in the coupled lower bound
-    inf [W(x,y) + eps1 (V(x) + V(y))] > c.  Both are candidate declarations
-    to be checked by the samplers in this module, never derived.
+    ``declared_lower_bound_c`` is the claimed uniform lower bound on W, a
+    candidate declaration that ``check_assumption_B1`` tests on a probe,
+    never derived.  The coupled bound inf [W(x,y) + eps1 (V(x) + V(y))] > c
+    is not declared here: ``check_assumption_C1`` takes eps1 and c as
+    arguments.  ``symmetric`` is trusted by the samplers, which refuse a
+    start where W is seen to be asymmetric.
     """
 
-    __slots__ = ("V", "W", "symmetric", "declared_lower_bound_c", "declared_eps1",
-                 "dim", "name")
+    __slots__ = ("V", "W", "symmetric", "declared_lower_bound_c", "dim", "name")
 
-    def __init__(self, V, W, dim, symmetric=False, declared_lower_bound_c=None,
-                 declared_eps1=None, name=""):
-        if declared_eps1 is not None and not (0.0 < declared_eps1 < 1.0):
-            raise ValueError("declared_eps1 must lie in (0, 1)")
+    def __init__(self, V, W, dim, symmetric=False, declared_lower_bound_c=None, name=""):
         self.V = V
         self.W = W
         self.dim = int(dim)
         self.symmetric = bool(symmetric)
         self.declared_lower_bound_c = declared_lower_bound_c
-        self.declared_eps1 = declared_eps1
         self.name = name or "custom"
-
-    def check_symmetry(self, points, tol=1e-12):
-        """Sampled symmetry check |W(x,y) - W(y,x)| <= tol over all point pairs."""
-        pts = _as_points(points, dim=self.dim)
-        K = pair_matrix(self.W, pts, pts)
-        finite = np.isfinite(K) & np.isfinite(K.T)
-        if np.any(np.abs(np.where(finite, K - K.T, 0.0)) > tol):
-            return False
-        return bool(np.all((K == np.inf) == (K.T == np.inf)))
 
     def __repr__(self):
         return f"PotentialPair({self.name}, d={self.dim})"
@@ -234,6 +222,8 @@ def masked_interaction(kind: str, h, region: Region, segment_samples: int = 1000
 # -----------------------------------------------------------------------------
 # Most violations a report lists as examples; ``violation_count`` has the total.
 VIOLATION_EXAMPLES = 20
+# Most ordered pairs a probe evaluates; a larger plan is subsampled.
+PAIR_LIMIT = 20000
 
 
 class PairSample(NamedTuple):
@@ -248,10 +238,9 @@ class PairSample(NamedTuple):
 class ProbePlan:
     """Finite probe of points/pairs: a regular grid on a box or a seeded cloud."""
 
-    def __init__(self, points, description, pair_limit=20000):
+    def __init__(self, points, description):
         self._points = np.asarray(points, dtype=float)
         self.description = description
-        self.pair_limit = pair_limit
 
     @classmethod
     def grid(cls, bounds, per_axis=11):
@@ -272,17 +261,17 @@ class ProbePlan:
         return self._points
 
     def pairs(self) -> PairSample:
-        """All ordered pairs of probe points, or, over the pair budget,
-        ``pair_limit`` pairs drawn with replacement with seed 0."""
+        """All ordered pairs of probe points, or, over ``PAIR_LIMIT``, that
+        many pairs drawn with replacement with seed 0."""
         pts = self._points
         k = len(pts)
-        if k * k <= self.pair_limit:
+        if k * k <= PAIR_LIMIT:
             ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
             return PairSample(pts[ii.ravel()], pts[jj.ravel()], k * k, None)
         seed = 0
         rng = np.random.default_rng(seed)
-        ii = rng.integers(0, k, size=self.pair_limit)
-        jj = rng.integers(0, k, size=self.pair_limit)
+        ii = rng.integers(0, k, size=PAIR_LIMIT)
+        jj = rng.integers(0, k, size=PAIR_LIMIT)
         return PairSample(pts[ii], pts[jj], k * k, seed)
 
 
@@ -368,8 +357,13 @@ def check_assumption_C1(pair: PotentialPair, eps1: float, probe: ProbePlan,
 # -----------------------------------------------------------------------------
 # equivalence transform
 # -----------------------------------------------------------------------------
-def _log_normalizer(v2, ell: ReferenceMeasure, quadrature_per_axis=256) -> float:
-    """log of the integral of exp(-v2) against ell; exact sum for finite ell."""
+# Midpoint-rule cells per axis for the normalizer on a density reference.
+QUADRATURE_PER_AXIS = 256
+
+
+def _log_normalizer(v2, ell: ReferenceMeasure) -> float:
+    """log of the integral of exp(-v2) against ell: an exact sum for finite
+    ell, the midpoint rule on QUADRATURE_PER_AXIS cells per axis otherwise."""
     if ell.is_finite:
         vals = evaluate_V(v2, ell.atoms)
         with np.errstate(over="ignore"):
@@ -377,11 +371,11 @@ def _log_normalizer(v2, ell: ReferenceMeasure, quadrature_per_axis=256) -> float
         z = math.fsum(terms)
     else:
         box = ell.box
-        axes = [np.linspace(lo, hi, quadrature_per_axis + 1) for lo, hi in box]
+        axes = [np.linspace(lo, hi, QUADRATURE_PER_AXIS + 1) for lo, hi in box]
         mids = [0.5 * (a[1:] + a[:-1]) for a in axes]
         mesh = np.meshgrid(*mids, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        cell = np.prod([(hi - lo) / quadrature_per_axis for lo, hi in box])
+        cell = np.prod([(hi - lo) / QUADRATURE_PER_AXIS for lo, hi in box])
         logdens = ell.log_density(pts)
         vals = evaluate_V(v2, pts)
         with np.errstate(over="ignore"):
@@ -392,7 +386,7 @@ def _log_normalizer(v2, ell: ReferenceMeasure, quadrature_per_axis=256) -> float
 
 
 def normalize_pair(v1, v2, w, ell: ReferenceMeasure, symmetric=False,
-                   quadrature_per_axis=256, name="") -> PotentialPair:
+                   name="") -> PotentialPair:
     """Equivalent pair (V, W) with exp(-V) ell a probability measure.
 
     Given a split Vtilde = v1 + v2 with exp(-v2) integrable against ell, the
@@ -405,7 +399,7 @@ def normalize_pair(v1, v2, w, ell: ReferenceMeasure, symmetric=False,
     the same n-particle energies up to the finite-n diagonal correction, and
     identical rate-functional differences.
     """
-    log_z2 = _log_normalizer(v2, ell, quadrature_per_axis)
+    log_z2 = _log_normalizer(v2, ell)
 
     def V(x):
         return np.asarray(v2(x), dtype=float) + log_z2
@@ -440,10 +434,8 @@ class SuperlinearFunction:
             raise ValueError("breakpoints must be positive")
         self.breakpoints = bp
         # value at each breakpoint, accumulated piece by piece
-        vals = [bp[0]]
-        for k in range(1, len(bp)):
-            vals.append(vals[-1] + k * (bp[k] - bp[k - 1]))
-        self.values_at_breakpoints = np.asarray(vals)
+        self.values_at_breakpoints = np.cumsum(
+            np.concatenate([bp[:1], np.arange(1, len(bp)) * np.diff(bp)]))
 
     @property
     def max_slope(self) -> int:
@@ -483,6 +475,8 @@ def construct_phi(nu: DiscreteMeasure, psi_bar, lambda_max: int) -> SuperlinearF
     s_sorted = svals[order]
     w_sorted = nu.weights[order]
     top = np.nextafter(s_sorted[-1], np.inf)
+    # ties: the tail at a repeated value includes the whole tie block
+    block_start = np.searchsorted(s_sorted, s_sorted, side="left")
 
     breakpoints = []
     prev = 0.0
@@ -492,13 +486,8 @@ def construct_phi(nu: DiscreteMeasure, psi_bar, lambda_max: int) -> SuperlinearF
             terms = w_sorted * np.exp(k * s_sorted)
         # tail(M = s_sorted[j]) includes every atom with value >= s_sorted[j]
         tails = np.cumsum(terms[::-1])[::-1]
-        # ties: the tail at a repeated value includes the whole tie block
-        mk = None
-        for j in range(len(s_sorted)):
-            jj = np.searchsorted(s_sorted, s_sorted[j], side="left")
-            if tails[jj] < target:
-                mk = s_sorted[j]
-                break
+        below = tails[block_start] < target
+        mk = s_sorted[np.argmax(below)] if below.any() else None
         if mk is None or mk <= 0.0:
             mk = top if mk is None else np.nextafter(0.0, np.inf)
         mk = max(mk, prev)

@@ -7,6 +7,9 @@ Three generators:
   reference-categorical moves against a finite atom cloud.  Proposals landing
   where the energy is +inf (singularities, hard walls, outside the support)
   are rejected, so kept samples never violate the hard constraints.
+  One sweep moves the sites in order, so its transition matrix is the
+  product T_0 T_1 ... T_{n-1} of single-site Metropolis kernels, each of
+  which leaves the Gibbs law invariant.
   ``mh_sample_chains`` runs C such chains in lockstep on a (C, n, d) state
   through the same kernel, of which ``mh_sample`` is the C = 1 call.  Every
   chain carries a running H_n, updated on each accepted move, which is its
@@ -314,7 +317,7 @@ def _settle_sweep(X, Q, Y, base, log_u, bw):
     return accepted, log_ratio, w_diff, passes
 
 
-def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
+def _run_chains(pair, ref, cfg, seeds, samples):
     """One Metropolis chain per seed, all advanced in lockstep.
 
     The state is a (C, n, d) array.  Each sweep, chain c draws its n
@@ -335,14 +338,14 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
     the earlier sites that accepted, site i's energy change is linear in
     their indicator through a strictly lower-triangular matrix, so the
     decisions are the unique fixed point of a threshold system, reached by
-    batched (C, n, n) matrix-vector passes, at most n + 1 of them; only the
-    validation hook, when given, is replayed site by site from the decisions.
-    The running H_n of each chain moves by the sum of
-    its accepted sites' changes, (v1_i - v0_i) + w_i / n^2 (/ 2n^2 for a
-    non-symmetric W).  Memory is O(C n^2): a few (C, n, n) float arrays, 80
-    KB each at C = 4 and n = 50, plus the C n (n - 1) gathered pairs of a
-    block; a block costs one W call of those pairs, two for a non-symmetric
-    W.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
+    batched (C, n, n) matrix-vector passes, at most n + 1 of them, so no
+    Python loop runs over the sites.  The running H_n of each chain moves by
+    the sum of its accepted sites' changes, (v1_i - v0_i) + w_i / n^2
+    (/ 2n^2 for a non-symmetric W).  Memory is O(C n^2): a few (C, n, n)
+    float arrays, 80 KB each at C = 4 and n = 50, plus the C n (n - 1)
+    gathered pairs of a block; a block costs one W call of those pairs, two
+    for a non-symmetric W.  Returns one (kept configurations,
+    ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -351,16 +354,12 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
     w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
     state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, rest)
     finite_mode = ref.is_finite
-    hook = _transition_hook if finite_mode else None
     if finite_mode:
         atoms = np.asarray(ref.atoms, dtype=float)
         cdf = np.cumsum(ref.weights)
         cdf /= cdf[-1]
         v_atoms = evaluate_V(pair.V, atoms) / n
         picks = np.empty((C, n), dtype=np.intp)
-        if hook is not None:
-            atom_index = {a.tobytes(): k for k, a in enumerate(atoms)}
-            state_idx = [atom_index[p.tobytes()] for p in state[0]]
     else:
         steps = np.empty((C, n, d))
     u = np.empty((C, n))
@@ -394,12 +393,6 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
         accepted, log_ratio, w_diff, passes = _settle_sweep(
             X, Q, Y, base, np.log1p(-u), beta * w_scale)
         energy += (dv + w_scale * w_diff).sum(axis=1, where=accepted)
-        if hook is not None:
-            for i in range(n):
-                before = tuple(state_idx)
-                if accepted[0, i]:
-                    state_idx[i] = int(picks[0, i])
-                hook(before, tuple(state_idx))
         np.copyto(state, prop, where=accepted[:, :, None])
         np.copyto(v_state, v_prop, where=accepted)
         if not finite_mode:
@@ -434,7 +427,7 @@ def _run_chains(pair, ref, cfg, seeds, samples, _transition_hook=None):
 
 
 def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
-              samples: int, _transition_hook=None):
+              samples: int):
     """Metropolis chain targeting the Gibbs law exp(-beta_n H_n) d ell^n / Z_n.
 
     One sweep updates each of the n sites once.  Against a density reference
@@ -455,11 +448,11 @@ def mh_sample(pair: PotentialPair, ref: ReferenceMeasure, cfg: SamplerConfig,
     running H_n, moved by every accepted move, not recomputed per kept
     sample.
 
-    Returns (kept configurations, ChainDiagnostics).  ``_transition_hook``,
-    used by the validation suite, receives (state_before, state_after) index
-    tuples per elementary move on finite references.
+    Returns (kept configurations, ChainDiagnostics).  Single moves are not
+    reported; with thinning 1, consecutive kept states are one sweep apart,
+    so their transition law is the sweep's matrix T_0 T_1 ... T_{n-1}.
     """
-    return _run_chains(pair, ref, cfg, [cfg.seed], samples, _transition_hook)[0]
+    return _run_chains(pair, ref, cfg, [cfg.seed], samples)[0]
 
 
 def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):

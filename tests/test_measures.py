@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from gibbslab import measures
 from gibbslab.measures import (
     DiscreteMeasure,
     ParticleConfig,
@@ -249,17 +250,44 @@ class TestBoundedLipschitz:
         assert d_bl(nu, mu) == pytest.approx(0.6, abs=1e-12)
 
     def test_gap_below_the_solver_feasibility_tolerance(self):
-        # two atoms eps = 2^-24 apart, under HiGHS's 1e-7 feasibility tolerance:
-        # the rows must still hold exactly.  f(0) = 1/2, f(1) = -1/2 and
-        # f(eps) = 1/2 - eps give 1/2 + eps / 2; and with f(0) = f(eps) = -1/2,
-        # f(1/2) = 0, f(1) = 1/2 the second pair gives 1/2 + 1/3
+        # two atoms eps = 2^-24 apart, under HiGHS's 1e-7 feasibility tolerance.
+        # f(0) = 1/2, f(1) = -1/2 and f(eps) = 1/2 - eps give 1/2 + eps / 2
         eps = 2.0**-24
         mu = DiscreteMeasure.dirac([0.0])
         nu = DiscreteMeasure.uniform([[1.0], [eps]])
         assert d_bl(mu, nu) == pytest.approx(0.5 + eps / 2, abs=1e-15)
+        # d_bl is W_1 for the metric min(|x - y|, 1); delta_1 has one coupling
+        # with nu, moving mass 1/3 from 1 to each of 0, 1/2 and eps, at cost
+        # (1 + 1/2 + 1 - eps) / 3 = 5/6 - eps/3.  f = -1/2, -1/2 + eps, 0, 1/2
+        # at 0, eps, 1/2, 1 attains it.  HiGHS returns f(eps) = -1/2, which
+        # breaks the row between eps and 1/2 by eps, and so 5/6
         mu = DiscreteMeasure.dirac([1.0])
         nu = DiscreteMeasure.uniform([[0.0], [0.5], [eps]])
-        assert d_bl(mu, nu) == pytest.approx(0.5 + 1 / 3, abs=1e-15)
+        got = d_bl(mu, nu)
+        assert got == pytest.approx(0.5 + 1 / 3, abs=1e-15)  # HiGHS's answer
+        assert 0.0 <= got - (5 / 6 - eps / 3) <= 1e-7
+
+    def test_one_solve_without_presolve(self, monkeypatch):
+        options = []
+        real_milp = measures.milp
+
+        def spy(*args, **kwargs):
+            options.append(kwargs.get("options"))
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "milp", spy)
+        eps = 2.0**-24
+        cases = [
+            (DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([0.25])),
+            (DiscreteMeasure.dirac([1.0]), DiscreteMeasure.uniform([[0.0], [0.5], [eps]])),
+            (DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5]),
+             DiscreteMeasure([[0.0, 0.36], [1.0, 1.0]], [0.2, 0.8])),
+            (DiscreteMeasure.dirac([0.0, 0.0]), DiscreteMeasure.dirac([3.0, 0.0])),
+        ]
+        for mu, nu in cases:
+            options.clear()
+            d_bl(mu, nu)
+            assert options == [{"presolve": False}]
 
 
 class TestDPsi:

@@ -161,7 +161,7 @@ class TestAssumptionChecks:
                                      declared_c=0.0)
         assert not report.ok
 
-    def test_plan_over_the_pair_limit_says_so(self):
+    def test_plan_over_the_pair_budget_says_so(self):
         probe = ProbePlan.grid([(-1, 1)], per_axis=200)
         xs, ys, total, seed = probe.pairs()
         assert (len(xs), len(ys), total, seed) == (20000, 20000, 40000, 0)
@@ -171,7 +171,7 @@ class TestAssumptionChecks:
             coverage = (report.pairs_checked, report.pairs_total, report.sample_seed)
             assert coverage == (20000, 40000, 0)
 
-    def test_plan_within_the_pair_limit_checks_every_pair(self):
+    def test_plan_within_the_pair_budget_checks_every_pair(self):
         pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)
         report = check_assumption_C1(pair, 0.5, ProbePlan.grid([(-1, 1)], per_axis=7))
         assert (report.pairs_checked, report.pairs_total, report.sample_seed) == (49, 49, None)
@@ -259,6 +259,31 @@ class TestNormalizePair:
             normalize_pair(zero, v2, wfun, ell)
 
 
+def scan_phi_reference(nu, psi_bar, lambda_max):
+    """construct_phi by a Python scan over the sorted psi_bar-values, with the
+    values at the breakpoints accumulated piece by piece."""
+    s = np.asarray(psi_bar(nu.atoms), dtype=float)
+    order = np.argsort(s)
+    s, w = s[order], nu.weights[order]
+    breakpoints, prev = [], 0.0
+    for k in range(1, lambda_max + 1):
+        with np.errstate(over="ignore"):
+            tails = np.cumsum((w * np.exp(k * s))[::-1])[::-1]
+        mk = None
+        for j in range(len(s)):
+            if tails[np.searchsorted(s, s[j], side="left")] < 2.0**-k:
+                mk = s[j]
+                break
+        if mk is None or mk <= 0.0:
+            mk = np.nextafter(s[-1], np.inf) if mk is None else np.nextafter(0.0, np.inf)
+        prev = max(mk, prev)
+        breakpoints.append(prev)
+    values = [breakpoints[0]]
+    for k in range(1, len(breakpoints)):
+        values.append(values[-1] + k * (breakpoints[k] - breakpoints[k - 1]))
+    return np.array(breakpoints), np.array(values)
+
+
 class TestConstructPhi:
     def test_single_atom(self):
         nu = DiscreteMeasure.dirac([1.0])
@@ -315,6 +340,25 @@ class TestConstructPhi:
         nu = DiscreteMeasure.dirac([1.0])
         with pytest.raises(ValueError):
             construct_phi(nu, WeightFunction.norm_power(1), 0)
+
+    def test_equals_the_scan_reference(self):
+        # atoms at +-x share a psi_bar-value, so tie blocks occur, and weights
+        # falling like exp(-4 x^2) put some tails under 2^-k and some above
+        rng = np.random.default_rng(13)
+        psi_bar = WeightFunction.norm_power(1)
+        scanned = 0
+        for _ in range(200):
+            x = rng.uniform(0.0, 3.0, rng.integers(1, 6))
+            x = np.concatenate([x, -x[: rng.integers(0, len(x) + 1)]])
+            w = np.exp(-4.0 * x**2) * rng.uniform(0.5, 1.5, len(x))
+            nu = DiscreteMeasure(x[:, None], w / math.fsum(w))
+            lambda_max = int(rng.integers(1, 10))
+            phi = construct_phi(nu, psi_bar, lambda_max)
+            breakpoints, values = scan_phi_reference(nu, psi_bar, lambda_max)
+            np.testing.assert_array_equal(phi.breakpoints, breakpoints)
+            np.testing.assert_array_equal(phi.values_at_breakpoints, values)
+            scanned += np.any(breakpoints < np.abs(x).max())
+        assert 50 <= scanned <= 150
 
 
 class TestSuperlinearFunction:

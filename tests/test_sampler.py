@@ -431,31 +431,45 @@ class TestIIDSample:
 
 
 class TestChainValidity:
-    def test_detailed_balance_finite_reference(self):
-        # m = 3, n = 2: compare empirical stationary flows pi(a) T(a,b)
-        # against their reverses, chain started from an exact draw
+    def test_sweep_transition_matrix_finite_reference(self):
+        # m = 3, n = 2: the exact one-sweep matrix P = T_0 T_1, built from
+        # hamiltonian and the proposal weights, keeps the exact law, and the
+        # kernel's transitions between consecutive kept states follow P
         atoms = np.array([[0.0], [1.0], [2.0]])
-        ell = ReferenceMeasure.finite(atoms, [1.0, 2.0, 1.5])
+        weights = np.array([1.0, 2.0, 1.5])
+        ell = ReferenceMeasure.finite(atoms, weights)
         pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
-        start = exact_sample_finite(pair, ell, n=2, beta_n=3.0, seed=17, samples=1)[0]
-        flows = Counter()
+        n, m, beta = 2, 3, 3.0
+        digits, pi = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+        energy = [hamiltonian(ParticleConfig(atoms[s]), pair) for s in digits]
+        propose = weights / weights.sum()
+        sweep = np.eye(m**n)
+        for i in range(n):  # site i moves after sites 0..i-1
+            T = np.zeros((m**n, m**n))
+            for a, s in enumerate(digits):
+                for atom in range(m):
+                    b = np.ravel_multi_index(np.r_[s[:i], atom, s[i + 1:]], (m,) * n)
+                    accept = math.exp(min(0.0, -beta * (energy[b] - energy[a])))
+                    T[a, b] += propose[atom] * accept
+                T[a, a] += 1.0 - T[a].sum()
+            sweep = sweep @ T
+        np.testing.assert_allclose(pi @ sweep, pi, rtol=0, atol=1e-12)
 
-        def hook(a, b):
-            flows[(a, b)] += 1
-
-        cfg = SamplerConfig(n=2, beta_n=3.0, burn_in=0, thinning=1, seed=23, init=start)
-        mh_sample(pair, ell, cfg, samples=30000, _transition_hook=hook)
-        total = sum(flows.values())
-        checked = 0
-        for (a, b), cnt in flows.items():
-            if a >= b:
-                continue
-            f_ab = cnt / total
-            f_ba = flows.get((b, a), 0) / total
-            se = math.sqrt((f_ab + f_ba) / total) + 1e-12
-            assert abs(f_ab - f_ba) < 5 * se
-            checked += 1
-        assert checked >= 3
+        chains, sweeps = 8, 7500
+        cfg = SamplerConfig(n=n, beta_n=beta, burn_in=0, thinning=1, seed=23,
+                            init=ParticleConfig(atoms[[0, 1]]))
+        kept, _ = mh_sample_chains(pair, ell, cfg, samples=sweeps, chains=chains)
+        sites = np.searchsorted(atoms[:, 0], [k.points[:, 0] for k in kept])
+        state = np.ravel_multi_index(tuple(sites.T), (m,) * n).reshape(chains, sweeps)
+        counts = np.zeros((m**n, m**n))
+        np.add.at(counts, (state[:, :-1].ravel(), state[:, 1:].ravel()), 1)
+        visits = counts.sum(axis=1, keepdims=True)
+        expected = visits * sweep
+        # 5 standard errors per entry, with the binomial variance floored at
+        # one count: the count of an entry expected well under once is far from normal
+        sd = np.sqrt(np.maximum(expected * (1.0 - sweep), 1.0))
+        assert np.all(np.abs(counts - expected) <= 5 * sd)
+        assert np.sum(visits >= 1000) >= 4
 
     def test_tv_decreases_with_chain_length(self):
         atoms = np.array([[0.0], [1.0], [2.0]])
