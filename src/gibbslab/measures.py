@@ -21,6 +21,11 @@ Three metrics are provided:
 
 One canonicalizer, ``_merge_atoms``, sorts atoms and merges duplicates, both
 for a new measure and for the union support of two measures.
+
+Every pairwise distance the package forms, in the metrics here, in
+``potentials.coulomb_kernel`` and in ``GridSpec.min_spacing``, comes from
+``_squared_distance``, which sums the squared differences one coordinate plane
+at a time: no (..., d) block of differences x - y is ever formed.
 """
 from __future__ import annotations
 
@@ -49,6 +54,24 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"dimension mismatch: expected d={dim}, got d={arr.shape[1]}")
     # normalize -0.0 to +0.0 so duplicate detection is stable
     return arr + 0.0
+
+
+def _squared_distance(x, y) -> np.ndarray:
+    """|x - y|^2 of two broadcastable (..., d) point arrays, shape (...).
+
+    The squares are summed over the d coordinate planes in order, each plane
+    a (...) array, so no (..., d) difference block is allocated.  The sum
+    runs in the order ``np.einsum("...i,...i->...", z, z)`` takes in d <= 2.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"points of dimension {x.shape[-1]} and {y.shape[-1]} do not pair")
+    sq = np.square(x[..., 0] - y[..., 0])
+    plane = np.empty_like(sq)
+    for k in range(1, x.shape[-1]):
+        np.subtract(x[..., k], y[..., k], out=plane)
+        sq += np.square(plane, out=plane)
+    return sq
 
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray):
@@ -185,6 +208,28 @@ class ParticleConfig:
             raise ValueError("all coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "_points", pts)
+
+    @classmethod
+    def _from_block(cls, block: np.ndarray) -> list["ParticleConfig"]:
+        """One configuration per row of a (samples, n, d) float block.
+
+        The block is checked for finiteness once, its -0.0 entries are made
+        +0.0 in place, as the constructor does, and it is made read-only;
+        each configuration's points are a view of its row.  The caller hands
+        the block over and must not write to it again.
+        """
+        if block.ndim != 3 or block.shape[1] < 1:
+            raise ValueError(f"need a (samples, n, d) block with n >= 1, got {block.shape}")
+        if not np.all(np.isfinite(block)):
+            raise ValueError("all coordinates must be finite")
+        block += 0.0
+        block.setflags(write=False)
+        configs = []
+        for row in block:
+            config = object.__new__(cls)
+            object.__setattr__(config, "_points", row)
+            configs.append(config)
+        return configs
 
     def __setattr__(self, name, value):
         raise AttributeError("ParticleConfig is immutable")
@@ -377,7 +422,7 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         ju = iu + 1
     else:
         iu, ju = np.triu_indices(k, 1)
-    dists = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    dists = np.sqrt(_squared_distance(pts[iu], pts[ju]))
     near = dists < 1.0
     iu, ju, dists = iu[near], ju[near], dists[near]
     # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]
@@ -424,17 +469,23 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
         raise ValueError("dimension mismatch between measures")
     if p < 1:
         raise ValueError("p must be >= 1")
-    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=-1) ** p
+    # p = 2 takes the squared distance as it is, with no square root to undo
+    cost = _squared_distance(mu.atoms[:, None, :], nu.atoms[None, :, :]) ** (p / 2)
     ka, kb = mu.support_size, nu.support_size
     # plan cell i * kb + j enters the row sum i of mu and the column sum j of nu
     cells = np.arange(ka * kb)
     marginal = np.concatenate([cells // kb, ka + cells % kb])
     a_eq = sparse.coo_array((np.ones(2 * ka * kb), (marginal, np.tile(cells, 2))),
                             shape=(ka + kb, ka * kb))
-    # without presolve, which made the cost inexact: on three atoms with one
-    # 6.1e-5 off the line through the others it returned W1 1.2e-9 too high
+    # Without presolve, which made the cost inexact: on three atoms with one
+    # 6.1e-5 off the line through the others it returned W1 1.2e-9 too high.
+    # The dual feasibility tolerance is HiGHS's least, 1e-10: at the default
+    # 1e-7 a plan off by 2^-24 in reduced cost passed as optimal, and W1 of
+    # uniform{(0, 2^-24), (0, 0)} against uniform{(0, 2^-24), (0.5, 0)} read
+    # 1/4 + 2^-25.
     res = linprog(c=cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
-                  bounds=(0, None), method="highs", options={"presolve": False})
+                  bounds=(0, None), method="highs",
+                  options={"presolve": False, "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return max(0.0, res.fun)

@@ -12,13 +12,14 @@ flagged as non-exhaustive.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ReferenceMeasure
+from .measures import DiscreteMeasure, ReferenceMeasure, _squared_distance
 
 
 class PotentialValueError(ValueError):
@@ -97,25 +98,25 @@ def coulomb_kernel(d: int):
 
     K(z) = -|z| for d = 1, -log|z| for d = 2, and |z|^(2-d) for d > 2.
     The kernel is +inf on the diagonal for d >= 2 and 0 there for d = 1.
-    For d >= 2 it is a power or log of the squared distance |z|^2, so no
-    square root is taken; d = 1 reads the single coordinate.
+    d = 1 reads the single coordinate.  For d >= 2 the kernel is a power or
+    log of the squared distance from ``measures._squared_distance``, summed
+    one coordinate plane at a time: no (..., d) difference block is formed
+    and no square root is taken.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
 
     if d == 1:
         def W(x, y):
-            return -np.abs((np.asarray(x) - np.asarray(y))[..., 0])
+            return -np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
     elif d == 2:
         def W(x, y):
-            z = np.asarray(x) - np.asarray(y)
             with np.errstate(divide="ignore"):
-                return -0.5 * np.log(np.einsum("...i,...i->...", z, z))
+                return -0.5 * np.log(_squared_distance(x, y))
     else:
         def W(x, y):
-            z = np.asarray(x) - np.asarray(y)
             with np.errstate(divide="ignore"):
-                return np.einsum("...i,...i->...", z, z) ** ((2 - d) / 2)
+                return _squared_distance(x, y) ** ((2 - d) / 2)
     return W
 
 
@@ -298,6 +299,10 @@ class AssumptionReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def to_json(self) -> str:
+        """Every field; ``AssumptionReport(**json.loads(text))`` rebuilds the report."""
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def check_assumption_B1(pair: PotentialPair, probe: ProbePlan) -> AssumptionReport:

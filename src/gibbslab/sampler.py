@@ -43,6 +43,7 @@ chain run alone, and every run is reproducible from its recorded seed.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -107,6 +108,26 @@ class ChainDiagnostics:
     @property
     def mean_acceptance(self) -> float:
         return float(np.mean(self.acceptance_rate)) if len(self.acceptance_rate) else 0.0
+
+    def to_json(self) -> str:
+        """Every field, arrays as lists; a SeedSequence seed is written as the
+        entropy, spawn key and pool size that rebuild it."""
+        seed = self.seed
+        if isinstance(seed, np.random.SeedSequence):
+            seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key),
+                    "pool_size": seed.pool_size}
+        return json.dumps(
+            {
+                "acceptance_rate": self.acceptance_rate.tolist(),
+                "energy_trace": self.energy_trace.tolist(),
+                "ess": self.ess,
+                "seed": seed,
+                "rejected_infinite": self.rejected_infinite.tolist(),
+                "rejected_metropolis": self.rejected_metropolis.tolist(),
+                "passes": self.passes.tolist(),
+            },
+            sort_keys=True,
+        )
 
     def to_csv(self, path) -> None:
         """One row per sweep: acceptance rate, the two rejection counts and
@@ -364,10 +385,10 @@ def _run_chains(pair, ref, cfg, seeds, samples):
         steps = np.empty((C, n, d))
     u = np.empty((C, n))
 
-    kept = [[] for _ in range(C)]
+    kept = np.empty((C, samples, n, d))
     traces, acc_counts, inf_counts, pass_counts = [], [], [], []
     sweeps_done = 0
-    while len(kept[0]) < samples:
+    while len(traces) < samples:
         for c, rng in enumerate(rngs):
             if finite_mode:
                 picks[c] = np.searchsorted(cdf, rng.random(n), side="right")
@@ -404,16 +425,16 @@ def _run_chains(pair, ref, cfg, seeds, samples):
         past_burn = sweeps_done > cfg.burn_in
         due = (sweeps_done - cfg.burn_in - 1) % cfg.thinning == 0
         if past_burn and due:
-            for c in range(C):
-                kept[c].append(ParticleConfig(state[c].copy()))
+            kept[:, len(traces)] = state
             traces.append(energy.copy())
 
     acc = np.array(acc_counts, dtype=np.int64).reshape(-1, C)
     rej_inf = np.array(inf_counts, dtype=np.int64).reshape(-1, C)
     n_passes = np.array(pass_counts, dtype=np.int64).reshape(-1, C)
     trace = np.array(traces).reshape(-1, C)
+    configs = ParticleConfig._from_block(kept.reshape(C * samples, n, d))
     return [
-        (kept[c], ChainDiagnostics(
+        (configs[c * samples:(c + 1) * samples], ChainDiagnostics(
             acceptance_rate=acc[:, c] / n,
             energy_trace=trace[:, c].copy(),
             ess=effective_sample_size(trace[:, c]),
@@ -597,7 +618,7 @@ def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
     picks = rng.choice(len(probs), size=samples, p=probs)
     drawn = counts[picks].ravel()
     slots = np.repeat(np.tile(np.arange(len(atoms)), samples), drawn).reshape(samples, n)
-    return [ParticleConfig(points) for points in atoms[rng.permuted(slots, axis=1)]]
+    return ParticleConfig._from_block(atoms[rng.permuted(slots, axis=1)])
 
 
 def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,
@@ -625,4 +646,4 @@ def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):
     """samples independent configurations of n iid draws from mu_star."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = rng.choice(mu_star.support_size, size=(samples, n), p=mu_star.weights)
-    return [ParticleConfig(mu_star.atoms[row]) for row in idx]
+    return ParticleConfig._from_block(mu_star.atoms[idx])

@@ -59,18 +59,21 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._enum import compositions_array
-from .measures import DiscreteMeasure, ReferenceMeasure, _as_points, _merge_atoms
+from .measures import (DiscreteMeasure, ReferenceMeasure, _as_points, _merge_atoms,
+                       _squared_distance)
 from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
 DEFAULT_STARTS = 5
 SCAN_NODE_LIMIT = 4
 # Most entries of a GridSpec's (k, k, d) pair block.  A build allocates k x k
-# arrays, and the largest of them is that block: the node differences x_i - x_j
-# that W (through pair_matrix) and min_spacing form, 8 k^2 d bytes.  The check
-# runs on k^2 d before any such array exists, so a grid too fine fails with this
-# message instead of at the allocation.  2^27 entries are 1 GiB: 8192 nodes in
-# d = 2, where the 1681-node grid of step 0.05 on [-1, 1]^2 needs 45 MB.
+# arrays.  The catalog kernels and min_spacing sum squared distances one
+# coordinate plane at a time, so theirs stay k x k, but a W that forms the node
+# differences x_i - x_j (through pair_matrix) makes that block, 8 k^2 d bytes.
+# The check runs on k^2 d before any k x k array exists, so a grid too fine
+# fails with this message instead of at the allocation.  2^27 entries are
+# 1 GiB: 8192 nodes in d = 2, where the 1681-node grid of step 0.05 on
+# [-1, 1]^2 needs 45 MB.
 # Kernels that sample segments (masked_interaction) make blocks larger still.
 GRID_PAIR_BUDGET = 2**27
 # Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
@@ -132,7 +135,7 @@ class GridSpec:
         pts = self._nodes
         if len(pts) < 2:
             return 1.0
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        d2 = _squared_distance(pts[:, None, :], pts[None, :, :])
         np.fill_diagonal(d2, np.inf)
         return float(np.sqrt(d2.min()))
 

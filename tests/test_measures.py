@@ -150,6 +150,21 @@ class TestDiscreteMeasure:
         assert len(lines) == 3
 
 
+class TestParticleConfigBlock:
+    def test_rows_equal_the_constructor_and_are_read_only(self):
+        block = np.array([[[-0.0, 1.0], [2.0, -3.5]], [[4.0, -0.0], [0.25, 7.0]]])
+        configs = ParticleConfig._from_block(block.copy())
+        assert len(configs) == 2
+        for config, row in zip(configs, block):
+            assert config.points.tobytes() == ParticleConfig(row).points.tobytes()
+            assert not config.points.flags.writeable
+        assert ParticleConfig._from_block(np.empty((0, 3, 2))) == []
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            ParticleConfig._from_block(np.array([[[0.0], [np.inf]]]))
+
+
 class TestEmpiricalMeasure:
     def test_duplicate_points_merge(self):
         mu = empirical_measure(ParticleConfig([[0.0], [1.0], [1.0]]))
@@ -207,6 +222,16 @@ class TestBoundedLipschitz:
         mu = empirical_measure(ParticleConfig(pts))
         nu = empirical_measure(ParticleConfig([pts[0]] + pts))
         assert abs(wasserstein_lp(mu, nu, 1) - d_bl(mu, nu)) <= 1e-12
+
+    def test_equals_w1_on_atoms_2_to_the_minus_24_apart(self):
+        # found by test_equals_w1_on_unit_diameter: at HiGHS's default dual
+        # feasibility tolerance, 1e-7, the transport LP took the plan that is
+        # 2^-24 dearer in reduced cost and returned 1/4 + 2^-25
+        eps = 2.0**-24
+        mu = DiscreteMeasure.uniform([(0.0, eps), (0.0, 0.0)])
+        nu = DiscreteMeasure.uniform([(0.0, eps), (0.5, 0.0)])
+        assert wasserstein_p(mu, nu, 1) == 0.25
+        assert d_bl(mu, nu) == 0.25
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=150, deadline=None)

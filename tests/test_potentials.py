@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction
 from gibbslab.potentials import (
+    AssumptionReport,
     PotentialPair,
     PotentialValueError,
     VIOLATION_EXAMPLES,
@@ -22,6 +24,7 @@ from gibbslab.potentials import (
     phi_moment_check,
     power_confinement,
 )
+from gibbslab.sampler import SamplerConfig, mh_sample
 
 
 class TestCoulomb:
@@ -50,6 +53,77 @@ class TestCoulomb:
             X = rng.normal(size=(6, d))
             K = pair_matrix(W, X, X)
             assert np.array_equal(K, K.T)
+
+
+def einsum_coulomb(d):
+    """Reference Coulomb kernel: forms the (..., d) difference block z = x - y
+    and contracts it with einsum."""
+    def W(x, y):
+        z = np.asarray(x) - np.asarray(y)
+        if d == 1:
+            return -np.abs(z[..., 0])
+        with np.errstate(divide="ignore"):
+            sq = np.einsum("...i,...i->...", z, z)
+            return -0.5 * np.log(sq) if d == 2 else sq ** ((2 - d) / 2)
+    return W
+
+
+def kernel_arguments(d, rng):
+    """Pairs of W arguments in the shapes the package passes: pair_matrix's
+    (k, 1, d) against (1, l, d), the sampler's (C, n, 1, d) against the
+    gathered (C, n, n - 1, d), one pair of single points, lists, and a
+    pair_matrix block whose diagonal pairs each point with itself."""
+    pts, other, state = rng.normal(size=(7, d)), rng.normal(size=(5, d)), rng.normal(size=(3, 6, d))
+    rest = np.arange(5) + (np.arange(5) >= np.arange(6)[:, None])
+    return {
+        "pair_matrix": (pts[:, None, :], other[None, :, :]),
+        "interactions": (state[:, :, None, :], np.take(state, rest, axis=1)),
+        "single_pair": (pts[0], other[0]),
+        "lists": (pts[:3].tolist(), other[:3].tolist()),
+        "diagonal": (pts[:, None, :], pts[None, :, :]),
+    }
+
+
+class TestCoulombAgainstEinsum:
+    """coulomb_kernel sums squared distances plane by plane; the einsum
+    reference sums the same squares in the same order in d <= 2."""
+
+    @pytest.mark.parametrize("shape", ["pair_matrix", "interactions", "single_pair", "lists",
+                                       "diagonal"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_equal(self, d, shape, rng):
+        x, y = kernel_arguments(d, rng)[shape]
+        got = np.asarray(coulomb_kernel(d)(x, y))
+        ref = np.asarray(einsum_coulomb(d)(x, y))
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        if shape == "diagonal":
+            assert np.all(np.diagonal(got) == (0.0 if d == 1 else np.inf))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_within_4_ulp(self, d, rng):
+        for shape, (x, y) in kernel_arguments(d, rng).items():
+            got = coulomb_kernel(d)(x, y)
+            np.testing.assert_array_max_ulp(got, einsum_coulomb(d)(x, y), maxulp=4)
+            if shape == "diagonal":
+                assert np.all(np.diagonal(got) == np.inf)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_metropolis_draws_bitwise_equal(self, d):
+        if d == 1:
+            ref = ReferenceMeasure.finite(np.linspace(-2.0, 2.0, 16), np.linspace(1.0, 2.0, 16))
+        else:
+            ref = ReferenceMeasure.lebesgue_box([(-2.0, 2.0), (-2.0, 2.0)])
+        cfg = SamplerConfig(n=12, beta_n=12.0, sigma=0.4, burn_in=20, thinning=2, seed=17)
+        (kept, diag), (kept_ref, diag_ref) = (
+            mh_sample(PotentialPair(power_confinement(2), W, dim=d, symmetric=True), ref, cfg,
+                      samples=30)
+            for W in (coulomb_kernel(d), einsum_coulomb(d)))
+        states = np.array([k.points for k in kept])
+        assert states.tobytes() == np.array([k.points for k in kept_ref]).tobytes()
+        assert diag.acceptance_rate.tobytes() == diag_ref.acceptance_rate.tobytes()
+        assert diag.energy_trace.tobytes() == diag_ref.energy_trace.tobytes()
+        assert 0.0 < diag.mean_acceptance < 1.0
 
 
 class TestPowerConfinement:
@@ -194,6 +268,23 @@ class TestAssumptionChecks:
         coupled = -np.abs(xs - ys)[:, 0] ** 3 + 0.5 * (xs[:, 0] ** 2 + ys[:, 0] ** 2)
         assert report.violation_count == 3 + int(np.sum(coupled < 0.0))
         assert report.violation_count > 2 * VIOLATION_EXAMPLES
+
+    def test_json_round_trip(self):
+        W3 = lambda x, y: -np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1) ** 3
+        coulomb = PotentialPair(power_confinement(2), coulomb_kernel(3), dim=3,
+                                declared_lower_bound_c=0.0)
+        reports = [
+            # sampled pairs, and violations of both declared bounds
+            check_assumption_C1(PotentialPair(power_confinement(2), W3, dim=1), 0.5,
+                                ProbePlan.grid([(-3, 3)], per_axis=200),
+                                declared_c=0.0, declared_c_prime=0.3),
+            # a single point: its one pair is on the diagonal, so the minimum is +inf
+            check_assumption_B1(coulomb, ProbePlan.grid([(0.0, 1.0)] * 3, per_axis=1)),
+        ]
+        assert reports[0].sample_seed == 0 and reports[0].violations
+        assert reports[1].minima == {"W": np.inf}
+        for report in reports:
+            assert AssumptionReport(**json.loads(report.to_json())) == report
 
     def test_eps1_range_validated(self):
         pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)

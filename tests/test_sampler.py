@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +12,7 @@ from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from gibbslab.potentials import PotentialPair, coulomb_kernel
 from gibbslab.sampler import (
     BudgetExceededError,
+    ChainDiagnostics,
     SamplerConfig,
     SamplerError,
     _count_log_weights,
@@ -730,6 +732,35 @@ class TestDiagnosticsCSV:
         np.testing.assert_array_equal(table["rejected_metropolis"], diag.rejected_metropolis)
         np.testing.assert_array_equal(table["passes"], diag.passes)
         assert diag.rejected_infinite.sum() > 0 and diag.rejected_metropolis.sum() > 0
+
+
+class TestDiagnosticsJSON:
+    ARRAYS = ("acceptance_rate", "energy_trace", "rejected_infinite", "rejected_metropolis",
+              "passes")
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_round_trip_rebuilds_every_field_and_the_chain(self, chains):
+        # one chain runs mh_sample on the int seed; three carry SeedSequence seeds
+        pair, ref, cfg = reference_case("density")
+        if chains == 1:
+            runs = [mh_sample(pair, ref, cfg, samples=12)]
+        else:
+            kept, diags = mh_sample_chains(pair, ref, cfg, samples=12, chains=chains)
+            runs = [(kept[12 * c:12 * (c + 1)], diags[c]) for c in range(chains)]
+        for kept, diag in runs:
+            record = json.loads(diag.to_json())
+            seed = record.pop("seed")
+            if chains > 1:
+                seed = np.random.SeedSequence(seed["entropy"], spawn_key=tuple(seed["spawn_key"]),
+                                              pool_size=seed["pool_size"])
+            back = ChainDiagnostics(
+                seed=seed, **{k: v if k == "ess" else np.array(v) for k, v in record.items()})
+            for name in self.ARRAYS:
+                assert getattr(back, name).tobytes() == getattr(diag, name).tobytes()
+            assert back.ess == diag.ess
+            again, _ = mh_sample(pair, ref, replace(cfg, seed=back.seed), samples=12)
+            assert np.array([k.points for k in again]).tobytes() == \
+                np.array([k.points for k in kept]).tobytes()
 
 
 def sequential_sweep(X, Q, Y, base, log_u, bw):
