@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure,
-                       _merge_atoms)
+from .measures import WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 
 NORMALIZATION_TOL = 1e-10
@@ -51,8 +50,12 @@ def _masked_quadratic(weights_outer: np.ndarray, values: np.ndarray) -> float:
     """Sum of w_ij * v_ij treating zero-weight entries as exact zeros.
 
     A +inf value with positive weight makes the sum +inf; zero-weight
-    entries never contribute, even against infinite values.
+    entries never contribute, even against infinite values.  When every
+    value is below +inf the products are summed as they stand: a zero
+    weight adds an exact zero to the compensated sum.
     """
+    if values.max() < np.inf:
+        return math.fsum((weights_outer * values).ravel().tolist())
     mask = weights_outer > 0.0
     if np.any(mask & (values == np.inf)):
         return np.inf
@@ -116,20 +119,22 @@ def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
 def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Kullback-Leibler divergence of mu against nu; +inf unless supp(mu) is
     contained in supp(nu).  Atom matching is exact on canonical coordinates."""
-    return _relative_entropy(mu, nu.atoms, nu.weights)
+    index = {atom.tobytes(): k for k, atom in enumerate(nu.atoms)}
+    return _relative_entropy(mu, nu.dim, index, nu.weights)
 
 
-def _relative_entropy(mu: DiscreteMeasure, atoms, weights) -> float:
-    """``relative_entropy`` against the measure with these distinct atoms and weights."""
-    if mu.dim != atoms.shape[1]:
+def _relative_entropy(mu: DiscreteMeasure, dim, index, weights) -> float:
+    """``relative_entropy`` against the measure on R^dim that puts ``weights[k]``
+    on the atom whose bytes ``index`` maps to k.  An atom of mu that ``index``
+    lacks, or whose weight is 0, is outside the support."""
+    if mu.dim != dim:
         raise ValueError("dimension mismatch between measures")
-    lookup = {atom.tobytes(): w for atom, w in zip(atoms, weights)}
     terms = []
     for atom, w in zip(mu.atoms, mu.weights):
-        q = lookup.get(atom.tobytes())
-        if q is None:
+        k = index.get(atom.tobytes())
+        if k is None or weights[k] == 0.0:
             return np.inf
-        terms.append(w * math.log(w / q))
+        terms.append(w * math.log(w / weights[k]))
     return math.fsum(terms)
 
 
@@ -143,29 +148,34 @@ def confinement_energy(mu: DiscreteMeasure, V) -> float:
 
 
 def _gibbs_weights(ref: ReferenceMeasure, V, warn):
-    """Atoms and weights of exp(-V) ell, normalized, as ``DiscreteMeasure``
-    would hold them.
+    """Weights of exp(-V) ell, normalized, on the distinct atoms of ``ref``.
 
-    The weights are divided by their total mass; then, as the constructor
-    does, repeated atoms are summed, weights at or below ``WEIGHT_DROP_TOL``
-    are dropped and the rest renormalized.  Warns, for the caller of the
-    public function, when the mass misses 1 by more than the tolerance.
+    Per reference, once, at its construction: the repeated atoms of ell are
+    merged and their weights summed (``ref._canon``).  Per call: V is
+    evaluated on the distinct atoms, the weights are divided by their total
+    mass, then, as ``DiscreteMeasure`` does, weights at or below
+    ``WEIGHT_DROP_TOL`` are set to 0 and the rest renormalized.  The result
+    is aligned with the distinct atoms.  Warns, for the caller of the public
+    function, on every call where the mass misses 1 by more than the
+    tolerance.
     """
     if not ref.is_finite:
         raise ValueError("exact Gibbs reference needs a finite reference measure")
-    vals = evaluate_V(V, ref.atoms)
+    atoms, ell_weights, _ = ref._canon
+    vals = evaluate_V(V, atoms)
     with np.errstate(over="ignore"):
-        raw = ref.weights * np.exp(-vals)
-    total = math.fsum(raw)
+        raw = ell_weights * np.exp(-vals)
+    total = math.fsum(raw.tolist())
     if not (0.0 < total < np.inf):
         raise ValueError(f"exp(-V) ell has mass {total}; cannot normalize")
     if warn and abs(total - 1.0) > NORMALIZATION_TOL:
         warnings.warn(
             f"exp(-V) ell has mass {total!r}, not 1; normalizing", stacklevel=3
         )
-    atoms, weights = _merge_atoms(ref.atoms, raw / total)
-    keep = weights > WEIGHT_DROP_TOL
-    return atoms[keep], weights[keep] / math.fsum(weights[keep])
+    weights = raw / total
+    weights[weights <= WEIGHT_DROP_TOL] = 0.0
+    weights /= math.fsum(weights.tolist())
+    return weights
 
 
 def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
@@ -175,16 +185,23 @@ def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
     potential misses unit mass by more than the tolerance, since callers may
     legitimately pass an unnormalized confinement.
     """
-    return DiscreteMeasure(*_gibbs_weights(ref, V, warn))
+    weights = _gibbs_weights(ref, V, warn)
+    keep = weights > 0.0
+    return DiscreteMeasure(ref._canon[0][keep], weights[keep])
 
 
 def rate_I(mu: DiscreteMeasure, pair: PotentialPair, ref: ReferenceMeasure) -> FunctionalValue:
     """Speed-n rate functional: relative entropy against exp(-V) ell plus
     the full interaction energy.
 
-    The weights of exp(-V) ell are the arrays of ``gibbs_reference``, taken
-    without building the measure."""
-    entropy = _relative_entropy(mu, *_gibbs_weights(ref, pair.V, warn=True))
+    The weights of exp(-V) ell are those of ``gibbs_reference``, taken
+    without building the measure.  Per reference, once: the distinct atoms
+    of ell, their summed weights and the index from an atom to its position,
+    all held by ``ref``.  Per call: V on those atoms, the normalized and
+    dropped weights (``_gibbs_weights``, with its mass warning), one index
+    lookup per atom of mu, and the interaction energy of mu."""
+    weights = _gibbs_weights(ref, pair.V, warn=True)
+    entropy = _relative_entropy(mu, ref.dim, ref._canon[2], weights)
     if not math.isfinite(entropy):
         return FunctionalValue(np.inf, {"entropy": np.inf, "interaction": None,
                                         "diverged": "entropy"})

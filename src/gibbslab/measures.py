@@ -20,7 +20,11 @@ Three metrics are provided:
   otherwise.
 
 One canonicalizer, ``_merge_atoms``, sorts atoms and merges duplicates, both
-for a new measure and for the union support of two measures.
+for a new measure and for the union support of two measures.  It also
+canonicalizes a finite :class:`ReferenceMeasure`, once, at construction: the
+reference holds its distinct atoms, their summed weights and an index from
+atom bytes to position, which the functionals and the variational solvers
+read instead of merging the reference again on every call.
 
 Every pairwise distance the package forms, in the metrics here, in
 ``potentials.coulomb_kernel`` and in ``GridSpec.min_spacing``, comes from
@@ -78,12 +82,19 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray):
     """Sort points lexicographically and sum the weights of exact duplicates.
 
     The sort is stable and ``bincount`` adds in index order, so each sum
-    runs over the copies of an atom in their input order.
+    runs over the copies of an atom in their input order.  When no atom
+    repeats, the sorted points and weights are returned as they are, the
+    same values the sums would give.
     """
     order = np.lexsort(points.T[::-1])
     points = points[order]
-    first = np.ones(len(points), dtype=bool)
-    first[1:] = np.any(points[1:] != points[:-1], axis=1)
+    first = np.zeros(len(points), dtype=bool)
+    first[:1] = True
+    # a later point is new when it differs from its predecessor in some coordinate plane
+    for k in range(points.shape[1]):
+        first[1:] |= points[1:, k] != points[:-1, k]
+    if first.all():
+        return points, weights[order]
     return points[first], np.bincount(np.cumsum(first) - 1, weights=weights[order])
 
 
@@ -105,22 +116,25 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have the same length")
         if len(atoms) == 0:
             raise ValueError("a probability measure needs at least one atom")
-        if not np.all(np.isfinite(atoms)):
+        if not np.isfinite(atoms).all():
             raise ValueError("atom coordinates must be finite")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        # NaN fails both comparisons
+        if not (weights.min() >= 0.0 and weights.max() < np.inf):
             raise ValueError("weights must be non-negative and finite")
-        total = math.fsum(weights)
+        # fsum reads a list of floats faster than an array's scalars
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
         atoms, weights = _merge_atoms(atoms, weights)
 
-        mask = weights > WEIGHT_DROP_TOL
-        if not np.any(mask):
-            raise ValueError("all weights below drop tolerance")
-        atoms = atoms[mask]
-        weights = weights[mask]
-        weights = weights / math.fsum(weights)
+        if not weights.min() > WEIGHT_DROP_TOL:
+            mask = weights > WEIGHT_DROP_TOL
+            if not mask.any():
+                raise ValueError("all weights below drop tolerance")
+            atoms = atoms[mask]
+            weights = weights[mask]
+        weights = weights / math.fsum(weights.tolist())
 
         atoms.setflags(write=False)
         weights.setflags(write=False)
@@ -289,14 +303,26 @@ class ReferenceMeasure:
     mass need not be one); it is the exact-enumeration workhorse.  Density
     mode stores a log-density against Lebesgue measure on an axis-aligned box
     and is used by the Metropolis sampler.
+
+    A finite reference is canonicalized once, here: ``_canon`` holds its
+    distinct atoms in ``_merge_atoms`` order, their summed weights, and a dict
+    from an atom's bytes to its position among them.  ``atoms`` and
+    ``weights`` keep the cloud as given, repeats and order included.
     """
 
-    __slots__ = ("mode", "atoms", "weights", "log_density", "box", "description")
+    __slots__ = ("mode", "atoms", "weights", "log_density", "box", "description", "_canon")
 
     def __init__(self, mode, atoms=None, weights=None, log_density=None, box=None,
                  description=""):
         if mode not in ("finite", "density"):
             raise ValueError("mode must be 'finite' or 'density'")
+        canon = None
+        if mode == "finite":
+            distinct, summed = _merge_atoms(atoms, weights)
+            distinct.setflags(write=False)
+            summed.setflags(write=False)
+            canon = (distinct, summed, {a.tobytes(): k for k, a in enumerate(distinct)})
+        object.__setattr__(self, "_canon", canon)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)

@@ -627,19 +627,18 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
 
     Returns (index tuples array of shape (m^n, n), probability vector), both
     in lexicographic (mixed-radix) order of the tuples, aligned with
-    np.unravel_index on shape (m,) * n.  The probabilities, proportional to
+    np.unravel_index on shape (m,) * n.  The index tuples, of dtype
+    ``np.min_scalar_type(m - 1)``, are a transposed (Fortran-order) view of
+    the (n, m^n) array of ``np.indices``: each slot's column is contiguous,
+    each tuple's row is strided.  The probabilities, proportional to
     exp(-beta_n H_n) times the product of reference weights, are built one
     slot at a time, so no per-tuple energy sum is formed.  Raises
     BudgetExceededError when m^n exceeds ``budget``.
     """
     probs = _tuple_law(pair, ell, n, beta_n, budget)
     m = len(ell.atoms)
-    digits = np.empty((m,) * n + (n,), dtype=np.min_scalar_type(m - 1))
-    for slot in range(n):
-        column = [1] * n
-        column[slot] = m
-        digits[..., slot] = np.arange(m).reshape(column)
-    return digits.reshape(-1, n), probs
+    digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
+    return digits, probs
 
 
 def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):

@@ -59,8 +59,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._enum import compositions_array
-from .measures import (DiscreteMeasure, ReferenceMeasure, _as_points, _merge_atoms,
-                       _squared_distance)
+from .measures import DiscreteMeasure, ReferenceMeasure, _as_points, _squared_distance
 from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
@@ -263,10 +262,10 @@ def _node_reference(ref: ReferenceMeasure, pair: PotentialPair, nodes):
     """Normalized weights of exp(-V) ell restricted to the grid nodes."""
     v_vals = evaluate_V(pair.V, nodes)
     if ref.is_finite:
-        # a finite reference may repeat an atom: its copies' weights add up
-        atoms, weights = _merge_atoms(ref.atoms + 0.0, ref.weights)
-        lookup = {a.tobytes(): w for a, w in zip(atoms, weights)}
-        ell_w = np.array([lookup.get((n + 0.0).tobytes(), 0.0) for n in nodes])
+        # the reference's distinct atoms carry the summed weights of their copies
+        _, weights, index = ref._canon
+        slots = [index.get(node.tobytes()) for node in nodes + 0.0]
+        ell_w = np.array([0.0 if k is None else weights[k] for k in slots])
     else:
         logdens = np.asarray(ref.log_density(nodes), dtype=float)
         with np.errstate(over="ignore"):

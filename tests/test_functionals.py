@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import v_const, v_quadratic, v_zero, w_sqdist, w_zero
+from gibbslab import functionals, measures
 from gibbslab.functionals import (
+    WEIGHT_DROP_TOL,
     FunctionalValue,
     coupled_energy,
     gibbs_reference,
@@ -25,7 +27,14 @@ from gibbslab.measures import (
     empirical_measure,
     product_measure,
 )
-from gibbslab.potentials import PotentialPair, coulomb_kernel
+from gibbslab.potentials import (
+    PotentialPair,
+    coulomb_kernel,
+    evaluate_V,
+    pair_matrix,
+    power_confinement,
+)
+from gibbslab.sampler import exact_sample_finite
 
 
 def hamiltonian_oracle(points, V, W):
@@ -240,6 +249,141 @@ class TestRateI:
         off = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
         expected = relative_entropy(off, nu) + interaction_energy(off, pair.W)
         assert rate_I(off, pair, ell).value == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+# -- the rate path as it stood when a finite reference was merged on every call --
+def merging_gibbs_weights(ref, V):
+    """Distinct atoms and normalized weights of exp(-V) ell: V on the atoms as
+    given, repeats merged after normalizing, dropped weights removed."""
+    with np.errstate(over="ignore"):
+        raw = ref.weights * np.exp(-evaluate_V(V, ref.atoms))
+    atoms, weights = measures._merge_atoms(ref.atoms, raw / math.fsum(raw))
+    keep = weights > WEIGHT_DROP_TOL
+    return atoms[keep], weights[keep] / math.fsum(weights[keep])
+
+
+def merging_relative_entropy(mu, atoms, weights):
+    lookup = {atom.tobytes(): w for atom, w in zip(atoms, weights)}
+    terms = []
+    for atom, w in zip(mu.atoms, mu.weights):
+        q = lookup.get(atom.tobytes())
+        if q is None:
+            return np.inf
+        terms.append(w * math.log(w / q))
+    return math.fsum(terms)
+
+
+def masking_quadratic(weights_outer, values):
+    mask = weights_outer > 0.0
+    if np.any(mask & (values == np.inf)):
+        return np.inf
+    sel = mask & np.isfinite(values)
+    return math.fsum((weights_outer[sel] * values[sel]).ravel())
+
+
+def merging_rate_I(mu, pair, ref):
+    """(value, entropy) of the speed-n rate, per call from the raw reference."""
+    entropy = merging_relative_entropy(mu, *merging_gibbs_weights(ref, pair.V))
+    if not math.isfinite(entropy):
+        return np.inf, entropy
+    interaction = 0.5 * masking_quadratic(np.outer(mu.weights, mu.weights),
+                                           pair_matrix(pair.W, mu.atoms, mu.atoms))
+    return entropy + interaction, entropy
+
+
+def coulomb_cases(atoms, weights_2d=None):
+    """The three shapes of the exact-law benchmark on 10 atoms, n = 6:
+    d = 1 at beta_n = n and n^2, and d = 2 Coulomb at beta_n = n."""
+    rng = np.random.default_rng(11)
+    line = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (10, 1)), rng.uniform(0.5, 1.5, 10))
+    cloud = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (10, 2)), rng.uniform(0.5, 1.5, 10))
+    cases = []
+    for d, ref, beta in ((1, line, 6.0), (1, line, 36.0), (2, cloud, 6.0)):
+        pair = PotentialPair(power_confinement(2.0), coulomb_kernel(d), dim=d, symmetric=True)
+        cases.append((pair, atoms(ref, rng), beta))
+    return cases
+
+
+def as_given(ref, rng):
+    return ref
+
+
+def with_repeats(ref, rng):
+    """Three atoms copied with fresh weights, the cloud shuffled."""
+    pts = np.vstack([ref.atoms, ref.atoms[[1, 4, 4]]])
+    w = np.concatenate([ref.weights, rng.uniform(0.5, 1.5, 3)])
+    order = rng.permutation(len(pts))
+    return ReferenceMeasure.finite(pts[order], w[order])
+
+
+def with_signed_zeros(ref, rng):
+    """Atoms with -0.0 coordinates next to their +0.0 copies."""
+    zeros = np.zeros((2, ref.dim))
+    zeros[0, 0] = -0.0
+    zeros[1, -1] = 0.5
+    signed = np.vstack([ref.atoms, zeros, -zeros])
+    return ReferenceMeasure.finite(signed, rng.uniform(0.5, 1.5, len(signed)))
+
+
+@pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
+class TestRateIAgainstMergingReference:
+    """rate_I on the canonical form a finite reference holds, against the path
+    that merged the raw reference on every call."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_bitwise_on_distinct_atoms(self, case):
+        pair, ref, beta = coulomb_cases(as_given)[case]
+        for config in exact_sample_finite(pair, ref, 6, beta, seed=case, samples=200):
+            mu = empirical_measure(config)
+            out = rate_I(mu, pair, ref)
+            value, entropy = merging_rate_I(mu, pair, ref)
+            assert (out.value, out.breakdown["entropy"]) == (value, entropy)
+
+    @pytest.mark.parametrize("atoms", [with_repeats, with_signed_zeros])
+    @pytest.mark.parametrize("case", range(3))
+    def test_close_on_repeated_and_signed_zero_atoms(self, case, atoms):
+        pair, ref, beta = coulomb_cases(atoms)[case]
+        assert len(ref._canon[0]) < len(ref.atoms)
+        for config in exact_sample_finite(pair, ref, 6, beta, seed=case, samples=200):
+            mu = empirical_measure(config)
+            out = rate_I(mu, pair, ref)
+            value, entropy = merging_rate_I(mu, pair, ref)
+            # copies are summed before normalizing rather than after: the
+            # entropy moves in its last bits
+            assert out.breakdown["entropy"] == pytest.approx(entropy, rel=1e-14, abs=1e-300)
+            if math.isfinite(value):
+                # the d = 1 Coulomb interaction is negative and cancels the
+                # entropy, so the sum is held to the size of its two parts
+                scale = abs(entropy) + abs(out.breakdown["interaction"])
+                assert abs(out.value - value) <= 1e-14 * scale
+            else:
+                assert out.value == value
+
+    def test_gibbs_reference_bitwise_on_distinct_atoms(self):
+        for pair, ref, _ in coulomb_cases(as_given):
+            atoms, weights = merging_gibbs_weights(ref, pair.V)
+            assert gibbs_reference(ref, pair.V) == DiscreteMeasure(atoms, weights)
+
+    def test_merge_once_per_reference(self, monkeypatch):
+        pair, ref, beta = coulomb_cases(with_repeats)[0]
+        mus = [empirical_measure(c) for c in exact_sample_finite(pair, ref, 6, beta, 3, 20)]
+        expected = [rate_I(mu, pair, ref).value for mu in mus]
+
+        def refuse(*args):
+            raise AssertionError("a finite reference was merged again")
+
+        # wherever a module may hold the canonicalizer
+        for module in (measures, functionals):
+            monkeypatch.setattr(module, "_merge_atoms", refuse, raising=False)
+        assert [rate_I(mu, pair, ref).value for mu in mus] == expected
+
+    def test_mass_warning_on_every_call(self):
+        ell = ReferenceMeasure.finite([[0.0], [1.0]], [1.0, 1.0])
+        pair = PotentialPair(v_zero, w_zero, dim=1)   # exp(-V) ell has mass 2
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="has mass 2"):
+                rate_I(mu, pair, ell)
 
 
 class TestRateJ:

@@ -84,6 +84,35 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure([[0.0], [1.0]], [1.2, -0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atom_rejected(self, bad):
+        with pytest.raises(ValueError, match="^atom coordinates must be finite$"):
+            DiscreteMeasure([[0.0, 1.0], [bad, 0.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0],
+                                         [1.2, -0.2], [-np.inf, 1.0]])
+    def test_bad_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="^weights must be non-negative and finite$"):
+            DiscreteMeasure([[0.0], [1.0]], weights)
+
+    def test_negative_zero_weight_accepted_and_dropped(self):
+        mu = DiscreteMeasure([[0.0], [1.0]], [1.0, -0.0])
+        assert mu.support_size == 1
+        assert mu.weights[0] == 1.0
+
+    def test_negative_zero_atom_merges_with_zero(self):
+        mu = DiscreteMeasure([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]], [0.25, 0.5, 0.25])
+        np.testing.assert_array_equal(mu.atoms, [[0.0, 0.0], [0.0, 1.0]])
+        assert not np.signbit(mu.atoms).any()
+        np.testing.assert_array_equal(mu.weights, [0.25, 0.75])
+
+    def test_merge_without_repeats_returns_the_sorted_input(self):
+        pts = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+        w = np.array([0.5, 0.25, 0.25])
+        atoms, sums = _merge_atoms(pts, w)
+        np.testing.assert_array_equal(atoms, pts[[2, 1, 0]])
+        np.testing.assert_array_equal(sums, w[[2, 1, 0]])
+
     def test_tiny_weights_dropped_and_renormalized(self):
         mu = DiscreteMeasure([[0.0], [1.0]], [1.0 - 1e-16, 1e-16])
         assert mu.support_size == 1
@@ -479,6 +508,18 @@ class TestReferenceMeasure:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             ReferenceMeasure.finite([[0.0]], [0.0])
+
+    def test_finite_reference_is_canonicalized_once(self):
+        cloud = [[1.0, 0.0], [0.0, -0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.0]]
+        ell = ReferenceMeasure.finite(cloud, [1.0, 2.0, 3.0, 4.0, 5.0])
+        atoms, weights, index = ell._canon
+        # the cloud as given stays; the canonical form merges the copies
+        assert ell.atoms.shape == (5, 2)
+        np.testing.assert_array_equal(atoms, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(weights, [7.0, 3.0, 5.0])
+        assert index == {a.tobytes(): k for k, a in enumerate(atoms)}
+        assert not atoms.flags.writeable and not weights.flags.writeable
+        assert ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])._canon is None
 
     def test_lebesgue_box(self):
         ell = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])

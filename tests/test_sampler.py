@@ -199,6 +199,18 @@ class TestExactFinite:
             freq = counts.get(key, 0) / 4000
             assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / 4000) + 1e-3
 
+    @pytest.mark.parametrize("m, n", [(3, 4), (10, 3)])
+    def test_index_tuples_in_unravel_order(self, m, n):
+        ell = ReferenceMeasure.finite(np.arange(m, dtype=float)[:, None])
+        pair = PotentialPair(v_zero, w_zero, dim=1)
+        digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=1.0)
+        expected = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
+        assert digits.dtype == np.min_scalar_type(m - 1)
+        np.testing.assert_array_equal(digits, expected)
+        # a transposed view: each slot's column is contiguous
+        assert digits.flags.f_contiguous and digits.shape == (m**n, n)
+        np.testing.assert_allclose(probs, np.full(m**n, 1.0 / m**n), rtol=1e-12)
+
     def test_budget_guard(self):
         # the tuple law's budget is on m^n = 10^9
         atoms = np.array([[float(i)] for i in range(10)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import v_quadratic, w_sqdist
-from gibbslab import variational
+from gibbslab import measures, variational
 from gibbslab.measures import ReferenceMeasure
 from gibbslab.potentials import (
     PotentialPair,
@@ -362,3 +362,24 @@ def test_a_repeated_reference_atom_adds_its_weights():
     np.testing.assert_allclose(repeated.minimizer.weights, merged.minimizer.weights,
                                atol=1e-9)
     np.testing.assert_allclose(repeated.minimizer.weights, [0.763, 0.237], atol=1e-3)
+
+
+def test_a_finite_reference_is_not_merged_again_per_build(monkeypatch):
+    pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
+    grid = GridSpec.from_points([[-0.0], [1.0], [2.0]])
+    ell = ReferenceMeasure.finite([[0.0], [1.0], [-0.0], [3.0]], [1.0, 2.0, 0.5, 1.0])
+    expected = build_objective_I(pair, ell, grid)
+
+    def refuse(*args):
+        raise AssertionError("a finite reference was merged again")
+
+    # wherever a module may hold the canonicalizer
+    for module in (measures, variational):
+        monkeypatch.setattr(module, "_merge_atoms", refuse, raising=False)
+    obj, feasible = build_objective_I(pair, ell, grid)
+    # node 2 is not an atom of ell; the copies of 0 weigh 1 + 0.5
+    np.testing.assert_array_equal(feasible, [0, 1])
+    np.testing.assert_array_equal(feasible, expected[1])
+    np.testing.assert_array_equal(obj.nu, expected[0].nu)
+    raw = np.array([1.5, 2.0 * np.exp(-1.0)])
+    np.testing.assert_allclose(obj.nu, raw / raw.sum(), rtol=1e-15)
