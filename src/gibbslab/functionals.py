@@ -245,8 +245,8 @@ def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
 def rate_J_n_offdiag(mu: DiscreteMeasure, pair: PotentialPair, n: int,
                      beta_n: float) -> FunctionalValue:
     """Finite-n off-diagonal energy: (1 - n/beta_n) * confinement + offdiag interaction."""
-    if beta_n <= 0:
-        raise ValueError("beta_n must be positive")
+    if not 0 < beta_n < math.inf:
+        raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
     coeff = 1.0 - n / beta_n
     confinement = confinement_energy(mu, pair.V)
     offdiag = interaction_energy_offdiag(mu, pair.W)

@@ -30,6 +30,17 @@ Every pairwise distance the package forms, in the metrics here, in
 ``potentials.coulomb_kernel`` and in ``GridSpec.min_spacing``, comes from
 ``_squared_distance``, which sums the squared differences one coordinate plane
 at a time: no (..., d) block of differences x - y is ever formed.
+
+Importing this module loads numpy alone.  scipy is imported by the calls that
+solve a linear program and by nothing else: ``d_bl`` (``scipy.sparse`` and
+``scipy.optimize``) and ``wasserstein_lp`` (``scipy.sparse``), which is also
+what ``wasserstein_p`` calls in dimension >= 2.  The 1-d quantile coupling,
+the measures themselves and every other module of the package need numpy
+only.  The two solves go through the module-level functions ``milp`` and
+``linprog``, thin wrappers with scipy's parameter names that import
+``scipy.optimize`` on their first call.  They stay module attributes so that
+a caller can rebind them, to count or time the solves, and read each call's
+arguments by name.
 """
 from __future__ import annotations
 
@@ -38,8 +49,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 WEIGHT_SUM_TOL = 1e-12
 # weights below this after merging are dropped and the measure renormalized,
@@ -409,6 +418,18 @@ def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
     return math.fsum(mu.weights[mask] * psi(mu.atoms[mask]))
 
 
+def linprog(c, *, A_eq, b_eq, bounds, method, options):
+    """``scipy.optimize.linprog``, with scipy imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method, options=options)
+
+
+def milp(c, *, constraints, bounds, options):
+    """``scipy.optimize.milp``, with scipy imported on the first call."""
+    from scipy.optimize import milp
+    return milp(c, constraints=constraints, bounds=bounds, options=options)
+
+
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Union support points with signed weight difference mu - nu."""
     return _merge_atoms(np.vstack([mu.atoms, nu.atoms]),
@@ -451,6 +472,9 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     dists = np.sqrt(_squared_distance(pts[iu], pts[ju]))
     near = dists < 1.0
     iu, ju, dists = iu[near], ju[near], dists[near]
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
     # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]
     rows = np.tile(np.arange(len(iu)), 2)
     incidence = sparse.csr_array(
@@ -493,8 +517,10 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p!r}")
+    from scipy import sparse
+
     # p = 2 takes the squared distance as it is, with no square root to undo
     cost = _squared_distance(mu.atoms[:, None, :], nu.atoms[None, :, :]) ** (p / 2)
     ka, kb = mu.support_size, nu.support_size
@@ -525,8 +551,8 @@ def wasserstein_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p!r}")
     if mu == nu:
         return 0.0
     if mu.dim == 1:

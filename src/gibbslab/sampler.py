@@ -81,10 +81,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.beta_n <= 0:
-            raise ValueError("beta_n must be positive")
-        if self.sigma <= 0:
-            raise ValueError("proposal step sigma must be positive")
+        # NaN fails every comparison, so it is refused along with inf
+        if not 0 < self.beta_n < math.inf:
+            raise ValueError(f"beta_n must lie in (0, inf), got {self.beta_n!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"proposal step sigma must lie in (0, inf), got {self.sigma!r}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.thinning < 1:
@@ -492,8 +493,8 @@ def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
 def _check_exact_args(ell, beta_n):
     if not ell.is_finite:
         raise ValueError("exact law needs a finite reference measure")
-    if not beta_n > 0:
-        raise ValueError("beta_n must be positive")
+    if not 0 < beta_n < math.inf:
+        raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
 
 
 def _normalize_log(log_prob) -> np.ndarray:

@@ -48,6 +48,11 @@ continuum formulation never meets.  The solvers then run on the
 off-diagonal-corrected objective plus a self-energy surrogate
 (1/2) w_i^2 * W(a_i, a_i + (h/2) e_1) per node, and the result records the
 surrogate so downstream comparisons use the same convention.
+
+Importing this module loads numpy alone.  The one call that needs scipy is
+``_support_step``, the step of ``minimize_J``'s active-set QP: it
+imports ``scipy.linalg`` for ``cho_factor`` and ``cho_solve`` when it runs.
+The certificate, ``minimize_I`` and mirror descent use numpy only.
 """
 from __future__ import annotations
 
@@ -56,7 +61,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._enum import compositions_array
 from .measures import DiscreteMeasure, ReferenceMeasure, _as_points, _squared_distance
@@ -330,6 +334,8 @@ def _support_step(KS, gS):
     direction of least curvature, zero or negative, along which the objective
     does not increase; the caller follows it until a weight reaches zero.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     H = _tangent_hessian(KS)
     r = gS[:-1] - gS[-1]
     try:

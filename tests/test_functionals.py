@@ -425,6 +425,12 @@ class TestRateJnOffdiag:
         expected = 0.5 + 0.25
         assert out.value == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.0, math.inf, math.nan])
+    def test_beta_outside_zero_inf_rejected(self, beta):
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        with pytest.raises(ValueError, match=r"beta_n must lie in \(0, inf\)"):
+            rate_J_n_offdiag(mu, quad_pair(), n=4, beta_n=beta)
+
     def test_decomposition_identity(self, rng):
         # J_{n,neq}(L_n) = H_n - (1/beta_n) sum_i V(x_i)
         pair = quad_pair()

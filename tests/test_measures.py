@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -421,6 +422,40 @@ class TestWasserstein:
                 # vectorised and scalar powers may round one ulp apart per term
                 assert wasserstein_p(mu, nu, p) == pytest.approx(
                     level_loop(mu, nu, p), rel=4 * np.finfo(float).eps, abs=0.0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        # with no check, p = nan returned nan and p = inf returned 0.5 on this pair
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        nu = DiscreteMeasure.uniform([[0.5], [2.0]])
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            wasserstein_p(mu, nu, p)  # quantile coupling
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            wasserstein_lp(mu, nu, p)
+        # the same pair on a line in the plane takes the LP
+        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
+        nu = DiscreteMeasure.uniform([[0.5, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            wasserstein_p(mu, nu, p)
+
+    def test_one_transport_solve(self, monkeypatch):
+        calls = []
+        real_linprog = measures.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(real_linprog).bind(*args, **kwargs).arguments)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "linprog", spy)
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[0.0, 0.36], [1.0, 1.0], [2.0, 0.0]], [0.2, 0.5, 0.3])
+        wasserstein_p(mu, nu, 2)
+        assert len(calls) == 1
+        arguments = calls[0]
+        assert arguments["options"] == {"presolve": False, "dual_feasibility_tolerance": 1e-10}
+        # one plan cell per atom pair, one marginal row per atom
+        assert arguments["c"].shape == (6,)
+        assert arguments["A_eq"].shape == (5, 6)
 
     def test_p_below_one_rejected(self):
         mu = DiscreteMeasure.dirac([0.0])

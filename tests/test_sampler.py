@@ -135,6 +135,13 @@ class TestMHGaussianTarget:
         with pytest.raises(ValueError):
             SamplerConfig(n=1, beta_n=1.0, sigma=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["beta_n", "sigma"])
+    def test_beta_n_and_sigma_must_lie_in_zero_inf(self, name, value):
+        # with no check, beta_n = nan rejected every move and raised nothing
+        with pytest.raises(ValueError, match=rf"{name} must lie in \(0, inf\)"):
+            SamplerConfig(**{"n": 1, "beta_n": 1.0, name: value})
+
     def test_zero_thinning_raises(self):
         with pytest.raises(ValueError, match="thinning"):
             SamplerConfig(n=1, beta_n=1.0, thinning=0)
@@ -239,7 +246,7 @@ class TestExactFinite:
         with pytest.raises(SamplerError):
             exact_sample_finite(pair, ell, n=1, beta_n=1.0, seed=0, samples=1)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_beta_rejected(self, beta):
         ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         pair = PotentialPair(v_zero, coulomb_kernel(2), dim=2, symmetric=True)
@@ -341,7 +348,7 @@ class TestCountLaw:
         with pytest.raises(SamplerError):
             exact_count_law(pair, ell, n=2, beta_n=1.0)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_beta_rejected(self, beta):
         ell = ReferenceMeasure.finite([[0.0], [1.0]])
         pair = PotentialPair(v_zero, w_zero, dim=1)
