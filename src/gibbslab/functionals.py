@@ -7,7 +7,9 @@ speeds), the finite-n off-diagonal energy functional, the coupled-measure
 energies, and the star-gap (subtraction of the infimum).
 
 All double sums run over the full support in compensated summation
-(``math.fsum``).  A +inf term short-circuits the value to +inf, and the
+(``math.fsum``); the interaction energies, their truncations and J share one
+weighted half double integral, ``_half_integral``, taken with or without the
+diagonal.  A +inf term short-circuits the value to +inf, and the
 breakdown records which component diverged; NaN from inf - inf is a hard
 error raised by the potential evaluation layer.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
+from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, pair_matrix
 
 NORMALIZATION_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-12
@@ -85,19 +87,23 @@ def hamiltonian(config: ParticleConfig, pair: PotentialPair) -> float:
     return total_v + total_w
 
 
+def _half_integral(mu: DiscreteMeasure, K, diagonal: bool) -> float:
+    """(1/2) sum_ij w_i w_j K_ij over the atoms of mu, the terms i = j
+    included or not."""
+    outer = np.outer(mu.weights, mu.weights)
+    if not diagonal:
+        np.fill_diagonal(outer, 0.0)
+    return 0.5 * _masked_quadratic(outer, K)
+
+
 def interaction_energy(mu: DiscreteMeasure, W) -> float:
     """Full interaction energy: half the double integral of W, diagonal included."""
-    K = pair_matrix(W, mu.atoms, mu.atoms)
-    outer = np.outer(mu.weights, mu.weights)
-    return 0.5 * _masked_quadratic(outer, K)
+    return _half_integral(mu, pair_matrix(W, mu.atoms, mu.atoms), True)
 
 
 def interaction_energy_offdiag(mu: DiscreteMeasure, W) -> float:
     """Interaction energy with the diagonal removed (W taken as 0 at x = y)."""
-    K = pair_matrix(W, mu.atoms, mu.atoms)
-    outer = np.outer(mu.weights, mu.weights)
-    np.fill_diagonal(outer, 0.0)
-    return 0.5 * _masked_quadratic(outer, K)
+    return _half_integral(mu, pair_matrix(W, mu.atoms, mu.atoms), False)
 
 
 def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
@@ -108,12 +114,7 @@ def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
     if not math.isfinite(M):
         raise ValueError("truncation level M must be finite")
     K = np.minimum(pair_matrix(W, mu.atoms, mu.atoms), M)
-    outer = np.outer(mu.weights, mu.weights)
-    full = 0.5 * _masked_quadratic(outer, K)
-    outer_off = outer.copy()
-    np.fill_diagonal(outer_off, 0.0)
-    off = 0.5 * _masked_quadratic(outer_off, K)
-    return {"full": full, "offdiag": off}
+    return {"full": _half_integral(mu, K, True), "offdiag": _half_integral(mu, K, False)}
 
 
 def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -147,7 +148,7 @@ def confinement_energy(mu: DiscreteMeasure, V) -> float:
     return math.fsum(mu.weights[mask] * vals[mask])
 
 
-def _gibbs_weights(ref: ReferenceMeasure, V, warn):
+def _gibbs_weights(ref: ReferenceMeasure, V):
     """Weights of exp(-V) ell, normalized, on the distinct atoms of ``ref``.
 
     Per reference, once, at its construction: the repeated atoms of ell are
@@ -156,8 +157,8 @@ def _gibbs_weights(ref: ReferenceMeasure, V, warn):
     mass, then, as ``DiscreteMeasure`` does, weights at or below
     ``WEIGHT_DROP_TOL`` are set to 0 and the rest renormalized.  The result
     is aligned with the distinct atoms.  Warns, for the caller of the public
-    function, on every call where the mass misses 1 by more than the
-    tolerance.
+    function, on every call where the mass misses 1 by more than
+    ``NORMALIZATION_TOL``.
     """
     if not ref.is_finite:
         raise ValueError("exact Gibbs reference needs a finite reference measure")
@@ -168,7 +169,7 @@ def _gibbs_weights(ref: ReferenceMeasure, V, warn):
     total = math.fsum(raw.tolist())
     if not (0.0 < total < np.inf):
         raise ValueError(f"exp(-V) ell has mass {total}; cannot normalize")
-    if warn and abs(total - 1.0) > NORMALIZATION_TOL:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         warnings.warn(
             f"exp(-V) ell has mass {total!r}, not 1; normalizing", stacklevel=3
         )
@@ -178,14 +179,14 @@ def _gibbs_weights(ref: ReferenceMeasure, V, warn):
     return weights
 
 
-def gibbs_reference(ref: ReferenceMeasure, V, warn=True) -> DiscreteMeasure:
+def gibbs_reference(ref: ReferenceMeasure, V) -> DiscreteMeasure:
     """The probability measure exp(-V) ell on a finite reference.
 
     Normalizes in all cases; warns (rather than failing) when the declared
     potential misses unit mass by more than the tolerance, since callers may
     legitimately pass an unnormalized confinement.
     """
-    weights = _gibbs_weights(ref, V, warn)
+    weights = _gibbs_weights(ref, V)
     keep = weights > 0.0
     return DiscreteMeasure(ref._canon[0][keep], weights[keep])
 
@@ -199,8 +200,10 @@ def rate_I(mu: DiscreteMeasure, pair: PotentialPair, ref: ReferenceMeasure) -> F
     of ell, their summed weights and the index from an atom to its position,
     all held by ``ref``.  Per call: V on those atoms, the normalized and
     dropped weights (``_gibbs_weights``, with its mass warning), one index
-    lookup per atom of mu, and the interaction energy of mu."""
-    weights = _gibbs_weights(ref, pair.V, warn=True)
+    lookup per atom of mu, and the interaction energy of mu.  A pair declared
+    for another dimension than ``ref`` is refused."""
+    _check_dim(pair, ref.dim, "reference")
+    weights = _gibbs_weights(ref, pair.V)
     entropy = _relative_entropy(mu, ref.dim, ref._canon[2], weights)
     if not math.isfinite(entropy):
         return FunctionalValue(np.inf, {"entropy": np.inf, "interaction": None,
@@ -221,9 +224,7 @@ def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
     """
     v_vals = evaluate_V(pair.V, mu.atoms)
     K = pair_matrix(pair.W, mu.atoms, mu.atoms)
-    outer = np.outer(mu.weights, mu.weights)
-    quad_kernel = v_vals[:, None] + v_vals[None, :] + K
-    quadratic = 0.5 * _masked_quadratic(outer, quad_kernel)
+    quadratic = _half_integral(mu, v_vals[:, None] + v_vals[None, :] + K, True)
 
     confinement = confinement_energy(mu, pair.V)
     interaction = interaction_energy(mu, pair.W)

@@ -31,6 +31,17 @@ Every pairwise distance the package forms, in the metrics here, in
 ``_squared_distance``, which sums the squared differences one coordinate plane
 at a time: no (..., d) block of differences x - y is ever formed.
 
+The package's result records (``MinimizationResult``, ``ChainDiagnostics``,
+``AssumptionReport``) write their JSON through one function here,
+``_record_json``: every dataclass field under its own name, keys sorted,
+arrays and numpy scalars as lists and numbers, a :class:`DiscreteMeasure` as
+its own JSON object and a ``SeedSequence`` as the entropy, spawn key and pool
+size that rebuild it.
+
+A density reference is built by ``ReferenceMeasure.density_on_box``, which
+``lebesgue_box`` calls with its indicator log-density; it is the one place
+that checks a box, and it refuses bounds that are not finite or not ordered.
+
 Importing this module loads numpy alone.  scipy is imported by the calls that
 solve a linear program and by nothing else: ``d_bl`` (``scipy.sparse`` and
 ``scipy.optimize``) and ``wasserstein_lp`` (``scipy.sparse``), which is also
@@ -44,9 +55,10 @@ arguments by name.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -218,19 +230,35 @@ class DiscreteMeasure:
             fh.write("\n".join(lines) + "\n")
 
 
+def _record_json(record) -> str:
+    """JSON of a dataclass record: every field under its name, keys sorted.
+
+    Arrays become lists and numpy scalars numbers; a :class:`DiscreteMeasure`
+    becomes its own JSON object, and a ``SeedSequence`` the entropy, spawn
+    key and pool size that rebuild it.
+    """
+    def plain(value):
+        if isinstance(value, (np.ndarray, np.generic)):
+            return value.tolist()
+        if isinstance(value, DiscreteMeasure):
+            return json.loads(value.to_json())
+        if isinstance(value, np.random.SeedSequence):
+            return {"entropy": value.entropy, "spawn_key": list(value.spawn_key),
+                    "pool_size": value.pool_size}
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return json.dumps(fields, sort_keys=True, default=plain)
+
+
 class ParticleConfig:
     """Ordered n-tuple of points in R^d, the argument of the energy functional."""
 
     __slots__ = ("_points",)
 
     def __init__(self, points):
-        pts = _as_points(points)
-        if len(pts) < 1:
-            raise ValueError("a configuration needs at least one particle")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("all coordinates must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "_points", pts)
+        (config,) = self._from_block(_as_points(points)[None])
+        object.__setattr__(self, "_points", config._points)
 
     @classmethod
     def _from_block(cls, block: np.ndarray) -> list["ParticleConfig"]:
@@ -242,7 +270,8 @@ class ParticleConfig:
         the block over and must not write to it again.
         """
         if block.ndim != 3 or block.shape[1] < 1:
-            raise ValueError(f"need a (samples, n, d) block with n >= 1, got {block.shape}")
+            raise ValueError("a configuration needs at least one particle: need a "
+                             f"(samples, n, d) block with n >= 1, got {block.shape}")
         if not np.all(np.isfinite(block)):
             raise ValueError("all coordinates must be finite")
         block += 0.0
@@ -361,22 +390,26 @@ class ReferenceMeasure:
     def lebesgue_box(cls, bounds) -> "ReferenceMeasure":
         """Lebesgue measure restricted to the closed box given by (low, high) per axis."""
         box = np.asarray(bounds, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
-            raise ValueError("bounds must be a (d, 2) array of (low, high) pairs")
 
         def log_density(points):
             pts = np.asarray(points, dtype=float)
             inside = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=-1)
             return np.where(inside, 0.0, -np.inf)
 
-        return cls("density", log_density=log_density, box=box,
-                   description=f"lebesgue_box(d={len(box)})")
+        # a (d, 2) box has 2d entries; any other shape is refused by density_on_box
+        return cls.density_on_box(log_density, box,
+                                  description=f"lebesgue_box(d={box.size // 2})")
 
     @classmethod
     def density_on_box(cls, log_density, bounds, description="density") -> "ReferenceMeasure":
+        """A log-density against Lebesgue measure on the closed box of (low, high)
+        per axis; every bound must be finite and each low below its high."""
         box = np.asarray(bounds, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
-            raise ValueError("bounds must be a (d, 2) array of (low, high) pairs")
+        # NaN fails the comparison, so it is refused along with inf
+        if not (box.ndim == 2 and box.shape[1] == 2 and np.isfinite(box).all()
+                and (box[:, 0] < box[:, 1]).all()):
+            raise ValueError("bounds must be a (d, 2) array of finite (low, high) pairs "
+                             "with low < high")
         return cls("density", log_density=log_density, box=box, description=description)
 
     @property
@@ -487,20 +520,26 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def d_psi(mu: DiscreteMeasure, nu: DiscreteMeasure, psi: WeightFunction) -> float:
-    """Weighted metric: d_bl(mu, nu) + |psi_integral(mu) - psi_integral(nu)|."""
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch between measures")
+    """Weighted metric: d_bl(mu, nu) + |psi_integral(mu) - psi_integral(nu)|;
+    d_bl refuses measures of different dimensions."""
     return d_bl(mu, nu) + abs(psi_integral(mu, psi) - psi_integral(nu, psi))
 
 
 def _wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
-    """Exact transport cost in R^1 via the quantile (monotone) coupling."""
+    """Exact transport cost in R^1 via the quantile (monotone) coupling.
+
+    Each cumulative sum is divided by its last entry, as numpy's ``choice``
+    does, so both end at exactly 1 and the last level closes the top quantile
+    interval of both measures: the raw sums of normalized weights end a few
+    ulps off 1, each by its own rounding.
+    """
     xa = mu.atoms[:, 0]
     xb = nu.atoms[:, 0]
     ca = np.cumsum(mu.weights)
+    ca /= ca[-1]
     cb = np.cumsum(nu.weights)
+    cb /= cb[-1]
     levels = np.union1d(ca, cb)
-    levels = levels[levels <= 1.0 + 1e-15]
     # levels are distinct and positive, so every interval has positive length
     prev = np.r_[0.0, levels[:-1]]
     mids = 0.5 * (prev + levels)

@@ -8,18 +8,23 @@ raise :class:`PotentialValueError` naming the offending points.
 
 Assumption checkers are sampled, never symbolic: they evaluate a declared
 bound on a finite probe plan and report the sampled minima and any violations,
-flagged as non-exhaustive.
+flagged as non-exhaustive.  (B1) and (C1) share the sampled minimum
+(``_sampled_min``) and the violation collector (``_violations``).
+
+A :class:`PotentialPair` declares its dimension; the samplers, the exact laws,
+the variational builders and ``functionals.rate_I`` refuse a reference or a
+grid of another dimension (``_check_dim``).
 """
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ReferenceMeasure, _squared_distance
+from .measures import DiscreteMeasure, ReferenceMeasure, _record_json, _squared_distance
 
 
 class PotentialValueError(ValueError):
@@ -88,6 +93,13 @@ class PotentialPair:
 
     def __repr__(self):
         return f"PotentialPair({self.name}, d={self.dim})"
+
+
+def _check_dim(pair: PotentialPair, dim: int, what: str) -> None:
+    """Refuse a reference or grid (``what``) whose dimension is not the pair's."""
+    if pair.dim != dim:
+        raise ValueError(f"{pair!r} is declared for d = {pair.dim}, but the {what} "
+                         f"is in d = {dim}")
 
 
 # -----------------------------------------------------------------------------
@@ -169,11 +181,8 @@ class Region:
         return r < self.radius if self.open_ else r <= self.radius
 
     def strictly_outside_closure(self, points) -> np.ndarray:
-        """Membership in the interior of the complement."""
-        pts = np.asarray(points, dtype=float)
-        if self.kind == "box":
-            return np.any((pts < self.bounds[:, 0]) | (pts > self.bounds[:, 1]), axis=-1)
-        return np.linalg.norm(pts - self.center, axis=-1) > self.radius
+        """Membership in the interior of the complement: not in the closed region."""
+        return ~dataclasses.replace(self, open_=False).contains(points)
 
 
 def masked_interaction(kind: str, h, region: Region, segment_samples: int = 1000):
@@ -302,26 +311,39 @@ class AssumptionReport:
 
     def to_json(self) -> str:
         """Every field; ``AssumptionReport(**json.loads(text))`` rebuilds the report."""
-        return json.dumps(asdict(self), sort_keys=True)
+        return _record_json(self)
+
+
+def _sampled_min(vals) -> float:
+    """The least finite sampled value, +inf when none is finite."""
+    finite = vals[np.isfinite(vals)]
+    return float(finite.min()) if finite.size else np.inf
+
+
+def _violations(vals, bound, key, *points):
+    """The sampled values below ``bound``: how many, and at most
+    ``VIOLATION_EXAMPLES`` of them as {"x": .., "y": .., key: value}, with one
+    coordinate per array of ``points``.  No bound gives (0, [])."""
+    if bound is None:
+        return 0, []
+    bad = np.flatnonzero(vals < bound)
+    examples = []
+    for i in bad[:VIOLATION_EXAMPLES]:
+        example = {name: pts[i].tolist() for name, pts in zip("xy", points)}
+        example[key] = float(vals[i])
+        examples.append(example)
+    return len(bad), examples
 
 
 def check_assumption_B1(pair: PotentialPair, probe: ProbePlan) -> AssumptionReport:
     """Sampled check of the uniform lower bound on W against the declared c."""
     xs, ys, total, seed = probe.pairs()
     vals = evaluate_W(pair.W, xs, ys)
-    finite = vals[np.isfinite(vals)]
-    est = float(finite.min()) if finite.size else np.inf
-    violations = []
-    count = 0
-    c = pair.declared_lower_bound_c
-    if c is not None:
-        bad = np.flatnonzero(vals < c)
-        count = len(bad)
-        for i in bad[:VIOLATION_EXAMPLES]:
-            violations.append({"x": xs[i].tolist(), "y": ys[i].tolist(), "W": float(vals[i])})
+    count, violations = _violations(vals, pair.declared_lower_bound_c, "W", xs, ys)
     return AssumptionReport(
-        assumption="B1", minima={"W": est}, violations=violations, probe=probe.description,
-        violation_count=count, pairs_checked=len(xs), pairs_total=total, sample_seed=seed
+        assumption="B1", minima={"W": _sampled_min(vals)}, violations=violations,
+        probe=probe.description, violation_count=count, pairs_checked=len(xs),
+        pairs_total=total, sample_seed=seed
     )
 
 
@@ -334,28 +356,13 @@ def check_assumption_C1(pair: PotentialPair, eps1: float, probe: ProbePlan,
     v_vals = evaluate_V(pair.V, pts)
     xs, ys, total, seed = probe.pairs()
     coupled = evaluate_W(pair.W, xs, ys) + eps1 * (evaluate_V(pair.V, xs) + evaluate_V(pair.V, ys))
-    v_fin = v_vals[np.isfinite(v_vals)]
-    c_fin = coupled[np.isfinite(coupled)]
-    minima = {
-        "V": float(v_fin.min()) if v_fin.size else np.inf,
-        "W+eps1(V+V)": float(c_fin.min()) if c_fin.size else np.inf,
-    }
-    violations = []
-    count = 0
-    if declared_c_prime is not None:
-        bad = np.flatnonzero(v_vals < declared_c_prime)
-        count += len(bad)
-        for i in bad[:VIOLATION_EXAMPLES]:
-            violations.append({"x": pts[i].tolist(), "V": float(v_vals[i])})
-    if declared_c is not None:
-        bad = np.flatnonzero(coupled < declared_c)
-        count += len(bad)
-        for i in bad[:VIOLATION_EXAMPLES]:
-            violations.append({"x": xs[i].tolist(), "y": ys[i].tolist(),
-                               "coupled": float(coupled[i])})
+    minima = {"V": _sampled_min(v_vals), "W+eps1(V+V)": _sampled_min(coupled)}
+    count_v, violations_v = _violations(v_vals, declared_c_prime, "V", pts)
+    count_c, violations_c = _violations(coupled, declared_c, "coupled", xs, ys)
     return AssumptionReport(
-        assumption="C1", minima=minima, violations=violations, probe=probe.description,
-        violation_count=count, pairs_checked=len(xs), pairs_total=total, sample_seed=seed
+        assumption="C1", minima=minima, violations=violations_v + violations_c,
+        probe=probe.description, violation_count=count_v + count_c, pairs_checked=len(xs),
+        pairs_total=total, sample_seed=seed
     )
 
 

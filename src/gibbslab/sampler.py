@@ -21,16 +21,19 @@ Three generators:
   energy change is linear in their indicator through a strictly
   lower-triangular matrix, so the decisions are the unique fixed point of a
   threshold system, which at most n + 1 batched matrix-vector passes reach,
-  with no Python loop over sites.
+  with no Python loop over sites.  A run of ``samples`` kept states with
+  burn-in b and thinning t makes exactly b + (samples - 1) t + 1 sweeps (none
+  for samples = 0), keeping the state after sweep b + k t for k = 0, 1, ...;
+  its per-sweep diagnostics and its energy trace are filled in place.
 * ``exact_sample_finite`` -- exact draws on a finite reference.  The
   particles are exchangeable, so H_n depends only on the counts of the m
   atoms, and ``exact_count_law`` gives the exact law of those counts on the
-  C(n + m - 1, m - 1) compositions of n, under a budget on the entries of its
-  count array.  A drawn composition is expanded into atom indices and its
-  row shuffled uniformly, which gives every ordering its exact probability;
-  only the drawn rows are turned into atoms.  ``exact_gibbs_law`` keeps the
-  law of all m^n index tuples, built one slot at a time under a budget on
-  m^n, as the independent cross-check.
+  C(n + m - 1, m - 1) compositions of n, with at most ``ENUM_BUDGET`` entries
+  in its count array.  A drawn composition is expanded into atom indices and
+  its row shuffled uniformly, which gives every ordering its exact
+  probability; only the drawn rows are turned into atoms.
+  ``exact_gibbs_law`` keeps the law of all m^n index tuples, built one slot
+  at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -43,18 +46,19 @@ chain run alone, and every run is reproducible from its recorded seed.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._enum import compositions_array
-from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from .potentials import PotentialPair, evaluate_V, evaluate_W
+from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure, _record_json
+from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W
 from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
 
-ENUM_BUDGET_DEFAULT = 10**7
+# Most m^n tuples of exact_gibbs_law, and most entries of exact_count_law's
+# (compositions, m) count array.
+ENUM_BUDGET = 10**7
 INIT_RETRIES = 100
 
 
@@ -113,22 +117,7 @@ class ChainDiagnostics:
     def to_json(self) -> str:
         """Every field, arrays as lists; a SeedSequence seed is written as the
         entropy, spawn key and pool size that rebuild it."""
-        seed = self.seed
-        if isinstance(seed, np.random.SeedSequence):
-            seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key),
-                    "pool_size": seed.pool_size}
-        return json.dumps(
-            {
-                "acceptance_rate": self.acceptance_rate.tolist(),
-                "energy_trace": self.energy_trace.tolist(),
-                "ess": self.ess,
-                "seed": seed,
-                "rejected_infinite": self.rejected_infinite.tolist(),
-                "rejected_metropolis": self.rejected_metropolis.tolist(),
-                "passes": self.passes.tolist(),
-            },
-            sort_keys=True,
-        )
+        return _record_json(self)
 
     def to_csv(self, path) -> None:
         """One row per sweep: acceptance rate, the two rejection counts and
@@ -205,10 +194,13 @@ def _refuse_asymmetric(pts, Y):
             "symmetric=False")
 
 
-def _draw_starts(pair, ref, cfg, rngs, rest):
+def _draw_starts(pair, ref, cfg, rngs, rest, cdf):
     """Starting configurations of finite energy and finite reference
     log-density, one per Generator, and what the kernel keeps of them.
 
+    On a finite reference a start's n sites are drawn by inverting ``cdf``,
+    the normalized cumulative reference weights the kernel's proposals use,
+    at n uniforms; that is how numpy's ``choice`` draws with probabilities p.
     Every chain draws once; the chains whose draw has infinite energy draw
     again, each from its own Generator, up to INIT_RETRIES draws.  Returns the
     (C, n, d) state, V / n at it, its log-density (None on a finite
@@ -229,8 +221,7 @@ def _draw_starts(pair, ref, cfg, rngs, rest):
             if cfg.init is not None:
                 pts[c] = cfg.init.points
             elif ref.is_finite:
-                probs = ref.weights / ref.weights.sum()
-                pts[c] = ref.atoms[rngs[c].choice(len(ref.atoms), size=n, p=probs)]
+                pts[c] = ref.atoms[np.searchsorted(cdf, rngs[c].random(n), side="right")]
             else:
                 box = ref.box
                 pts[c] = rngs[c].uniform(box[:, 0], box[:, 1], size=(n, d))
@@ -366,30 +357,37 @@ def _run_chains(pair, ref, cfg, seeds, samples):
     (/ 2n^2 for a non-symmetric W).  Memory is O(C n^2): a few (C, n, n)
     float arrays, 80 KB each at C = 4 and n = 50, plus the C n (n - 1)
     gathered pairs of a block; a block costs one W call of those pairs, two
-    for a non-symmetric W.  Returns one (kept configurations,
-    ChainDiagnostics) pair per seed.
+    for a non-symmetric W.
+
+    The run makes burn_in + (samples - 1) * thinning + 1 sweeps, none for
+    samples = 0, and keeps the state after sweep burn_in + k * thinning,
+    k = 0 .. samples - 1 (sweeps counted from 0).  The per-sweep counts and
+    the kept states and energies go into arrays allocated before the first
+    sweep.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
+    _check_dim(pair, d, "reference")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
     rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i
     w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
-    state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, rest)
     finite_mode = ref.is_finite
+    cdf = None
     if finite_mode:
-        atoms = np.asarray(ref.atoms, dtype=float)
         cdf = np.cumsum(ref.weights)
         cdf /= cdf[-1]
-        v_atoms = evaluate_V(pair.V, atoms) / n
+        v_atoms = evaluate_V(pair.V, ref.atoms) / n
         picks = np.empty((C, n), dtype=np.intp)
     else:
         steps = np.empty((C, n, d))
+    state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, rest, cdf)
     u = np.empty((C, n))
 
+    sweeps = cfg.burn_in + (samples - 1) * cfg.thinning + 1 if samples else 0
+    acc, rej_inf, n_passes = (np.empty((sweeps, C), dtype=np.int64) for _ in range(3))
+    trace = np.empty((samples, C))
     kept = np.empty((C, samples, n, d))
-    traces, acc_counts, inf_counts, pass_counts = [], [], [], []
-    sweeps_done = 0
-    while len(traces) < samples:
+    for sweep in range(sweeps):
         for c, rng in enumerate(rngs):
             if finite_mode:
                 picks[c] = np.searchsorted(cdf, rng.random(n), side="right")
@@ -397,7 +395,7 @@ def _run_chains(pair, ref, cfg, seeds, samples):
                 steps[c] = rng.standard_normal((n, d))
             u[c] = rng.random(n)
         if finite_mode:
-            prop = atoms[picks]
+            prop = ref.atoms[picks]
             v_prop = v_atoms[picks]
         else:
             prop = state + cfg.sigma * steps
@@ -419,20 +417,14 @@ def _run_chains(pair, ref, cfg, seeds, samples):
         np.copyto(v_state, v_prop, where=accepted)
         if not finite_mode:
             np.copyto(ld_state, ld_prop, where=accepted)
-        acc_counts.append(accepted.sum(axis=1))
-        inf_counts.append(np.sum(log_ratio == -np.inf, axis=1))
-        pass_counts.append(passes)
-        sweeps_done += 1
-        past_burn = sweeps_done > cfg.burn_in
-        due = (sweeps_done - cfg.burn_in - 1) % cfg.thinning == 0
-        if past_burn and due:
-            kept[:, len(traces)] = state
-            traces.append(energy.copy())
+        acc[sweep] = accepted.sum(axis=1)
+        rej_inf[sweep] = np.sum(log_ratio == -np.inf, axis=1)
+        n_passes[sweep] = passes
+        k, off = divmod(sweep - cfg.burn_in, cfg.thinning)
+        if k >= 0 and off == 0:
+            kept[:, k] = state
+            trace[k] = energy
 
-    acc = np.array(acc_counts, dtype=np.int64).reshape(-1, C)
-    rej_inf = np.array(inf_counts, dtype=np.int64).reshape(-1, C)
-    n_passes = np.array(pass_counts, dtype=np.int64).reshape(-1, C)
-    trace = np.array(traces).reshape(-1, C)
     configs = ParticleConfig._from_block(kept.reshape(C * samples, n, d))
     return [
         (configs[c * samples:(c + 1) * samples], ChainDiagnostics(
@@ -490,9 +482,10 @@ def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
     return [s for kept, _ in results for s in kept], [diag for _, diag in results]
 
 
-def _check_exact_args(ell, beta_n):
+def _check_exact_args(pair, ell, beta_n):
     if not ell.is_finite:
         raise ValueError("exact law needs a finite reference measure")
+    _check_dim(pair, ell.dim, "reference")
     if not 0 < beta_n < math.inf:
         raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
 
@@ -508,34 +501,7 @@ def _normalize_log(log_prob) -> np.ndarray:
     return probs
 
 
-def _tuple_law(pair, ell, n, beta_n, budget) -> np.ndarray:
-    """Normalized probabilities of all m^n index tuples, in mixed-radix order.
-
-    Built one slot at a time: appending atom j as the new fastest digit of a
-    prefix adds j's site term -beta_n V_j / n + log w_j and, through ``prefix``,
-    the interaction -beta_n (W + W^T)_{aj} / (2 n^2) with every atom a already
-    in the prefix.  evaluate_V and evaluate_W refuse NaN and -inf and the
-    weights are positive and finite, so the only non-finite value is -inf.
-    """
-    _check_exact_args(ell, beta_n)
-    m = len(ell.atoms)
-    if m**n > budget:
-        raise BudgetExceededError(f"enumeration of {m}^{n} configurations exceeds budget {budget}")
-    atoms = np.asarray(ell.atoms, dtype=float)
-    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
-    log_prob = site
-    if n > 1:
-        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
-        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
-        prefix = link
-        for slot in range(1, n):
-            log_prob = (log_prob[:, None] + site[None, :] + prefix).ravel()
-            if slot < n - 1:
-                prefix = (prefix[:, None, :] + link[None, :, :]).reshape(-1, m)
-    return _normalize_log(log_prob)
-
-
-def _count_log_weights(pair, ell, n, beta_n, budget):
+def _count_log_weights(pair, ell, n, beta_n):
     """The (C, m) compositions of n and their unnormalized log weights.
 
     Composition c has log weight
@@ -546,15 +512,15 @@ def _count_log_weights(pair, ell, n, beta_n, budget):
     with the log factorials from a ``math.lgamma`` table.  A +inf in v or S
     is never multiplied by a zero count: c gets log weight -inf when an
     occupied atom has V = +inf, two occupied atoms have S = +inf, or an atom
-    with S_aa = +inf holds two or more particles.  ``budget`` bounds the
+    with S_aa = +inf holds two or more particles.  ``ENUM_BUDGET`` bounds the
     entries of the count array.
     """
-    _check_exact_args(ell, beta_n)
+    _check_exact_args(pair, ell, beta_n)
     m = len(ell.atoms)
     entries = math.comb(n + m - 1, m - 1) * m
-    if entries > budget:
+    if entries > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {budget}")
+            f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {ENUM_BUDGET}")
     atoms = np.asarray(ell.atoms, dtype=float)
     counts = compositions_array(n, m)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
@@ -579,8 +545,7 @@ def _count_log_weights(pair, ell, n, beta_n, budget):
     return counts, log_weight
 
 
-def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,
-                    budget: int = ENUM_BUDGET_DEFAULT):
+def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float):
     """Exact law of the counts of a configuration on a finite reference.
 
     The particles are exchangeable, so H_n depends only on the counts c of
@@ -589,7 +554,7 @@ def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     ``exact_gibbs_law``.  Composition c has weight multinomial(n; c) times
     prod_a w_a^{c_a} exp(-beta_n H_n(c)), with the diagonal of W counted
     c_a (c_a - 1) times and a +inf never multiplied by a zero count (see
-    ``_count_log_weights``).  ``budget`` bounds the C * m entries of the
+    ``_count_log_weights``).  ``ENUM_BUDGET`` bounds the C * m entries of the
     count array.
 
     Returns (counts, probabilities): counts is the (C, m) int64 array of
@@ -597,23 +562,21 @@ def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     BudgetExceededError over budget and SamplerError when every composition
     has infinite energy.
     """
-    counts, log_weight = _count_log_weights(pair, ell, n, beta_n, budget)
+    counts, log_weight = _count_log_weights(pair, ell, n, beta_n)
     return counts, _normalize_log(log_weight)
 
 
 def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
-                        beta_n: float, seed: int, samples: int,
-                        budget: int = ENUM_BUDGET_DEFAULT):
+                        beta_n: float, seed: int, samples: int):
     """Exact draws from the Gibbs law on a finite reference.
 
-    Draws compositions from ``exact_count_law`` (same budget, on the entries
-    of its count array), expands each into its atom indices in sorted order
+    Draws compositions from ``exact_count_law``, expands each into its atom indices in sorted order
     and shuffles every row uniformly.  This is exact: the law is invariant
     under permuting the particles, so each of the multinomial(n; c) orderings
     of c has probability p(c) / multinomial(n; c).  Only the drawn rows are
     turned into atoms.
     """
-    counts, probs = exact_count_law(pair, ell, n, beta_n, budget)
+    counts, probs = exact_count_law(pair, ell, n, beta_n)
     atoms = np.asarray(ell.atoms, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picks = rng.choice(len(probs), size=samples, p=probs)
@@ -622,8 +585,7 @@ def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
     return ParticleConfig._from_block(atoms[rng.permuted(slots, axis=1)])
 
 
-def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float,
-                    budget: int = ENUM_BUDGET_DEFAULT):
+def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float):
     """Exact configuration probabilities on a finite reference.
 
     Returns (index tuples array of shape (m^n, n), probability vector), both
@@ -631,13 +593,37 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     np.unravel_index on shape (m,) * n.  The index tuples, of dtype
     ``np.min_scalar_type(m - 1)``, are a transposed (Fortran-order) view of
     the (n, m^n) array of ``np.indices``: each slot's column is contiguous,
-    each tuple's row is strided.  The probabilities, proportional to
-    exp(-beta_n H_n) times the product of reference weights, are built one
-    slot at a time, so no per-tuple energy sum is formed.  Raises
-    BudgetExceededError when m^n exceeds ``budget``.
+    each tuple's row is strided.  Raises BudgetExceededError when m^n
+    exceeds ``ENUM_BUDGET``.
+
+    The probabilities, proportional to exp(-beta_n H_n) times the product of
+    reference weights, are built one slot at a time, so no per-tuple energy
+    sum is formed: appending atom j as the new fastest digit of a prefix adds
+    j's site term -beta_n V_j / n + log w_j and, through ``prefix``, the
+    interaction -beta_n (W + W^T)_{aj} / (2 n^2) with every atom a already
+    in the prefix.  evaluate_V and evaluate_W refuse NaN and -inf and the
+    weights are positive and finite, so the only non-finite value is -inf.
     """
-    probs = _tuple_law(pair, ell, n, beta_n, budget)
+    _check_exact_args(pair, ell, beta_n)
     m = len(ell.atoms)
+    if m**n > ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"enumeration of {m}^{n} configurations exceeds budget {ENUM_BUDGET}")
+    atoms = np.asarray(ell.atoms, dtype=float)
+    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
+    log_prob = site
+    if n > 1:
+        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
+        prefix = link
+        for slot in range(1, n):
+            log_prob = (log_prob[:, None] + site[None, :] + prefix).ravel()
+            if slot < n - 1:
+                prefix = (prefix[:, None, :] + link[None, :, :]).reshape(-1, m)
+        # the last prefix holds m^n floats: freed here, its memory can serve
+        # the index tuples below, which would otherwise fault in fresh pages
+        del prefix
+    probs = _normalize_log(log_prob)
     digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
     return digits, probs
 

@@ -56,15 +56,15 @@ The certificate, ``minimize_I`` and mirror descent use numpy only.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._enum import compositions_array
-from .measures import DiscreteMeasure, ReferenceMeasure, _as_points, _squared_distance
-from .potentials import PotentialPair, evaluate_V, evaluate_W, pair_matrix
+from .measures import (DiscreteMeasure, ReferenceMeasure, _as_points, _record_json,
+                       _squared_distance)
+from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
 DEFAULT_STARTS = 5
@@ -155,19 +155,8 @@ class MinimizationResult:
     surrogate: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "iterations": self.iterations,
-                "convergence_gap": self.convergence_gap,
-                "method": self.method,
-                "converged": self.converged,
-                "local": self.local,
-                "surrogate": self.surrogate,
-                "minimizer": json.loads(self.minimizer.to_json()),
-            },
-            sort_keys=True,
-        )
+        """Every field, the minimizer as its own JSON object."""
+        return _record_json(self)
 
 
 def _fold_tilt(tilt, k):
@@ -420,8 +409,11 @@ def build_objective_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec
 
     Feasible nodes are those with positive reference weight under exp(-V) ell;
     elsewhere the entropy term is +inf by definition.  Returns the objective
-    and the index array of feasible nodes.
+    and the index array of feasible nodes.  A pair declared for another
+    dimension than the reference or the grid is refused.
     """
+    _check_dim(pair, ref.dim, "reference")
+    _check_dim(pair, grid.dim, "grid")
     nodes = grid.nodes
     nu_full = _node_reference(ref, pair, nodes)
     feasible = np.flatnonzero(nu_full > 0.0)
@@ -436,7 +428,9 @@ def build_objective_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec
 
 
 def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
-    """Pure energy objective on the nodes where the confinement is finite."""
+    """Pure energy objective on the nodes where the confinement is finite.  A
+    pair declared for another dimension than the grid is refused."""
+    _check_dim(pair, grid.dim, "grid")
     nodes = grid.nodes
     v_vals = evaluate_V(pair.V, nodes)
     feasible = np.flatnonzero(np.isfinite(v_vals))

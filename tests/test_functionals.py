@@ -217,6 +217,13 @@ class TestRateI:
         assert out.breakdown["entropy"] == pytest.approx(0.0, abs=1e-12)
         assert out.breakdown["interaction"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_pair_of_another_dimension_refused(self):
+        # a d = 1 Coulomb pair on a 2-D reference read only the first coordinate
+        ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.5]], [1.0, 1.0])
+        pair = PotentialPair(v_zero, coulomb_kernel(1), dim=1)
+        with pytest.raises(ValueError, match="declared for d = 1, but the reference is in d = 2"):
+            rate_I(DiscreteMeasure.uniform(ell.atoms), pair, ell)
+
     def test_unnormalized_reference_warns(self):
         ell = ReferenceMeasure.finite([[0.0], [1.0]], [1.0, 1.0])
         pair = PotentialPair(v_zero, w_zero, dim=1)   # exp(-V) ell has mass 2

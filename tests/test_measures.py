@@ -194,6 +194,16 @@ class TestParticleConfigBlock:
         with pytest.raises(ValueError, match="finite"):
             ParticleConfig._from_block(np.array([[[0.0], [np.inf]]]))
 
+    def test_constructor_keeps_the_block_rules(self):
+        # the constructor is the one-row block: finite, -0.0 made +0.0, read-only
+        config = ParticleConfig([[-0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        assert not config.points.flags.writeable
+        assert not np.signbit(config.points).any()
+        with pytest.raises(ValueError, match="at least one particle"):
+            ParticleConfig([])
+        with pytest.raises(ValueError, match="finite"):
+            ParticleConfig([[0.0], [np.nan]])
+
 
 class TestEmpiricalMeasure:
     def test_duplicate_points_merge(self):
@@ -403,10 +413,9 @@ class TestWasserstein:
     def test_quantile_matches_level_loop(self):
         def level_loop(mu, nu, p):
             ca, cb = np.cumsum(mu.weights), np.cumsum(nu.weights)
+            ca, cb = ca / ca[-1], cb / cb[-1]
             prev, terms = 0.0, []
             for lv in np.union1d(ca, cb):
-                if lv > 1.0 + 1e-15:
-                    break
                 mid = 0.5 * (prev + lv)
                 qa = mu.atoms[min(np.searchsorted(ca, mid), mu.support_size - 1), 0]
                 qb = nu.atoms[min(np.searchsorted(cb, mid), nu.support_size - 1), 0]
@@ -422,6 +431,36 @@ class TestWasserstein:
                 # vectorised and scalar powers may round one ulp apart per term
                 assert wasserstein_p(mu, nu, p) == pytest.approx(
                     level_loop(mu, nu, p), rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_translation_keeps_the_top_quantile_interval(self):
+        # The normalized weights' cumulative sum ends above 1 + 1e-15 here; a
+        # filter of levels above that lost the top interval, half the mass,
+        # and W_1 = W_2 read 0.5000000000000012.
+        w = np.random.default_rng(519).random(1000)
+        w[-1] = w[:-1].sum()
+        x = np.arange(1000.0)[:, None]
+        mu = DiscreteMeasure(x, w / w.sum())
+        nu = DiscreteMeasure(x + 1.0, mu.weights)
+        for p in (1, 2):
+            assert wasserstein_p(mu, nu, p) == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3000), equal=st.booleans(),
+           shift=st.floats(0.25, 4.0), sign=st.sampled_from([-1.0, 1.0]),
+           p=st.sampled_from([1, 1.5, 2]))
+    def test_translation_costs_shift_power(self, seed, k, equal, shift, sign, p):
+        # W_p(mu, mu + s) = |s|^p: the translation is the monotone coupling.
+        # Equal weights (an empirical measure) or seeded ones with the last
+        # weight above the sum of the others; both shapes have cumulative sums
+        # that can end ulps above 1.
+        w = np.ones(k)
+        if not equal:
+            w = np.random.default_rng(seed).random(k)
+            w[-1] += w[:-1].sum()
+        x = np.arange(float(k))[:, None]
+        mu = DiscreteMeasure(x, w / math.fsum(w))
+        nu = DiscreteMeasure(x + sign * shift, mu.weights)
+        assert wasserstein_p(mu, nu, p) == pytest.approx(shift**p, rel=1e-9)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_p_rejected(self, p):
@@ -558,9 +597,21 @@ class TestReferenceMeasure:
 
     def test_lebesgue_box(self):
         ell = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)])
-        assert not ell.is_finite
+        assert not ell.is_finite and repr(ell) == "ReferenceMeasure(lebesgue_box(d=1))"
         vals = ell.log_density(np.array([[0.0], [2.0]]))
         assert vals[0] == 0.0 and vals[1] == -np.inf
+
+    @pytest.mark.parametrize("bounds", [[[-np.inf, np.inf]], [[np.nan, 1.0]], [[0.0, np.inf]],
+                                        [[0.0, 1.0], [np.nan, np.nan]], [[1.0, 1.0]],
+                                        [[2.0, 1.0]], [0.0, 1.0], [[0.0, 1.0, 2.0]]])
+    def test_box_bounds_refused(self, bounds):
+        # non-finite bounds were accepted: mh_sample then failed in numpy's
+        # uniform and normalize_pair at a NaN quadrature point
+        match = r"^bounds must be a \(d, 2\) array of finite \(low, high\) pairs with low < high$"
+        with pytest.raises(ValueError, match=match):
+            ReferenceMeasure.lebesgue_box(bounds)
+        with pytest.raises(ValueError, match=match):
+            ReferenceMeasure.density_on_box(lambda pts: np.zeros(len(pts)), bounds)
 
 
 def _random_weights(rng, k):

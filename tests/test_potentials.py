@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ class TestMaskedInteractions:
         with pytest.raises(ValueError):
             masked_interaction("w4", self.h, self.box)
 
+    @pytest.mark.parametrize("region", [Region.box([(-1.0, 1.0), (0.0, 2.0)]),
+                                        Region.ball([0.5, -0.5], 1.0)])
+    @pytest.mark.parametrize("open_", [True, False])
+    def test_outside_closure_is_the_closed_complement(self, region, open_):
+        # a boundary point is not in the interior of the complement
+        region = replace(region, open_=open_)
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)),
+                         [[1.0, 0.5], [-1.0, 2.0], [0.5, 0.0], [0.5, 0.5], [1.5, -0.5]]])
+        if region.kind == "box":
+            lo, hi = region.bounds[:, 0], region.bounds[:, 1]
+            expected = np.any((pts < lo) | (pts > hi), axis=-1)
+        else:
+            expected = np.linalg.norm(pts - region.center, axis=-1) > region.radius
+        np.testing.assert_array_equal(region.strictly_outside_closure(pts), expected)
+        boundary = pts[-5:-2] if region.kind == "box" else pts[-2:]
+        assert not region.strictly_outside_closure(boundary).any()
+
 
 class TestAssumptionChecks:
     def test_b1_coulomb_d3_nonnegative(self):
@@ -285,6 +304,21 @@ class TestAssumptionChecks:
         assert reports[1].minima == {"W": np.inf}
         for report in reports:
             assert AssumptionReport(**json.loads(report.to_json())) == report
+            assert set(json.loads(report.to_json())) == {f.name for f in fields(AssumptionReport)}
+
+    def test_violations_counted_and_capped_per_bound(self):
+        # C1 keeps at most VIOLATION_EXAMPLES examples per declared bound, V's first
+        pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)
+        probe = ProbePlan.grid([(-3, 3)], per_axis=61)
+        report = check_assumption_C1(pair, 0.5, probe, declared_c=0.0, declared_c_prime=5.0)
+        v = power_confinement(2)(probe.points())
+        xs, ys, _, _ = probe.pairs()
+        coupled = -np.abs(xs - ys)[:, 0] + 0.5 * (v[:, None] + v[None, :]).ravel()
+        assert report.violation_count == np.sum(v < 5.0) + np.sum(coupled < 0.0)
+        assert len(report.violations) == 2 * VIOLATION_EXAMPLES
+        assert set(report.violations[0]) == {"x", "V"}
+        assert set(report.violations[-1]) == {"x", "y", "coupled"}
+        assert report.minima == {"V": 0.0, "W+eps1(V+V)": float(coupled.min())}
 
     def test_eps1_range_validated(self):
         pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1)

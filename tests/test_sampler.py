@@ -1,12 +1,13 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import v_quadratic, v_zero, w_sqdist, w_zero
+from gibbslab import sampler
 from gibbslab.functionals import hamiltonian, rate_I, rate_J
 from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from gibbslab.potentials import PotentialPair, coulomb_kernel
@@ -16,6 +17,7 @@ from gibbslab.sampler import (
     SamplerConfig,
     SamplerError,
     _count_log_weights,
+    _draw_starts,
     _settle_sweep,
     effective_sample_size,
     exact_count_law,
@@ -146,6 +148,17 @@ class TestMHGaussianTarget:
         with pytest.raises(ValueError, match="thinning"):
             SamplerConfig(n=1, beta_n=1.0, thinning=0)
 
+    @pytest.mark.parametrize("case", ["density", "finite"])
+    def test_pair_of_another_dimension_refused(self, case):
+        # a d = 1 Coulomb pair on a 2-D reference read only the first coordinate
+        _, ref, cfg = reference_case(case)
+        pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+        match = "declared for d = 1, but the reference is in d = 2"
+        with pytest.raises(ValueError, match=match):
+            mh_sample(pair, ref, cfg, samples=2)
+        with pytest.raises(ValueError, match=match):
+            mh_sample_chains(pair, ref, cfg, samples=2, chains=2)
+
     def test_an_asymmetric_W_declared_symmetric_is_refused(self):
         # declared symmetric, the kernel keeps only W(x_i, x_j) of each pair: with
         # this configuration, 500 kept samples and no check, the running energy
@@ -218,25 +231,43 @@ class TestExactFinite:
         assert digits.flags.f_contiguous and digits.shape == (m**n, n)
         np.testing.assert_allclose(probs, np.full(m**n, 1.0 / m**n), rtol=1e-12)
 
-    def test_budget_guard(self):
-        # the tuple law's budget is on m^n = 10^9
+    def test_budget_guard(self, monkeypatch):
+        # the tuple law's budget is on m^n: 10^9 is over ENUM_BUDGET
         atoms = np.array([[float(i)] for i in range(10)])
         ell = ReferenceMeasure.finite(atoms)
         pair = PotentialPair(v_zero, w_zero, dim=1)
-        with pytest.raises(BudgetExceededError):
-            exact_gibbs_law(pair, ell, n=9, beta_n=1.0, budget=10**6)
+        with pytest.raises(BudgetExceededError, match="10\\^9 configurations exceeds budget"):
+            exact_gibbs_law(pair, ell, n=9, beta_n=1.0)
+        monkeypatch.setattr(sampler, "ENUM_BUDGET", 1000)
+        assert len(exact_gibbs_law(pair, ell, n=3, beta_n=1.0)[1]) == 1000
+        with pytest.raises(BudgetExceededError, match="exceeds budget 1000"):
+            exact_gibbs_law(pair, ell, n=4, beta_n=1.0)
 
-    def test_count_budget_guard(self):
+    def test_count_budget_guard(self, monkeypatch):
         # n = 9 on 10 atoms: C(18, 9) = 48620 compositions, 486200 count entries
         atoms = np.array([[float(i)] for i in range(10)])
         ell = ReferenceMeasure.finite(atoms)
         pair = PotentialPair(v_zero, w_zero, dim=1)
-        counts, _ = exact_count_law(pair, ell, n=9, beta_n=1.0, budget=486200)
+        monkeypatch.setattr(sampler, "ENUM_BUDGET", 486200)
+        counts, _ = exact_count_law(pair, ell, n=9, beta_n=1.0)
         assert counts.shape == (48620, 10)
+        monkeypatch.setattr(sampler, "ENUM_BUDGET", 486199)
         with pytest.raises(BudgetExceededError):
-            exact_count_law(pair, ell, n=9, beta_n=1.0, budget=486199)
+            exact_count_law(pair, ell, n=9, beta_n=1.0)
         with pytest.raises(BudgetExceededError):
-            exact_sample_finite(pair, ell, n=9, beta_n=1.0, seed=0, samples=1, budget=486199)
+            exact_sample_finite(pair, ell, n=9, beta_n=1.0, seed=0, samples=1)
+
+    def test_pair_of_another_dimension_refused(self):
+        # a d = 1 Coulomb pair read only the first coordinate of 2-D atoms
+        ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+        pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+        match = "declared for d = 1, but the reference is in d = 2"
+        with pytest.raises(ValueError, match=match):
+            exact_gibbs_law(pair, ell, n=2, beta_n=2.0)
+        with pytest.raises(ValueError, match=match):
+            exact_count_law(pair, ell, n=2, beta_n=2.0)
+        with pytest.raises(ValueError, match=match):
+            exact_sample_finite(pair, ell, n=2, beta_n=2.0, seed=0, samples=1)
 
     def test_all_infinite_rejected(self):
         atoms = np.array([[0.0]])
@@ -409,7 +440,7 @@ class TestLDPOnExactLaws:
         sups = []
         for n in sizes:
             beta = float(n if regime == "I" else n * n)
-            counts, log_weight = _count_log_weights(pair, ell, n, beta, 10**7)
+            counts, log_weight = _count_log_weights(pair, ell, n, beta)
             mu = counts / n
             with np.errstate(divide="ignore", invalid="ignore"):
                 entropy = np.where(counts > 0, mu * np.log(mu / nu), 0.0).sum(axis=1)
@@ -734,6 +765,60 @@ class TestWCallsPerSweep:
         assert counter.calls <= per_sym * (1 + 2 * sweeps)
 
 
+class TestSweepCount:
+    """A run makes burn_in + (samples - 1) * thinning + 1 sweeps and keeps the
+    state after sweeps burn_in, burn_in + thinning, ..."""
+
+    @pytest.mark.parametrize("burn_in, thinning, samples", [(0, 1, 1), (3, 2, 5), (10, 3, 4)])
+    @pytest.mark.parametrize("case", ["density", "finite"])
+    def test_diagnostics_per_sweep_and_kept_states(self, case, burn_in, thinning, samples):
+        pair, ref, cfg = reference_case(case)
+        kept, diag = mh_sample(pair, ref, replace(cfg, burn_in=burn_in, thinning=thinning),
+                               samples)
+        sweeps = burn_in + (samples - 1) * thinning + 1
+        for name in ("acceptance_rate", "rejected_infinite", "rejected_metropolis", "passes"):
+            assert getattr(diag, name).shape == (sweeps,)
+        assert len(kept) == len(diag.energy_trace) == samples
+        # the same stream, every sweep kept
+        every, every_diag = mh_sample(pair, ref, cfg, sweeps)
+        picks = list(range(burn_in, sweeps, thinning))
+        assert np.array([k.points for k in kept]).tobytes() == \
+            np.array([every[i].points for i in picks]).tobytes()
+        np.testing.assert_array_equal(diag.energy_trace, every_diag.energy_trace[picks])
+        np.testing.assert_array_equal(diag.passes, every_diag.passes)
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_zero_samples_runs_no_sweep(self, chains):
+        pair, ref, cfg = reference_case("density")
+        counter = CountingW(pair.W, refuse_identical=True)
+        counted = PotentialPair(pair.V, counter, dim=2, symmetric=True)
+        kept, diags = mh_sample_chains(counted, ref, replace(cfg, burn_in=10), samples=0,
+                                       chains=chains)
+        # one call, for the starts' interaction matrices; a sweep makes two
+        assert kept == [] and counter.calls == 1
+        for diag in diags:
+            for name in ("acceptance_rate", "energy_trace", "rejected_infinite",
+                         "rejected_metropolis", "passes"):
+                assert getattr(diag, name).shape == (0,)
+            assert diag.ess == 0.0
+
+    def test_finite_start_is_numpys_choice(self):
+        # the start inverts the kernel's cdf at n uniforms, as Generator.choice
+        # does with probabilities p, so the draws are choice's
+        ref = ReferenceMeasure.finite(np.arange(7.0)[:, None], [0.3, 2.0, 1.0, 0.1, 1.7, 0.9, 3.0])
+        pair = PotentialPair(v_zero, w_zero, dim=1, symmetric=True)
+        n = 40
+        cfg = SamplerConfig(n=n, beta_n=1.0)
+        rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+        cdf = np.cumsum(ref.weights)
+        cdf /= cdf[-1]
+        probs = ref.weights / ref.weights.sum()
+        for seed in range(200):
+            pts = _draw_starts(pair, ref, cfg, [np.random.default_rng(seed)], rest, cdf)[0]
+            picks = np.random.default_rng(seed).choice(7, size=n, p=probs)
+            np.testing.assert_array_equal(pts[0, :, 0], ref.atoms[picks, 0])
+
+
 class TestDiagnosticsCSV:
     def test_round_trip(self, tmp_path):
         pair = PotentialPair(v_hard_wall, coulomb_kernel(2), dim=2, symmetric=True)
@@ -756,6 +841,13 @@ class TestDiagnosticsCSV:
 class TestDiagnosticsJSON:
     ARRAYS = ("acceptance_rate", "energy_trace", "rejected_infinite", "rejected_metropolis",
               "passes")
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_keys_are_the_fields(self, chains):
+        pair, ref, cfg = reference_case("finite")
+        _, diags = mh_sample_chains(pair, ref, cfg, samples=3, chains=chains)
+        for diag in diags:
+            assert set(json.loads(diag.to_json())) == {f.name for f in fields(ChainDiagnostics)}
 
     @pytest.mark.parametrize("chains", [1, 3])
     def test_round_trip_rebuilds_every_field_and_the_chain(self, chains):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -111,7 +112,26 @@ def test_active_set_exact_on_the_121_node_grid():
     assert result.value <= J_121_VALUE + 1e-12
     record = json.loads(result.to_json())
     assert record["converged"] is True
-    assert "seeds" not in record
+    assert set(record) == {f.name for f in fields(variational.MinimizationResult)}
+    assert record["minimizer"] == json.loads(result.minimizer.to_json())
+
+
+def test_pair_of_another_dimension_refused():
+    # a d = 1 Coulomb pair on a 2-D grid read only the first coordinate and
+    # minimize_J returned -0.0625
+    pair = coulomb_pair(1)
+    grid = GridSpec.regular(SQUARE, 1.0)
+    with pytest.raises(ValueError, match="declared for d = 1, but the grid is in d = 2"):
+        build_objective_J(pair, grid)
+    with pytest.raises(ValueError, match="declared for d = 1, but the grid is in d = 2"):
+        minimize_J(pair, grid)
+    with pytest.raises(ValueError, match="declared for d = 1, but the reference is in d = 2"):
+        minimize_I(pair, box(2), grid)
+    # the reference and the grid are each checked against the pair
+    with pytest.raises(ValueError, match="declared for d = 2, but the reference is in d = 1"):
+        build_objective_I(coulomb_pair(2), box(1), grid)
+    with pytest.raises(ValueError, match="declared for d = 2, but the grid is in d = 1"):
+        build_objective_I(coulomb_pair(2), box(2), GridSpec.regular([(-1.0, 1.0)], 0.5))
 
 
 def test_min_spacing_only_for_a_singular_diagonal(monkeypatch):
