@@ -69,8 +69,10 @@ def hamiltonian(config: ParticleConfig, pair: PotentialPair) -> float:
     """n-particle energy: mean confinement plus off-diagonal pair interaction.
 
     (1/n) sum_i V(x_i) + (1/(2 n^2)) sum_{i != j} W(x_i, x_j); the value is
-    +inf as soon as any contributing term is +inf.
+    +inf as soon as any contributing term is +inf.  A pair declared for
+    another dimension than the configuration is refused.
     """
+    _check_dim(pair, config.dim, "configuration")
     pts = config.points
     n = config.n
     v_vals = evaluate_V(pair.V, pts)
@@ -220,8 +222,10 @@ def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
     """Fast-speed rate functional: half double integral of V(x) + V(y) + W(x, y).
 
     Evaluated both as the quadratic form and as confinement + interaction;
-    the two paths are cross-checked to 1e-12 when finite.
+    the two paths are cross-checked to 1e-12 when finite.  A pair declared for
+    another dimension than ``mu`` is refused.
     """
+    _check_dim(pair, mu.dim, "measure")
     v_vals = evaluate_V(pair.V, mu.atoms)
     K = pair_matrix(pair.W, mu.atoms, mu.atoms)
     quadratic = _half_integral(mu, v_vals[:, None] + v_vals[None, :] + K, True)
@@ -245,7 +249,9 @@ def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
 
 def rate_J_n_offdiag(mu: DiscreteMeasure, pair: PotentialPair, n: int,
                      beta_n: float) -> FunctionalValue:
-    """Finite-n off-diagonal energy: (1 - n/beta_n) * confinement + offdiag interaction."""
+    """Finite-n off-diagonal energy: (1 - n/beta_n) * confinement + offdiag
+    interaction.  A pair declared for another dimension than ``mu`` is refused."""
+    _check_dim(pair, mu.dim, "measure")
     if not 0 < beta_n < math.inf:
         raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
     coeff = 1.0 - n / beta_n
@@ -268,11 +274,13 @@ def coupled_energy(zeta: DiscreteMeasure, pair: PotentialPair) -> dict:
     """Energies of a coupling zeta on R^{2d}.
 
     frakW is half the integral of W(x, y) against zeta; frakJ adds the two
-    confinement marginals inside the same half-integral.
+    confinement marginals inside the same half-integral.  A pair declared
+    for another dimension than the marginals is refused.
     """
     if zeta.dim % 2 != 0:
         raise ValueError("coupling must live on R^{2d}")
     d = zeta.dim // 2
+    _check_dim(pair, d, "coupling's marginal")
     xs = zeta.atoms[:, :d]
     ys = zeta.atoms[:, d:]
     w_vals = evaluate_W(pair.W, xs, ys)

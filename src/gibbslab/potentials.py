@@ -12,8 +12,9 @@ flagged as non-exhaustive.  (B1) and (C1) share the sampled minimum
 (``_sampled_min``) and the violation collector (``_violations``).
 
 A :class:`PotentialPair` declares its dimension; the samplers, the exact laws,
-the variational builders and ``functionals.rate_I`` refuse a reference or a
-grid of another dimension (``_check_dim``).
+the variational builders, the rate functionals, ``functionals.hamiltonian``
+and ``coupled_energy``, and the (B1) and (C1) checks refuse a reference, grid,
+measure, configuration or probe of another dimension (``_check_dim``).
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ class PotentialPair:
 
 
 def _check_dim(pair: PotentialPair, dim: int, what: str) -> None:
-    """Refuse a reference or grid (``what``) whose dimension is not the pair's."""
+    """Refuse an input (``what``: a reference, grid, measure, configuration
+    or probe) whose dimension is not the pair's."""
     if pair.dim != dim:
         raise ValueError(f"{pair!r} is declared for d = {pair.dim}, but the {what} "
                          f"is in d = {dim}")
@@ -336,7 +338,9 @@ def _violations(vals, bound, key, *points):
 
 
 def check_assumption_B1(pair: PotentialPair, probe: ProbePlan) -> AssumptionReport:
-    """Sampled check of the uniform lower bound on W against the declared c."""
+    """Sampled check of the uniform lower bound on W against the declared c.
+    A pair declared for another dimension than the probe is refused."""
+    _check_dim(pair, probe.points().shape[1], "probe")
     xs, ys, total, seed = probe.pairs()
     vals = evaluate_W(pair.W, xs, ys)
     count, violations = _violations(vals, pair.declared_lower_bound_c, "W", xs, ys)
@@ -349,10 +353,12 @@ def check_assumption_B1(pair: PotentialPair, probe: ProbePlan) -> AssumptionRepo
 
 def check_assumption_C1(pair: PotentialPair, eps1: float, probe: ProbePlan,
                         declared_c=None, declared_c_prime=None) -> AssumptionReport:
-    """Sampled minima of V and of the coupled bound W + eps1 (V(x) + V(y))."""
+    """Sampled minima of V and of the coupled bound W + eps1 (V(x) + V(y)).
+    A pair declared for another dimension than the probe is refused."""
     if not (0.0 < eps1 < 1.0):
         raise ValueError("eps1 must lie in (0, 1)")
     pts = probe.points()
+    _check_dim(pair, pts.shape[1], "probe")
     v_vals = evaluate_V(pair.V, pts)
     xs, ys, total, seed = probe.pairs()
     coupled = evaluate_W(pair.W, xs, ys) + eps1 * (evaluate_V(pair.V, xs) + evaluate_V(pair.V, ys))

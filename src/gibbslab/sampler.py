@@ -363,10 +363,15 @@ def _run_chains(pair, ref, cfg, seeds, samples):
     samples = 0, and keeps the state after sweep burn_in + k * thinning,
     k = 0 .. samples - 1 (sweeps counted from 0).  The per-sweep counts and
     the kept states and energies go into arrays allocated before the first
-    sweep.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
+    sweep.  A pair declared for another dimension than ``ref``, and a
+    ``cfg.init`` whose points are not n points in ref's dimension, are
+    refused.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
     _check_dim(pair, d, "reference")
+    if cfg.init is not None and cfg.init.points.shape != (n, d):
+        raise ValueError(f"init holds {cfg.init.n} points in d = {cfg.init.dim}, but the "
+                         f"chains need n = {n} points in d = {d}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
     rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i

@@ -26,14 +26,24 @@ start suffices and the answer is global (``local=None``).  Otherwise the
 driver runs ``DEFAULT_STARTS`` fixed starts, keeps the lowest value and
 reports ``local=True``.
 
-* ``minimize_J`` -- pure energy.  Without a non-linear tilt, an exact primal
-  active-set QP (``_active_set_qp``) solves the KKT system on the current
-  support, from the best vertex and, on uncertified kernels, also from the
-  vertices of least gradient at the uniform point.  It ends at the optimum
-  of a convex problem, and at a KKT point of any other, up to rounding.  A
-  non-linear tilt runs entropic mirror descent from the uniform weights and
-  from the midpoints between them and those vertices, and its minimizer
-  drops the tiny weights of KKT-inactive nodes.
+* ``minimize_J`` -- pure energy.  Without a non-linear tilt J is a QP on
+  the simplex, and both of its solvers solve the KKT system on a support by
+  the Newton step of ``_support_step``.  On a certified kernel, block
+  principal pivoting (``_block_pivoting_qp``) swaps every infeasible node
+  in or out of the support at once, one at a time after ``BACKUP_SWAPS``
+  swaps without progress (the backup rule), from a sublevel set of the
+  gradient taken in two rounds (one leaves too many nodes, three too few).
+  It ends at the optimum up to rounding, in 0 to 8 pivots on Coulomb grids
+  of up to 1681 nodes, where the primal active-set QP (``_active_set_qp``)
+  adds or drops one node per step and took 40 to 638.  A support whose
+  tangent Hessian is singular hands the problem to that active-set QP from
+  the best vertex.  On an uncertified kernel, where pivoting can cycle, the
+  active-set QP runs from the best vertex and the vertices of least
+  gradient at the uniform point, and ends at a KKT point up to rounding.
+  ``iterations`` counts pivots or active-set steps.  A non-linear tilt runs
+  entropic mirror descent from the uniform weights and from the midpoints
+  between them and those vertices, and its minimizer drops the tiny weights
+  of KKT-inactive nodes.
 * ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
   monotone line-search safeguard, from the uniform weights and, on
   uncertified kernels or under a non-linear tilt, also from the reference
@@ -50,7 +60,7 @@ off-diagonal-corrected objective plus a self-energy surrogate
 surrogate so downstream comparisons use the same convention.
 
 Importing this module loads numpy alone.  The one call that needs scipy is
-``_support_step``, the step of ``minimize_J``'s active-set QP: it
+``_support_step``, the step of ``minimize_J``'s two QPs: it
 imports ``scipy.linalg`` for ``cho_factor`` and ``cho_solve`` when it runs.
 The certificate, ``minimize_I`` and mirror descent use numpy only.
 """
@@ -82,8 +92,12 @@ GRID_PAIR_BUDGET = 2**27
 # Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
 # four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
 SCAN_ROW_BUDGET = 2_000_000
-# Relative size of the Frank-Wolfe gap the active-set QP treats as rounding.
+# Relative size of the Frank-Wolfe gap, and of the gradient differences, the
+# QPs treat as rounding.
 QP_ROUNDING = 1e-13
+# Full swaps block pivoting makes without a fall in the count of infeasible
+# nodes before it swaps one node at a time (Kim and Park 2011 use 3).
+BACKUP_SWAPS = 3
 # Weights below this, at nodes whose gradient is above the least one by more
 # than tol, are dropped from a mirror-descent minimizer of J.
 SUPPORT_DROP_TOL = 1e-9
@@ -353,7 +367,7 @@ def _active_set_qp(K, v, start, max_iter):
     minimum.  ``max_iter`` bounds its add and drop steps.  Returns
     (w, iterations, gap).
     """
-    floor = QP_ROUNDING * max(1.0, float(np.abs(K).max()), float(np.abs(v).max()))
+    floor = _qp_floor(K, v)
     w = np.zeros(len(v))
     support = [start]
     w[start] = 1.0
@@ -383,6 +397,84 @@ def _active_set_qp(K, v, start, max_iter):
         w /= w.sum()
         support = [i for i in support if w[i] > 0]
         stationary = blocking is None or len(support) == 1
+
+
+def _qp_floor(K, v):
+    """The gradient differences the QPs treat as rounding: ``QP_ROUNDING``
+    times the largest entry of |K| and |v|, and at least ``QP_ROUNDING``."""
+    return QP_ROUNDING * max(1.0, float(K.max()), float(-K.min()), float(v.max()),
+                             float(-v.min()))
+
+
+def _sublevel_start(K, v):
+    """The passive set block pivoting starts from, as a boolean mask.
+
+    From P = all nodes, twice: the gradient g = K[:, P].mean(1) + v at the
+    uniform measure on P, and P = {g <= mean of g over P}, the sublevel set
+    of that gradient.  The set is never empty, since some node of P lies at
+    or below P's mean.  One round leaves P larger than the support, and in
+    d = 1 a pivot then drops only the two end nodes (68 pivots on 301 nodes,
+    against 1 from two rounds); a third round cuts into the support (79
+    pivots on 601 nodes, against 0).
+    """
+    passive = np.ones(len(v), dtype=bool)
+    for _ in range(2):
+        g = K[:, passive].mean(1) + v
+        passive = g <= g[passive].mean()
+    return passive
+
+
+def _block_pivoting_qp(K, v, passive, max_iter):
+    """Block principal pivoting (Judice and Pires 1994; Kim and Park 2011)
+    for (1/2) w^T K w + v . w on the simplex, from the boolean mask
+    ``passive``, for K positive definite on the tangent space of every
+    passive set it meets.
+
+    On the passive set S the weights are e_last + p, p the Newton step of
+    ``_support_step`` from the vertex of S's last node, and lambda is the
+    common gradient on S; outside S they are 0.  The infeasible nodes are
+    those of S with a negative weight and those outside S whose gradient lies
+    below lambda by more than ``_qp_floor``.  While their count falls, all of
+    them swap sides; after ``BACKUP_SWAPS`` full swaps without a fall, only
+    the last infeasible node does (Murty's rule), until the count falls
+    below its least value again.  No infeasible node left is the optimum.
+    ``max_iter`` bounds the pivots; a run stopped there returns its weights
+    clipped at zero and renormalized, with the gap they have.  Returns
+    (w, pivots, gap), or None when a passive set's tangent Hessian is not
+    positive definite.
+    """
+    floor = _qp_floor(K, v)
+    passive = passive.copy()
+    least, backup = len(v) + 1, BACKUP_SWAPS
+    pivots = 0
+    while True:
+        S = np.flatnonzero(passive)
+        w_S = np.zeros(len(S))
+        if len(S) > 1:
+            w_S, newton = _support_step(K[np.ix_(S, S)], K[S, S[-1]] + v[S])
+            if not newton:
+                return None
+        w_S[-1] += 1.0
+        g = K[:, S] @ w_S + v
+        infeasible = np.zeros(len(v), dtype=bool)
+        infeasible[S] = w_S < 0
+        infeasible |= ~passive & (g < g[S].mean() - floor)
+        count = int(infeasible.sum())
+        if count == 0 or pivots >= max_iter:
+            break
+        pivots += 1
+        if count < least:
+            least, backup = count, BACKUP_SWAPS
+        elif backup > 0:
+            backup -= 1
+        else:
+            infeasible[:np.flatnonzero(infeasible)[-1]] = False
+        passive ^= infeasible
+    w = np.zeros(len(v))
+    w[S] = np.maximum(w_S, 0.0)
+    w /= w.sum()
+    g = K[:, S] @ w[S] + v
+    return w, pivots, float(w @ g - g.min())
 
 
 def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
@@ -450,9 +542,9 @@ def _tangent_psd_certified(K) -> bool:
     H = _tangent_hessian(K)
     if len(H) == 0:
         return True
-    scale = max(1.0, float(np.abs(H).max()))
+    H.flat[::len(H) + 1] += 1e-10 * max(1.0, float(H.max()), float(-H.min()))
     try:
-        np.linalg.cholesky(H + 1e-10 * scale * np.eye(len(H)))
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -495,24 +587,48 @@ def _solve(obj, feasible, grid, tol, max_iter):
     non-linear tilt, which leaves the problem non-quadratic) makes the problem
     convex: one start, and the answer is global (``local=None``).  Otherwise
     ``DEFAULT_STARTS`` starts run and the lowest value is kept, with
-    ``local=True``.  A quadratic J runs the active-set QP from the vertices of
-    ``_vertex_starts``.  I and a non-linearly tilted J run mirror descent from
-    the uniform weights, then nu (I only), then the midpoints between the
-    uniform weights and the vertices of ``_vertex_starts``; for I, -log nu is
-    added to v, so that the vertices are ranked by I's own vertex values and
-    gradient at the uniform weights.  Mirror descent's own values are
-    compared, and iterations are summed over the starts.
+    ``local=True``.
+
+    A quadratic J on a certified kernel runs block pivoting
+    (``_block_pivoting_qp``) from ``_sublevel_start``: two rounds of keeping
+    the nodes whose gradient at the uniform measure on the current set lies
+    at or below its mean there.  One round leaves a set larger than the
+    support, which in d = 1 loses only its two end nodes per pivot, and a
+    third cuts into the support; after two, the Coulomb grids of up to 1681
+    nodes need 0 to 8 pivots.  While the count of infeasible nodes falls,
+    all of them swap; after ``BACKUP_SWAPS`` full swaps without a fall, one
+    node at a time does (Murty's rule, the backup), which ends the cycles
+    full swaps alone can enter.  A passive set whose tangent Hessian is not
+    positive definite (a PSD kernel singular there, such as a rank-one one)
+    hands the problem to the active-set QP from the best vertex.  An
+    uncertified quadratic J runs the active-set QP from the vertices of
+    ``_vertex_starts``, since pivoting can cycle there.  ``iterations``
+    counts pivots on the pivoting path, and add and drop steps summed over
+    the starts on the active-set path; a fallback counts only its active-set
+    steps.  ``max_iter`` bounds each run's pivots or steps.
+
+    I and a non-linearly tilted J run mirror descent from the uniform
+    weights, then nu (I only), then the midpoints between the uniform weights
+    and the vertices of ``_vertex_starts``; for I, -log nu is added to v, so
+    that the vertices are ranked by I's own vertex values and gradient at the
+    uniform weights.  Mirror descent's own values are compared, and
+    ``iterations`` sums its iterations over the starts.
     """
     certified = obj.tilt is None and _tangent_psd_certified(obj.K)
     count = 1 if certified else DEFAULT_STARTS
     k = obj.k
     v = np.zeros(k) if obj.v is None else obj.v
     if obj.nu is None and obj.tilt is None:
-        method = "active_set_qp"
-        runs = []
-        for start in _vertex_starts(obj.K, v, count):
-            w, it, gap = _active_set_qp(obj.K, v, start, max_iter)
-            runs.append((w, obj.value(w), it, gap))
+        pivoted = (_block_pivoting_qp(obj.K, v, _sublevel_start(obj.K, v), max_iter)
+                   if certified else None)
+        if pivoted is not None:
+            method, w = "block_pivoting_qp", pivoted[0]
+            runs = [(w, obj.value(w), *pivoted[1:])]
+        else:
+            method, runs = "active_set_qp", []
+            for start in _vertex_starts(obj.K, v, count):
+                w, it, gap = _active_set_qp(obj.K, v, start, max_iter)
+                runs.append((w, obj.value(w), it, gap))
     else:
         method = "mirror_descent"
         inits = [np.full(k, 1.0 / k)]
@@ -556,13 +672,20 @@ def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
     With no tilt or a linear one (folded into V), J is a quadratic on the
-    simplex, and the exact active-set QP solves it (``method="active_set_qp"``;
-    ``max_iter`` bounds its add and drop steps).  When the kernel passes the
-    tangent-space certificate the QP is convex: one run from the best vertex
-    ends at the global minimum (``local=None``).  Otherwise the QP runs from
-    ``DEFAULT_STARTS`` vertices, the best one and those of least gradient at
-    the uniform weights, and keeps the lowest value, a KKT point reported with
-    ``local=True``.  A non-linear tilt runs entropic mirror descent from the
+    simplex and an exact QP solves it.  When the kernel passes the
+    tangent-space certificate the QP is convex and block pivoting solves it
+    (``method="block_pivoting_qp"``; ``iterations`` counts pivots, which
+    ``max_iter`` bounds) to the global minimum (``local=None``).  It starts
+    from a sublevel set of the gradient, taken in two rounds, and swaps one
+    node at a time after ``BACKUP_SWAPS`` swaps that leave as many infeasible
+    nodes.  Where a support's tangent Hessian is singular it falls back to
+    the active-set QP from the best vertex (``method="active_set_qp"``;
+    ``iterations`` counts its add and drop steps, which ``max_iter``
+    bounds), still global.  On an uncertified kernel the active-set QP runs
+    from ``DEFAULT_STARTS`` vertices, the best one and those of least
+    gradient at the uniform weights, and keeps the lowest value, a KKT point
+    reported with ``local=True``; ``iterations`` sums the steps over the
+    starts.  A non-linear tilt runs entropic mirror descent from the
     uniform weights and the midpoints between them and the same vertices
     (``local=True``); nodes left with a weight below ``SUPPORT_DROP_TOL`` and
     a gradient above the least one by more than ``tol`` are then dropped,

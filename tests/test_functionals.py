@@ -471,6 +471,23 @@ class TestCoupledEnergy:
             coupled_energy(DiscreteMeasure.dirac([0.0]), pair)
 
 
+# a d = 1 Coulomb pair on 2-D inputs read only the first coordinate: rate_J
+# gave 0.444 on the first measure and hamiltonian 0.5 on the configuration
+@pytest.mark.parametrize("evaluate, what", [
+    (lambda pair: rate_J(DiscreteMeasure.uniform([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), pair),
+     "measure"),
+    (lambda pair: rate_J_n_offdiag(DiscreteMeasure.uniform([[0.0, 0.0], [0.0, 1.0]]), pair,
+                                   2, 4.0), "measure"),
+    (lambda pair: hamiltonian(ParticleConfig([[0.0, 0.0], [0.0, 1.0]]), pair), "configuration"),
+    (lambda pair: coupled_energy(DiscreteMeasure.dirac([0.0, 0.0, 0.0, 1.0]), pair),
+     "coupling's marginal"),
+], ids=["rate_J", "rate_J_n_offdiag", "hamiltonian", "coupled_energy"])
+def test_pair_of_another_dimension_refused(evaluate, what):
+    pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
+    with pytest.raises(ValueError, match=f"declared for d = 1, but the {what} is in d = 2"):
+        evaluate(pair)
+
+
 class TestStarGap:
     def test_single_value(self):
         assert star_gap([FunctionalValue(3.0)], at=0) == 0.0

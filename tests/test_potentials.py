@@ -207,6 +207,17 @@ class TestMaskedInteractions:
 
 
 class TestAssumptionChecks:
+    def test_pair_of_another_dimension_refused(self):
+        # a d = 1 Coulomb pair on a 2-D probe read only the first coordinate,
+        # and B1 reported min W = -2
+        pair = PotentialPair(power_confinement(2), coulomb_kernel(1), dim=1, symmetric=True)
+        probe = ProbePlan.grid([(-1, 1)] * 2, per_axis=3)
+        match = "declared for d = 1, but the probe is in d = 2"
+        with pytest.raises(ValueError, match=match):
+            check_assumption_B1(pair, probe)
+        with pytest.raises(ValueError, match=match):
+            check_assumption_C1(pair, 0.5, probe)
+
     def test_b1_coulomb_d3_nonnegative(self):
         pair = PotentialPair(power_confinement(2), coulomb_kernel(3), dim=3,
                              symmetric=True, declared_lower_bound_c=0.0)

@@ -133,6 +133,22 @@ class TestMHGaussianTarget:
         with pytest.raises(SamplerError):
             mh_sample(pair, ref, cfg, samples=1)
 
+    @pytest.mark.parametrize("points", [[[0.0], [0.5], [-0.5]], [[0.0, 0.0], [0.5, 0.5]]],
+                             ids=["d1_on_2d", "wrong_n"])
+    def test_init_of_another_shape_refused(self, points):
+        # a 1-D init on [-1, 1]^2 ran with every start point (x, x) on the
+        # diagonal; a wrong n failed in numpy's broadcast
+        pair = PotentialPair(v_quadratic, w_zero, dim=2, symmetric=True)
+        ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0)] * 2)
+        init = ParticleConfig(points)
+        cfg = SamplerConfig(n=3, beta_n=1.0, seed=0, init=init)
+        match = (rf"init holds {init.n} points in d = {init.dim}, but the chains need "
+                 r"n = 3 points in d = 2")
+        with pytest.raises(ValueError, match=match):
+            mh_sample(pair, ref, cfg, samples=1)
+        with pytest.raises(ValueError, match=match):
+            mh_sample_chains(pair, ref, cfg, samples=1, chains=2)
+
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             SamplerConfig(n=1, beta_n=1.0, sigma=0.0)

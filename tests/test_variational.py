@@ -24,7 +24,9 @@ from gibbslab.variational import (
     _drop_inactive,
     _Objective,
     _active_set_qp,
+    _block_pivoting_qp,
     _mirror_descent,
+    _sublevel_start,
     _tangent_psd_certified,
     _vertex_starts,
     build_objective_I,
@@ -81,7 +83,8 @@ def test_active_set_within_the_lattice_bracket(nodes):
     obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(nodes))
     oracle, lattice_error = lattice_bracket(obj)
     slack = 1e-9 * max(1.0, abs(oracle))
-    assert result.method == "active_set_qp"
+    certified = _tangent_psd_certified(obj.K)
+    assert result.method == ("block_pivoting_qp" if certified else "active_set_qp")
     assert result.converged
     assert oracle - lattice_error - slack <= result.value <= oracle + slack
 
@@ -103,9 +106,9 @@ def test_active_set_on_a_rank_one_kernel(sign, draw):
     assert oracle - lattice_error - 1e-9 <= obj.value(w) <= oracle + 1e-9
 
 
-def test_active_set_exact_on_the_121_node_grid():
+def test_block_pivoting_exact_on_the_121_node_grid():
     result = minimize_J(coulomb_pair(2), GridSpec.regular(SQUARE, 0.2))
-    assert result.method == "active_set_qp"
+    assert result.method == "block_pivoting_qp"
     assert result.convergence_gap <= 1e-12
     assert result.converged
     assert result.local is None
@@ -114,6 +117,111 @@ def test_active_set_exact_on_the_121_node_grid():
     assert record["converged"] is True
     assert set(record) == {f.name for f in fields(variational.MinimizationResult)}
     assert record["minimizer"] == json.loads(result.minimizer.to_json())
+
+
+def active_set_value(obj):
+    """The value and weights of the active-set QP from the best vertex, the
+    reference block pivoting is held to on certified kernels."""
+    w, _, gap = _active_set_qp(obj.K, obj.v, _vertex_starts(obj.K, obj.v, 1)[0], 50000)
+    assert gap <= 1e-12
+    return obj.value(w), w
+
+
+@pytest.mark.parametrize("pair, grid, pivots", [
+    (coulomb_pair(1), GridSpec.regular([(-1.5, 1.5)], 0.01), 1),
+    (coulomb_pair(2), GridSpec.regular(SQUARE, 0.2), 0),
+    (coulomb_pair(2), GridSpec.regular(SQUARE, 0.1), 4),
+], ids=["d1_301", "d2_121", "d2_441"])
+def test_block_pivoting_equals_the_active_set_on_grids(pair, grid, pivots):
+    result = minimize_J(pair, grid)
+    obj, _ = build_objective_J(pair, grid)
+    value, w = active_set_value(obj)
+    assert result.method == "block_pivoting_qp"
+    assert result.iterations == pivots
+    assert result.local is None
+    assert result.converged and result.convergence_gap <= 1e-12
+    assert result.value == pytest.approx(value, rel=1e-12)
+    np.testing.assert_array_equal(result.minimizer.atoms, obj.nodes[w > 0])
+    np.testing.assert_allclose(result.minimizer.weights, w[w > 0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k),
+    st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+    st.lists(st.booleans(), min_size=k, max_size=k).filter(any))))
+def test_block_pivoting_equals_the_active_set(draw):
+    # K = A A^T + I is positive definite, so every passive set has a Newton
+    # step; from any start the pivots end at the active set's optimum
+    a, v, start = draw
+    k = len(v)
+    A = np.reshape(a, (k, k)).astype(float)
+    obj = _Objective(np.arange(k, dtype=float)[:, None], A @ A.T + np.eye(k),
+                     v=np.array(v, dtype=float))
+    w, pivots, gap = _block_pivoting_qp(obj.K, obj.v, np.array(start), 100)
+    value, _ = active_set_value(obj)
+    assert pivots < 100
+    assert gap <= 1e-12 * max(1.0, np.abs(obj.K).max())
+    assert obj.value(w) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_backup_rule_ends_a_cycle_of_full_swaps(monkeypatch):
+    # full swaps from node 3 alone revisit their passive sets without end;
+    # swapping one node at a time after BACKUP_SWAPS swaps ends at the optimum
+    K = np.array([[30.0, 13.0, 1.0, 16.0, -20.0],
+                  [13.0, 24.0, 14.0, -3.0, -20.0],
+                  [1.0, 14.0, 14.0, -8.0, -5.0],
+                  [16.0, -3.0, -8.0, 17.0, -5.0],
+                  [-20.0, -20.0, -5.0, -5.0, 31.0]])
+    v = np.array([-1.0, 0.0, 6.0, -6.0, -1.0])
+    obj = _Objective(np.arange(5, dtype=float)[:, None], K, v=v)
+    start = np.arange(5) == 3
+    assert _tangent_psd_certified(K)
+    value, optimum = active_set_value(obj)
+    w, pivots, gap = _block_pivoting_qp(K, v, start, 100)
+    assert pivots == 13 and gap <= 1e-13
+    assert obj.value(w) == pytest.approx(value, rel=1e-15)
+    np.testing.assert_allclose(w, optimum, rtol=0, atol=1e-15)
+    monkeypatch.setattr(variational, "BACKUP_SWAPS", 1000)
+    w, pivots, gap = _block_pivoting_qp(K, v, start, 100)
+    assert pivots == 100 and gap > 1.0
+
+
+def test_a_rank_one_kernel_falls_back_to_the_active_set():
+    # W(x, y) = xy is positive semidefinite but has rank one, so the tangent
+    # Hessian of the five-node start set is singular; J = (1/2) m^2 + m in
+    # the mean m, least at m = -1
+    pair = PotentialPair(lambda x: x[..., 0], lambda x, y: x[..., 0] * y[..., 0], dim=1,
+                         symmetric=True)
+    grid = GridSpec.from_points(np.arange(-2.0, 3.0)[:, None])
+    obj, _ = build_objective_J(pair, grid)
+    assert _tangent_psd_certified(obj.K)
+    assert _sublevel_start(obj.K, obj.v).all()
+    assert _block_pivoting_qp(obj.K, obj.v, _sublevel_start(obj.K, obj.v), 100) is None
+    result = minimize_J(pair, grid)
+    assert result.method == "active_set_qp"
+    assert result.local is None
+    assert result.converged
+    assert result.value == pytest.approx(-0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.01])
+def test_J_of_the_1d_coulomb_gas_against_its_equilibrium_measure(h):
+    # with V = x^2 and W = -|x - y| the minimizer of J is uniform on
+    # [-1/2, 1/2], J* = -1/12; the grid minimum lies h^2 / 12 above it, at
+    # W_1 = h / 4 from it
+    result = minimize_J(coulomb_pair(1), GridSpec.regular([(-1.5, 1.5)], h))
+    assert result.method == "block_pivoting_qp" and result.converged
+    assert result.value + 1.0 / 12.0 == pytest.approx(h * h / 12.0, rel=1e-9)
+    # quantile coupling: atom x holds the quantiles t in [lo, hi] of the
+    # cumulative weights, and the uniform law's quantile is t - 1/2, so W_1
+    # sums the integrals of |x + 1/2 - t| over [lo, hi]
+    order = np.argsort(result.minimizer.atoms[:, 0])
+    a = result.minimizer.atoms[order, 0] + 0.5
+    hi = np.cumsum(result.minimizer.weights[order])
+    lo = hi - result.minimizer.weights[order]
+    w1 = np.sum((a - lo) * np.abs(a - lo) - (a - hi) * np.abs(a - hi)) / 2
+    assert w1 == pytest.approx(h / 4, rel=1e-9)
 
 
 def test_pair_of_another_dimension_refused():
@@ -189,7 +297,7 @@ def test_linear_tilt_equals_shifted_confinement():
 
     tilted = minimize_J(coulomb_pair(2), grid, tilt=g)
     shifted = minimize_J(PotentialPair(V, coulomb_kernel(2), dim=2, symmetric=True), grid)
-    assert tilted.method == shifted.method == "active_set_qp"
+    assert tilted.method == shifted.method == "block_pivoting_qp"
     assert tilted.value == pytest.approx(shifted.value, abs=1e-12)
     np.testing.assert_array_equal(tilted.minimizer.atoms, shifted.minimizer.atoms)
     np.testing.assert_allclose(tilted.minimizer.weights, shifted.minimizer.weights,
@@ -329,12 +437,14 @@ def test_single_start_I_matches_best_of_five():
     assert result.value == pytest.approx(best, abs=1e-10)
 
 
+# block pivoting solves the 121-node grid from its start, in 0 pivots, and
+# the 441-node grid in 4
 @pytest.mark.parametrize("solve", [
-    lambda grid, n: minimize_J(coulomb_pair(2), grid, max_iter=n),
-    lambda grid, n: minimize_I(coulomb_pair(2), box(2), grid, max_iter=n),
+    lambda n: minimize_J(coulomb_pair(2), GridSpec.regular(SQUARE, 0.1), max_iter=n),
+    lambda n: minimize_I(coulomb_pair(2), box(2), GridSpec.regular(SQUARE, 0.2), max_iter=n),
 ], ids=["J", "I"])
 def test_a_solve_stopped_by_max_iter_is_not_converged(solve):
-    result = solve(GridSpec.regular(SQUARE, 0.2), 2)
+    result = solve(2)
     assert result.iterations == 2
     assert result.convergence_gap > DEFAULT_TOL
     assert not result.converged
