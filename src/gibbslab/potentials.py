@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,13 +88,25 @@ class PotentialPair:
     def __init__(self, V, W, dim, symmetric=False, declared_lower_bound_c=None, name=""):
         self.V = V
         self.W = W
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
         self.symmetric = bool(symmetric)
         self.declared_lower_bound_c = declared_lower_bound_c
         self.name = name or "custom"
 
     def __repr__(self):
         return f"PotentialPair({self.name}, d={self.dim})"
+
+
+def _dimension(d) -> int:
+    """d as an int, refused unless it is an integer >= 1: ``int`` would read
+    2.7 as 2, and a kernel power of a non-integer d is no Coulomb kernel."""
+    try:
+        dim = operator.index(d)
+    except TypeError:
+        dim = 0
+    if dim < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
+    return dim
 
 
 def _check_dim(pair: PotentialPair, dim: int, what: str) -> None:
@@ -117,9 +130,7 @@ def coulomb_kernel(d: int):
     one coordinate plane at a time: no (..., d) difference block is formed
     and no square root is taken.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-
+    d = _dimension(d)
     if d == 1:
         def W(x, y):
             return -np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])

@@ -124,8 +124,11 @@ class GridSpec:
     @classmethod
     def regular(cls, bounds, h):
         b = np.asarray(bounds, dtype=float)
-        if h <= 0:
-            raise ValueError("grid step h must be positive")
+        # NaN fails the comparison, so it is refused along with 0 and inf
+        if not 0 < h < math.inf:
+            raise ValueError(f"grid step h must be positive and finite, got {h!r}")
+        if not np.isfinite(b).all():
+            raise ValueError("grid bounds must be finite")
         axes = [np.arange(lo, hi + h / 2, h) for lo, hi in b]
         if any(len(a) < 2 for a in axes):
             raise ValueError("each axis needs at least two nodes")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from gibbslab import measures
 from gibbslab.measures import (
@@ -14,7 +14,9 @@ from gibbslab.measures import (
     ParticleConfig,
     ReferenceMeasure,
     WeightFunction,
+    _gaussian_images,
     _merge_atoms,
+    _transport_candidates,
     _union_support,
     d_bl,
     d_psi,
@@ -506,6 +508,126 @@ class TestWasserstein:
             wasserstein_p(DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([0.0, 1.0]), 2)
 
 
+def assignment_cost(x, y, p):
+    """Independent oracle (Birkhoff): W_p^p of the uniform measures on the
+    rows of x and y, repeats included, by an optimal assignment between the
+    rows replicated to lcm(len(x), len(y)) each."""
+    size = math.lcm(len(x), len(y))
+    x, y = np.repeat(x, size // len(x), axis=0), np.repeat(y, size // len(y), axis=0)
+    cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1) ** p
+    rows, cols = linear_sum_assignment(cost)
+    return math.fsum(cost[rows, cols]) / size
+
+
+def all_cells_lp(mu, nu, p):
+    """Independent oracle: the transport LP on every plan cell, dense."""
+    ka, kb = mu.support_size, nu.support_size
+    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=-1) ** p
+    a_eq = np.vstack([np.kron(np.eye(ka), np.ones(kb)), np.kron(np.ones(ka), np.eye(kb))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs",
+                  options={"presolve": False, "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
+
+
+def lexsorted(points):
+    """The rows in the order a DiscreteMeasure keeps its atoms."""
+    return points[np.lexsort(points.T[::-1])]
+
+
+class TestPricedTransportLP:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), p=st.sampled_from([1, 2]),
+           na=st.integers(1, 30), nb=st.integers(1, 30), equal=st.booleans(),
+           shape=st.sampled_from(["normal", "lattice", "clusters"]))
+    def test_equals_the_assignment_oracle(self, seed, d, p, na, nb, equal, shape):
+        # Equal sizes, or unequal ones against the assignment on replicated
+        # atoms.  Lattice points repeat and tie, so measures merge atoms and
+        # the LPs are degenerate; two clusters at -6 and +6 on the first axis
+        # are where pricing rounds are most often needed.
+        rng = np.random.default_rng(seed)
+        if equal:
+            nb = na
+        if shape == "lattice":
+            x, y = (rng.integers(-2, 3, size=(k, d)).astype(float) for k in (na, nb))
+        else:
+            x, y = rng.normal(size=(na, d)), rng.normal(size=(nb, d))
+        y *= rng.uniform(0.5, 3.0, size=d)
+        if shape == "clusters":
+            y[:, 0] += np.where(np.arange(nb) < nb // 2, -6.0, 6.0)
+        got = wasserstein_lp(DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y), p)
+        assert got == pytest.approx(assignment_cost(x, y, p), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (3, 1.5), (3, 2)])
+    def test_weighted_measures_equal_the_all_cells_lp(self, seed, d, p):
+        rng = np.random.default_rng(seed)
+        ka, kb = rng.integers(20, 50, size=2)
+        mu = DiscreteMeasure(rng.normal(size=(ka, d)), _random_weights(rng, ka))
+        nu = DiscreteMeasure(rng.normal(0.5, 1.5, size=(kb, d)), _random_weights(rng, kb))
+        assert wasserstein_lp(mu, nu, p) == pytest.approx(all_cells_lp(mu, nu, p), rel=1e-12)
+
+    @staticmethod
+    def two_clusters(rng):
+        x = rng.normal(size=(70, 2))
+        y = rng.normal(size=(70, 2))
+        y[:35, 0] -= 6.0
+        y[35:, 0] += 6.0
+        return x, y
+
+    @staticmethod
+    def scaled(rng):
+        return rng.normal(size=(70, 2)), rng.normal(size=(70, 2)) * [4.0, 0.25]
+
+    @pytest.mark.parametrize("clouds", ["two_clusters", "scaled"])
+    def test_clouds_that_need_pricing_rounds(self, clouds, monkeypatch):
+        x, y = (lexsorted(z) for z in getattr(self, clouds)(np.random.default_rng(0)))
+        mu, nu = DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y)
+        # the first cell set misses the optimal assignment, so some cell
+        # outside it prices out at any optimal duals of the first solve
+        rows, cols = linear_sum_assignment(np.linalg.norm(x[:, None] - y[None], axis=-1) ** 2)
+        assert not _transport_candidates(mu, nu)[rows, cols].all()
+        cells = []
+        real_linprog = measures.linprog
+
+        def spy(*args, **kwargs):
+            cells.append(len(inspect.signature(real_linprog).bind(*args, **kwargs).arguments["c"]))
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "linprog", spy)
+        got = wasserstein_lp(mu, nu, 2)
+        assert len(cells) >= 2
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+        assert cells[-1] < 70 * 70
+        assert got == pytest.approx(assignment_cost(x, y, 2), rel=1e-12)
+
+    def test_a_single_atom_on_one_side(self):
+        rng = np.random.default_rng(7)
+        point = np.array([0.3, -0.2])
+        nu = DiscreteMeasure(rng.normal(size=(30, 2)), _random_weights(rng, 30))
+        exact = math.fsum(nu.weights * np.sum((nu.atoms - point) ** 2, axis=1))
+        mu = DiscreteMeasure.dirac(point)
+        assert wasserstein_lp(mu, nu, 2) == pytest.approx(exact, rel=1e-12)
+        assert wasserstein_lp(nu, mu, 2) == pytest.approx(exact, rel=1e-12)
+        # one atom has zero covariance: its image is the mean shift
+        assert np.array_equal(_gaussian_images(mu, nu), [nu.weights @ nu.atoms])
+
+    def test_collinear_atoms(self):
+        # atoms on a line have a singular covariance: mu's images are the mean
+        # shift, and nu's map onto the line is singular
+        rng = np.random.default_rng(8)
+        t = rng.normal(size=(30, 1))
+        x = t * [1.0, 2.0] + [0.5, 0.0]
+        y = rng.normal(size=(30, 2))
+        mu, nu = DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y)
+        shift = nu.weights @ nu.atoms - mu.weights @ mu.atoms
+        assert np.allclose(_gaussian_images(mu, nu), mu.atoms + shift, rtol=0, atol=1e-12)
+        for p in (1, 2):
+            assert wasserstein_lp(mu, nu, p) == pytest.approx(assignment_cost(x, y, p), rel=1e-12)
+            assert wasserstein_lp(nu, mu, p) == pytest.approx(assignment_cost(x, y, p), rel=1e-12)
+
+
 class TestPsiIntegrals:
     def test_dirac_at_origin(self):
         assert psi_integral(DiscreteMeasure.dirac([0.0]), WeightFunction.norm_power(2)) == 0.0
@@ -524,6 +646,13 @@ class TestPsiIntegrals:
         assert tail_psi_mass(mu, psi, 10.0) == 0.0
         assert tail_psi_mass(mu, psi, 1.0) == pytest.approx(1.5)
         assert tail_psi_mass(mu, psi, 0.0) == pytest.approx(psi_integral(mu, psi))
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_tail_radius_not_non_negative_refused(self, r):
+        # r = nan passed the old check r < 0 and the mass read 0.0
+        mu = DiscreteMeasure.uniform([[0.0], [3.0]])
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            tail_psi_mass(mu, WeightFunction.norm_power(1), r)
 
 
 class TestMetricAxioms:

@@ -55,6 +55,28 @@ class TestCoulomb:
             K = pair_matrix(W, X, X)
             assert np.array_equal(K, K.T)
 
+    @pytest.mark.parametrize("d", [1.5, 2.0, 0, -1, "2", None])
+    def test_dimension_not_an_integer_of_at_least_one_refused(self, d):
+        # coulomb_kernel(1.5) returned the kernel |z|^0.25
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            coulomb_kernel(d)
+
+    def test_numpy_integer_dimension_accepted(self):
+        W = coulomb_kernel(np.int64(3))
+        assert W(np.zeros(3), np.array([2.0, 0.0, 0.0])) == pytest.approx(0.5)
+
+
+class TestPotentialPair:
+    @pytest.mark.parametrize("dim", [2.7, 2.0, 0, -1, "1", None])
+    def test_dimension_not_an_integer_of_at_least_one_refused(self, dim):
+        # dim=2.7 read 2 and dim=-1 was accepted
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            PotentialPair(power_confinement(2), coulomb_kernel(1), dim=dim)
+
+    def test_numpy_integer_dimension_read_as_int(self):
+        pair = PotentialPair(power_confinement(2), coulomb_kernel(2), dim=np.int64(2))
+        assert pair.dim == 2 and type(pair.dim) is int
+
 
 def einsum_coulomb(d):
     """Reference Coulomb kernel: forms the (..., d) difference block z = x - y

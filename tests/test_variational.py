@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -264,6 +266,25 @@ def test_grid_pair_budget(monkeypatch):
         GridSpec.from_points(np.vstack([FOUR_NODES, [[0.0, 0.0]]]))
     with pytest.raises(ValueError, match="9 nodes in d = 2"):
         GridSpec.regular(SQUARE, 1.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_regular_grid_step_not_positive_and_finite_refused(h):
+    # nan and inf failed inside numpy ("arange: cannot compute length"), inf
+    # after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid step h must be positive and finite"):
+            GridSpec.regular(SQUARE, h)
+
+
+@pytest.mark.parametrize("bounds", [[(-1.0, math.inf)], [(-math.inf, 1.0)], [(math.nan, 1.0)],
+                                    [(-1.0, 1.0), (0.0, math.inf)]])
+def test_regular_grid_bounds_not_finite_refused(bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            GridSpec.regular(bounds, 0.5)
 
 
 @pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.2)])
