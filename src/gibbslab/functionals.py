@@ -6,12 +6,15 @@ the diagonal, their truncations, relative entropy, the two rate functionals
 speeds), the finite-n off-diagonal energy functional, the coupled-measure
 energies, and the star-gap (subtraction of the infimum).
 
-All double sums run over the full support in compensated summation
-(``math.fsum``); the interaction energies, their truncations and J share one
-weighted half double integral, ``_half_integral``, taken with or without the
-diagonal.  A +inf term short-circuits the value to +inf, and the
-breakdown records which component diverged; NaN from inf - inf is a hard
-error raised by the potential evaluation layer.
+Every extended-real sum here, H_n, the confinement, the interaction
+energies, their truncations, J and the coupled energies, goes through one
+weighted sum, ``_masked_quadratic``, in compensated summation
+(``math.fsum``): a +inf term with positive weight makes the value +inf, and
+the breakdown records which component diverged; NaN from inf - inf is a hard
+error raised by the potential evaluation layer.  The double sums are
+``_half_integral`` of a kernel matrix.  The sums over i != j, H_n and the
+off-diagonal interaction energy, take W from
+``potentials.offdiag_pair_matrix``, which never evaluates it at x = y.
 """
 from __future__ import annotations
 
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, pair_matrix
+from .potentials import (PotentialPair, _check_dim, evaluate_V, evaluate_W, offdiag_pair_matrix,
+                         pair_matrix)
 
 NORMALIZATION_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-12
@@ -49,7 +53,9 @@ class FunctionalValue:
 
 
 def _masked_quadratic(weights_outer: np.ndarray, values: np.ndarray) -> float:
-    """Sum of w_ij * v_ij treating zero-weight entries as exact zeros.
+    """Sum of w * v over two arrays of one shape (weights against values, or
+    an outer product of weights against a matrix), treating zero-weight
+    entries as exact zeros.
 
     A +inf value with positive weight makes the sum +inf; zero-weight
     entries never contribute, even against infinite values.  When every
@@ -69,43 +75,32 @@ def hamiltonian(config: ParticleConfig, pair: PotentialPair) -> float:
     """n-particle energy: mean confinement plus off-diagonal pair interaction.
 
     (1/n) sum_i V(x_i) + (1/(2 n^2)) sum_{i != j} W(x_i, x_j); the value is
-    +inf as soon as any contributing term is +inf.  A pair declared for
-    another dimension than the configuration is refused.
+    +inf as soon as any contributing term is +inf.  W is never evaluated at
+    a site paired with itself.  A pair declared for another dimension than
+    the configuration is refused.
     """
     _check_dim(pair, config.dim, "configuration")
-    pts = config.points
-    n = config.n
+    pts, n = config.points, config.n
     v_vals = evaluate_V(pair.V, pts)
-    if np.any(v_vals == np.inf):
-        return np.inf
-    total_v = math.fsum(v_vals) / n
-    if n == 1:
-        return total_v
-    K = pair_matrix(pair.W, pts, pts)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(K[off] == np.inf):
-        return np.inf
-    total_w = math.fsum(K[off]) / (2.0 * n * n)
-    return total_v + total_w
+    K = offdiag_pair_matrix(pair.W, pts, pts)
+    return (_masked_quadratic(np.ones(n), v_vals) / n
+            + _masked_quadratic(np.ones_like(K), K) / (2.0 * n * n))
 
 
-def _half_integral(mu: DiscreteMeasure, K, diagonal: bool) -> float:
-    """(1/2) sum_ij w_i w_j K_ij over the atoms of mu, the terms i = j
-    included or not."""
-    outer = np.outer(mu.weights, mu.weights)
-    if not diagonal:
-        np.fill_diagonal(outer, 0.0)
-    return 0.5 * _masked_quadratic(outer, K)
+def _half_integral(mu: DiscreteMeasure, K) -> float:
+    """(1/2) sum_ij w_i w_j K_ij over the atoms of mu."""
+    return 0.5 * _masked_quadratic(np.outer(mu.weights, mu.weights), K)
 
 
 def interaction_energy(mu: DiscreteMeasure, W) -> float:
     """Full interaction energy: half the double integral of W, diagonal included."""
-    return _half_integral(mu, pair_matrix(W, mu.atoms, mu.atoms), True)
+    return _half_integral(mu, pair_matrix(W, mu.atoms, mu.atoms))
 
 
 def interaction_energy_offdiag(mu: DiscreteMeasure, W) -> float:
-    """Interaction energy with the diagonal removed (W taken as 0 at x = y)."""
-    return _half_integral(mu, pair_matrix(W, mu.atoms, mu.atoms), False)
+    """Interaction energy with the diagonal removed (W taken as 0 at x = y,
+    where it is never evaluated)."""
+    return _half_integral(mu, offdiag_pair_matrix(W, mu.atoms, mu.atoms))
 
 
 def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
@@ -116,7 +111,9 @@ def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
     if not math.isfinite(M):
         raise ValueError("truncation level M must be finite")
     K = np.minimum(pair_matrix(W, mu.atoms, mu.atoms), M)
-    return {"full": _half_integral(mu, K, True), "offdiag": _half_integral(mu, K, False)}
+    full = _half_integral(mu, K)
+    np.fill_diagonal(K, 0.0)
+    return {"full": full, "offdiag": _half_integral(mu, K)}
 
 
 def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -143,11 +140,7 @@ def _relative_entropy(mu: DiscreteMeasure, dim, index, weights) -> float:
 
 def confinement_energy(mu: DiscreteMeasure, V) -> float:
     """Mean confinement: integral of V against mu."""
-    vals = evaluate_V(V, mu.atoms)
-    mask = mu.weights > 0
-    if np.any(mask & (vals == np.inf)):
-        return np.inf
-    return math.fsum(mu.weights[mask] * vals[mask])
+    return _masked_quadratic(mu.weights, evaluate_V(V, mu.atoms))
 
 
 def _gibbs_weights(ref: ReferenceMeasure, V):
@@ -221,17 +214,18 @@ def rate_I(mu: DiscreteMeasure, pair: PotentialPair, ref: ReferenceMeasure) -> F
 def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
     """Fast-speed rate functional: half double integral of V(x) + V(y) + W(x, y).
 
-    Evaluated both as the quadratic form and as confinement + interaction;
-    the two paths are cross-checked to 1e-12 when finite.  A pair declared for
-    another dimension than ``mu`` is refused.
+    V and W are evaluated once; the value is summed both as the quadratic
+    form and as confinement + interaction, and the two summation orders are
+    cross-checked to 1e-12 when finite.  A pair declared for another
+    dimension than ``mu`` is refused.
     """
     _check_dim(pair, mu.dim, "measure")
     v_vals = evaluate_V(pair.V, mu.atoms)
     K = pair_matrix(pair.W, mu.atoms, mu.atoms)
-    quadratic = _half_integral(mu, v_vals[:, None] + v_vals[None, :] + K, True)
+    quadratic = _half_integral(mu, v_vals[:, None] + v_vals[None, :] + K)
 
-    confinement = confinement_energy(mu, pair.V)
-    interaction = interaction_energy(mu, pair.W)
+    confinement = _masked_quadratic(mu.weights, v_vals)
+    interaction = _half_integral(mu, K)
     split = confinement + interaction
 
     if math.isfinite(quadratic) and math.isfinite(split):

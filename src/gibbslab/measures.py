@@ -49,9 +49,12 @@ arrays and numpy scalars as lists and numbers, a :class:`DiscreteMeasure` as
 its own JSON object and a ``SeedSequence`` as the entropy, spawn key and pool
 size that rebuild it.
 
-A density reference is built by ``ReferenceMeasure.density_on_box``, which
-``lebesgue_box`` calls with its indicator log-density; it is the one place
-that checks a box, and it refuses bounds that are not finite or not ordered.
+Inputs are checked by two functions here.  ``_as_points`` reads every point
+array the package takes (atoms, grid nodes, particles) and refuses
+coordinates that are not finite.  ``_as_box`` reads every box: a density
+reference's (``ReferenceMeasure.density_on_box``, which ``lebesgue_box``
+calls), a regular grid's and a probe's; it refuses bounds that are not
+finite or not ordered.  ``_grid_points`` builds every product grid.
 
 Importing this module loads numpy alone.  scipy is imported by the calls that
 solve a linear program and by nothing else: ``d_bl`` (``scipy.sparse`` and
@@ -82,7 +85,8 @@ TRANSPORT_NEIGHBOURS = 12
 
 
 def _as_points(points, dim: int | None = None) -> np.ndarray:
-    """Coerce input to a (k, d) float array; 1-d input is read as k points in R^1."""
+    """Coerce input to a (k, d) float array of finite coordinates; 1-d input
+    is read as k points in R^1."""
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -90,8 +94,29 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"points must be a (k, d) array, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"dimension mismatch: expected d={dim}, got d={arr.shape[1]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("point coordinates must be finite")
     # normalize -0.0 to +0.0 so duplicate detection is stable
     return arr + 0.0
+
+
+def _as_box(bounds) -> np.ndarray:
+    """Coerce bounds to a (d, 2) float array of (low, high) per axis, every
+    bound finite and each low below its high."""
+    box = np.asarray(bounds, dtype=float)
+    # NaN fails the comparison, so it is refused along with inf
+    if not (box.ndim == 2 and box.shape[1] == 2 and np.isfinite(box).all()
+            and (box[:, 0] < box[:, 1]).all()):
+        raise ValueError("bounds must be a (d, 2) array of finite (low, high) pairs "
+                         "with low < high")
+    return box
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The product grid of the 1-d arrays ``axes``, one point per row, the
+    last axis varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _squared_distance(x, y) -> np.ndarray:
@@ -150,8 +175,6 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have the same length")
         if len(atoms) == 0:
             raise ValueError("a probability measure needs at least one atom")
-        if not np.isfinite(atoms).all():
-            raise ValueError("atom coordinates must be finite")
         # NaN fails both comparisons
         if not (weights.min() >= 0.0 and weights.max() < np.inf):
             raise ValueError("weights must be non-negative and finite")
@@ -402,28 +425,21 @@ class ReferenceMeasure:
     @classmethod
     def lebesgue_box(cls, bounds) -> "ReferenceMeasure":
         """Lebesgue measure restricted to the closed box given by (low, high) per axis."""
-        box = np.asarray(bounds, dtype=float)
+        box = _as_box(bounds)
 
         def log_density(points):
             pts = np.asarray(points, dtype=float)
             inside = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=-1)
             return np.where(inside, 0.0, -np.inf)
 
-        # a (d, 2) box has 2d entries; any other shape is refused by density_on_box
-        return cls.density_on_box(log_density, box,
-                                  description=f"lebesgue_box(d={box.size // 2})")
+        return cls.density_on_box(log_density, box, description=f"lebesgue_box(d={len(box)})")
 
     @classmethod
     def density_on_box(cls, log_density, bounds, description="density") -> "ReferenceMeasure":
         """A log-density against Lebesgue measure on the closed box of (low, high)
         per axis; every bound must be finite and each low below its high."""
-        box = np.asarray(bounds, dtype=float)
-        # NaN fails the comparison, so it is refused along with inf
-        if not (box.ndim == 2 and box.shape[1] == 2 and np.isfinite(box).all()
-                and (box[:, 0] < box[:, 1]).all()):
-            raise ValueError("bounds must be a (d, 2) array of finite (low, high) pairs "
-                             "with low < high")
-        return cls("density", log_density=log_density, box=box, description=description)
+        return cls("density", log_density=log_density, box=_as_box(bounds),
+                   description=description)
 
     @property
     def is_finite(self) -> bool:

@@ -6,6 +6,13 @@ two such arrays (broadcast against each other) to values.  The extended value
 +inf encodes singularities and hard confinement; -inf and NaN are illegal and
 raise :class:`PotentialValueError` naming the offending points.
 
+``pair_matrix`` evaluates W on every pair of two point sets.
+``offdiag_pair_matrix`` is the one evaluator of the n-particle sums, which
+run over i != j only: it gives W(x_i, y_j) for j != i with a zero diagonal,
+and W never sees a site paired with itself, where it may be +inf or
+undefined.  The sampler's blocks, ``functionals.hamiltonian`` and
+``functionals.interaction_energy_offdiag`` all take W from it.
+
 Assumption checkers are sampled, never symbolic: they evaluate a declared
 bound on a finite probe plan and report the sampled minima and any violations,
 flagged as non-exhaustive.  (B1) and (C1) share the sampled minimum
@@ -19,6 +26,7 @@ measure, configuration or probe of another dimension (``_check_dim``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,42 +34,41 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ReferenceMeasure, _record_json, _squared_distance
+from .measures import (DiscreteMeasure, ReferenceMeasure, _as_box, _grid_points, _record_json,
+                       _squared_distance)
 
 
 class PotentialValueError(ValueError):
     """A potential produced NaN (typically inf - inf) or -inf."""
 
 
-def _has_nan_or_minus_inf(vals) -> bool:
-    """One reduction: the minimum of a non-empty array is NaN if any entry is."""
-    return vals.size > 0 and not vals.min() > -np.inf
+def _first_nan_or_minus_inf(vals):
+    """The index of the first NaN or -inf entry of vals, None when there is
+    none.  One reduction decides: the minimum of a non-empty array is NaN if
+    any entry is."""
+    if vals.size == 0 or vals.min() > -np.inf:
+        return None
+    return tuple(np.argwhere(np.isnan(vals) | (vals == -np.inf))[0])
 
 
 def evaluate_V(V, points) -> np.ndarray:
     """Evaluate a confinement at (k, d) points, validating extended-real rules."""
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(V(pts), dtype=float)
-    if _has_nan_or_minus_inf(vals):
-        idx = np.argwhere(np.isnan(vals) | (vals == -np.inf))[0]
-        raise PotentialValueError(
-            f"confinement returned {vals[tuple(idx)]} at point {pts[tuple(idx)]}"
-        )
+    idx = _first_nan_or_minus_inf(vals)
+    if idx is not None:
+        raise PotentialValueError(f"confinement returned {vals[idx]} at point {pts[idx]}")
     return vals
 
 
 def evaluate_W(W, x, y) -> np.ndarray:
     """Evaluate an interaction at broadcast point arrays, validating values."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     vals = np.asarray(W(xa, ya), dtype=float)
-    if _has_nan_or_minus_inf(vals):
-        idx = tuple(np.argwhere(np.isnan(vals) | (vals == -np.inf))[0])
-        bx = np.broadcast_arrays(xa, ya)[0][idx]
-        by = np.broadcast_arrays(xa, ya)[1][idx]
-        raise PotentialValueError(
-            f"interaction returned {vals[idx]} at pair ({bx}, {by})"
-        )
+    idx = _first_nan_or_minus_inf(vals)
+    if idx is not None:
+        bx, by = (b[idx] for b in np.broadcast_arrays(xa, ya))
+        raise PotentialValueError(f"interaction returned {vals[idx]} at pair ({bx}, {by})")
     return vals
 
 
@@ -70,6 +77,36 @@ def pair_matrix(W, a_points, b_points) -> np.ndarray:
     A = np.asarray(a_points, dtype=float)
     B = np.asarray(b_points, dtype=float)
     return evaluate_W(W, A[:, None, :], B[None, :, :])
+
+
+@functools.cache
+def _other_sites(n):
+    """The (n, n - 1) index array whose row i lists the sites j != i.
+
+    Every call shares it, so no caller may write to it.  It is left writable
+    because ``np.take`` copies a read-only index array on every call, a copy
+    the sampler would pay twice a sweep.
+    """
+    return np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+
+
+def offdiag_pair_matrix(W, x, y) -> np.ndarray:
+    """W(x_i, y_j) for j != i over (..., n, d) sites, shape (..., n, n), with
+    a zero diagonal.
+
+    W is called once, on the pairs j != i gathered by ``_other_sites``, so it
+    never sees a site paired with itself; n = 1 makes no call.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    *lead, n, _ = x.shape
+    out = np.zeros((*lead, n, n))
+    if n > 1:
+        vals = evaluate_W(W, x[..., :, None, :], np.take(y, _other_sites(n), axis=-2))
+        # flattened, the off-diagonal entries in row-major order are the first
+        # n of every n + 1 entries after the first: a strided view
+        off = out.reshape(*lead, n * n)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
+        off[...] = vals.reshape(*lead, n - 1, n)
+    return out
 
 
 class PotentialPair:
@@ -168,16 +205,21 @@ class Region:
 
     @classmethod
     def box(cls, bounds, open_=True):
+        """A box of (low, high) per axis; an infinite bound makes a half-space
+        or slab."""
         b = np.asarray(bounds, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 2:
-            raise ValueError("box bounds must be a (d, 2) array")
+        # NaN fails the comparison, so it is refused along with low > high
+        if not (b.ndim == 2 and b.shape[1] == 2 and (b[:, 0] <= b[:, 1]).all()):
+            raise ValueError("box bounds must be a (d, 2) array of (low, high) pairs, "
+                             "not NaN, with low <= high")
         return cls("box", bounds=b, open_=open_)
 
     @classmethod
     def ball(cls, center, radius, open_=True):
         c = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
+        # a NaN radius fails the comparison, so it is refused along with 0
+        if not (np.isfinite(c).all() and radius > 0):
+            raise ValueError("ball centre must be finite and radius positive")
         return cls("ball", center=c, radius=float(radius), open_=open_)
 
     @property
@@ -198,21 +240,53 @@ class Region:
         return ~dataclasses.replace(self, open_=False).contains(points)
 
 
-def masked_interaction(kind: str, h, region: Region, segment_samples: int = 1000):
+def _segment_witness(region: Region, x, y) -> np.ndarray:
+    """A point of each segment [x, y] that lies in the region if any point of
+    the segment does, for broadcast (..., d) endpoints.
+
+    For a ball it is the point of the segment nearest the centre.  For a box
+    it is the midpoint of the parameter interval that the closed slabs clip
+    from [0, 1]: the segment meets the closed box exactly when the interval
+    is not empty, and meets the open box exactly when the interval has an
+    interior, whose midpoint it then is.  An axis the segment runs along
+    clips nothing; the witness keeps x's coordinate there, which ``contains``
+    then judges.  An empty interval gives the endpoint x, outside the region.
+    """
+    step = y - x
+    if region.kind == "ball":
+        length = (step * step).sum(-1)
+        t = np.divide(((region.center - x) * step).sum(-1), length,
+                      out=np.zeros_like(length), where=length > 0)
+        t = np.clip(t, 0.0, 1.0)
+    else:
+        lo, hi = region.bounds.T
+        flat = step == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = np.where(flat, -np.inf, (lo - x) / step)
+            tb = np.where(flat, np.inf, (hi - x) / step)
+            t0 = np.maximum(np.minimum(ta, tb).max(-1), 0.0)
+            t1 = np.minimum(np.maximum(ta, tb).min(-1), 1.0)
+            t = np.where(t0 <= t1, 0.5 * (t0 + t1), 0.0)
+    return x + t[..., None] * step
+
+
+def masked_interaction(kind: str, h, region: Region):
     """Discontinuous interactions gated by a region.
 
     * ``w1``: h(x, y) when both particles are inside the region, else 0.
     * ``w2``: h(x, y) when both are inside, or both in the interior of the
       complement, else 0.
-    * ``w3``: h(x, y) when the straight segment [x, y] misses the (closed)
-      region, else 0.  The segment test samples ``segment_samples`` points
-      uniformly on [x, y]; the set-theoretic test is not decidable numerically.
+    * ``w3``: h(x, y) when the straight segment [x, y] misses the region, else
+      0.  The test is exact up to rounding: ``region.contains`` is asked at
+      the point of the segment that ``_segment_witness`` picks, so a segment
+      that only touches the boundary meets a closed region and misses an open
+      one.  The witness is taken from both ends, and the segment meets the
+      region when either does, so the test does not depend on the order of
+      x and y.
     """
     kind = kind.lower()
     if kind not in ("w1", "w2", "w3"):
         raise ValueError("kind must be one of 'w1', 'w2', 'w3'")
-    if kind == "w3" and segment_samples < 2:
-        raise ValueError("segment test needs at least 2 sample points")
 
     if kind == "w1":
         def W(x, y):
@@ -226,16 +300,12 @@ def masked_interaction(kind: str, h, region: Region, segment_samples: int = 1000
             outside = region.strictly_outside_closure(x) & region.strictly_outside_closure(y)
             return np.where(inside | outside, vals, 0.0)
     else:
-        ts = np.linspace(0.0, 1.0, segment_samples)
-
         def W(x, y):
-            xa = np.asarray(x, dtype=float)
-            ya = np.asarray(y, dtype=float)
-            xa, ya = np.broadcast_arrays(xa, ya)
-            seg = xa[..., None, :] + ts[:, None] * (ya - xa)[..., None, :]
-            hits = region.contains(seg)      # (..., segment_samples)
+            xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            hits = (region.contains(_segment_witness(region, xa, ya))
+                    | region.contains(_segment_witness(region, ya, xa)))
             vals = np.asarray(h(x, y), dtype=float)
-            return np.where(np.any(hits, axis=-1), 0.0, vals)
+            return np.where(hits, 0.0, vals)
 
     return W
 
@@ -267,15 +337,13 @@ class ProbePlan:
 
     @classmethod
     def grid(cls, bounds, per_axis=11):
-        b = np.asarray(bounds, dtype=float)
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in b]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        b = _as_box(bounds)
+        pts = _grid_points([np.linspace(lo, hi, per_axis) for lo, hi in b])
         return cls(pts, f"grid({per_axis}^{len(b)} on box)")
 
     @classmethod
     def random(cls, bounds, count=500, seed=0):
-        b = np.asarray(bounds, dtype=float)
+        b = _as_box(bounds)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(b[:, 0], b[:, 1], size=(count, len(b)))
         return cls(pts, f"random({count} points, seed={seed})")
@@ -401,9 +469,7 @@ def _log_normalizer(v2, ell: ReferenceMeasure) -> float:
     else:
         box = ell.box
         axes = [np.linspace(lo, hi, QUADRATURE_PER_AXIS + 1) for lo, hi in box]
-        mids = [0.5 * (a[1:] + a[:-1]) for a in axes]
-        mesh = np.meshgrid(*mids, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = _grid_points([0.5 * (a[1:] + a[:-1]) for a in axes])
         cell = np.prod([(hi - lo) / QUADRATURE_PER_AXIS for lo, hi in box])
         logdens = ell.log_density(pts)
         vals = evaluate_V(v2, pts)
@@ -457,9 +523,10 @@ class SuperlinearFunction:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 1:
             raise ValueError("need at least one breakpoint")
-        if np.any(np.diff(bp) < 0):
+        # NaN fails both comparisons, so it is refused too
+        if not (np.diff(bp) >= 0).all():
             raise ValueError("breakpoints must be non-decreasing")
-        if bp[0] <= 0:
+        if not bp[0] > 0:
             raise ValueError("breakpoints must be positive")
         self.breakpoints = bp
         # value at each breakpoint, accumulated piece by piece

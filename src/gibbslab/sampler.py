@@ -14,8 +14,9 @@ Three generators:
   through the same kernel, of which ``mh_sample`` is the C = 1 call.  Every
   chain carries a running H_n, updated on each accepted move, which is its
   energy trace.  W is evaluated in two batched blocks per sweep, all
-  proposals against the state and against each other, and each chain keeps
-  its state's (n, n) interaction matrix current; memory is O(C n^2).  A
+  proposals against the state and against each other, by
+  ``potentials.offdiag_pair_matrix``, and each chain keeps its state's
+  (n, n) interaction matrix current; memory is O(C n^2).  A
   sweep still moves its sites one after another, but its n accept decisions
   are settled together: given the earlier sites that accepted, a site's
   energy change is linear in their indicator through a strictly
@@ -53,7 +54,7 @@ import numpy as np
 
 from ._enum import compositions_array
 from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure, _record_json
-from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W
+from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, offdiag_pair_matrix
 from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
 
 # Most m^n tuples of exact_gibbs_law, and most entries of exact_count_law's
@@ -155,25 +156,14 @@ def effective_sample_size(trace) -> float:
     return float(n / max(tau, 1.0))
 
 
-def _interactions(pair, x, y, rest):
-    """S(x_i, y_j) for j != i in a (C, n, n) array with a zero diagonal.
-
-    x and y are (C, n, d); S = W for a symmetric W and W(x, y) + W(y, x)
-    otherwise.  The pairs come from ``rest``, so W never sees a site paired
-    with itself, and n = 1 makes no call.
-    """
-    C, n, _ = x.shape
-    out = np.zeros((C, n, n))
-    if n > 1:
-        xi, yj = x[:, :, None, :], np.take(y, rest, axis=1)
-        vals = evaluate_W(pair.W, xi, yj)
-        if not pair.symmetric:
-            vals += evaluate_W(pair.W, yj, xi)
-        # flattened, the off-diagonal entries in row-major order are the first
-        # n of every n + 1 entries after the first: a strided view
-        off = out.reshape(C, n * n)[:, 1:].reshape(C, n - 1, n + 1)[:, :, :n]
-        off[...] = vals.reshape(C, n - 1, n)
-    return out
+def _interactions(pair, x, y):
+    """S(x_i, y_j) for j != i over (C, n, d) sites, a (C, n, n) array with a
+    zero diagonal from ``offdiag_pair_matrix``: S = W for a symmetric W and
+    W(x, y) + W(y, x) otherwise."""
+    S = offdiag_pair_matrix(pair.W, x, y)
+    if not pair.symmetric:
+        S += offdiag_pair_matrix(pair.W, y, x).transpose(0, 2, 1)
+    return S
 
 
 def _refuse_asymmetric(pts, Y):
@@ -194,7 +184,7 @@ def _refuse_asymmetric(pts, Y):
             "symmetric=False")
 
 
-def _draw_starts(pair, ref, cfg, rngs, rest, cdf):
+def _draw_starts(pair, ref, cfg, rngs, cdf):
     """Starting configurations of finite energy and finite reference
     log-density, one per Generator, and what the kernel keeps of them.
 
@@ -227,7 +217,7 @@ def _draw_starts(pair, ref, cfg, rngs, rest, cdf):
                 pts[c] = rngs[c].uniform(box[:, 0], box[:, 1], size=(n, d))
         raw_v = evaluate_V(pair.V, pts[todo].reshape(-1, d)).reshape(-1, n)
         v[todo] = raw_v / n
-        Y[todo] = _interactions(pair, pts[todo], pts[todo], rest)
+        Y[todo] = _interactions(pair, pts[todo], pts[todo])
         if ld is not None:
             ld[todo] = ref.log_density(pts[todo].reshape(-1, d)).reshape(-1, n)
         for c, vals in zip(todo, raw_v):
@@ -343,7 +333,7 @@ def _run_chains(pair, ref, cfg, seeds, samples):
 
     W is evaluated once per sweep, not once per site.  With S = W for a
     symmetric W and S = W(x, y) + W(y, x) otherwise, each sweep builds two
-    (C, n, n) blocks with a zero diagonal: X = S(prop_i, x_j), every proposal
+    (C, n, n) blocks of ``_interactions``: X = S(prop_i, x_j), every proposal
     against the sweep's starting state, and Q = S(prop_i, prop_j), every
     proposal against the others.  Y = S(x_i, x_j) for the current state is
     built once, at the start, and kept current.  The sweep's n sequential
@@ -355,9 +345,8 @@ def _run_chains(pair, ref, cfg, seeds, samples):
     Python loop runs over the sites.  The running H_n of each chain moves by
     the sum of its accepted sites' changes, (v1_i - v0_i) + w_i / n^2
     (/ 2n^2 for a non-symmetric W).  Memory is O(C n^2): a few (C, n, n)
-    float arrays, 80 KB each at C = 4 and n = 50, plus the C n (n - 1)
-    gathered pairs of a block; a block costs one W call of those pairs, two
-    for a non-symmetric W.
+    float arrays, 80 KB each at C = 4 and n = 50, plus a block's gathered
+    pairs; a block costs one W call, two for a non-symmetric W.
 
     The run makes burn_in + (samples - 1) * thinning + 1 sweeps, none for
     samples = 0, and keeps the state after sweep burn_in + k * thinning,
@@ -374,7 +363,6 @@ def _run_chains(pair, ref, cfg, seeds, samples):
                          f"chains need n = {n} points in d = {d}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
-    rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # sites j != i
     w_scale = 1.0 / (n * n) if pair.symmetric else 1.0 / (2.0 * n * n)
     finite_mode = ref.is_finite
     cdf = None
@@ -385,7 +373,7 @@ def _run_chains(pair, ref, cfg, seeds, samples):
         picks = np.empty((C, n), dtype=np.intp)
     else:
         steps = np.empty((C, n, d))
-    state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, rest, cdf)
+    state, v_state, ld_state, Y, energy = _draw_starts(pair, ref, cfg, rngs, cdf)
     u = np.empty((C, n))
 
     sweeps = cfg.burn_in + (samples - 1) * cfg.thinning + 1 if samples else 0
@@ -406,8 +394,8 @@ def _run_chains(pair, ref, cfg, seeds, samples):
             prop = state + cfg.sigma * steps
             ld_prop = ref.log_density(prop.reshape(C * n, d)).reshape(C, n)
             v_prop = evaluate_V(pair.V, prop.reshape(C * n, d)).reshape(C, n) / n
-        X = _interactions(pair, prop, state, rest)
-        Q = _interactions(pair, prop, prop, rest)
+        X = _interactions(pair, prop, state)
+        Q = _interactions(pair, prop, prop)
         # The state's V and log-density are finite, so dv is finite or +inf
         # and base is finite or -inf.
         dv = v_prop - v_state

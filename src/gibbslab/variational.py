@@ -5,10 +5,11 @@ the probability simplex on the grid nodes.  Grid infima upper-approximate the
 continuum infima and converge under refinement for the catalog potentials.
 
 On a grid, J(w) = (1/2) w^T K w + v . w is a quadratic on the simplex for
-every interaction W, and I adds the relative entropy to the reference.  A
-linear tilt g . w (an array) is folded into v when the objective is built;
-only a non-linear tilt (an object with ``value`` and ``grad``) stays a
-separate term.
+every interaction W, and I adds the relative entropy to the reference.  Every
+objective carries its linear term v, zero for an untilted I.  A linear tilt
+g . w (an array) is folded into v when the objective is built; only a
+non-linear tilt (an object with ``value`` and ``grad``) stays a separate
+term.
 
 A convexity certificate decides how far a solver's answer can be trusted.
 Only the curvature along the simplex matters: w^T K w is convex on the
@@ -19,38 +20,14 @@ The Coulomb grid kernels in d = 1 and 2 pass although K itself is indefinite
 (smallest eigenvalue -140 on 201 nodes in d = 1); most masked, discontinuous
 kernels fail.
 
-Both solvers build their objective and hand it to one driver, ``_solve``,
-with one start policy and no randomness: two calls return the same result.
-A certified kernel with no non-linear tilt makes the problem convex: one
-start suffices and the answer is global (``local=None``).  Otherwise the
-driver runs ``DEFAULT_STARTS`` fixed starts, keeps the lowest value and
-reports ``local=True``.
-
-* ``minimize_J`` -- pure energy.  Without a non-linear tilt J is a QP on
-  the simplex, and both of its solvers solve the KKT system on a support by
-  the Newton step of ``_support_step``.  On a certified kernel, block
-  principal pivoting (``_block_pivoting_qp``) swaps every infeasible node
-  in or out of the support at once, one at a time after ``BACKUP_SWAPS``
-  swaps without progress (the backup rule), from a sublevel set of the
-  gradient taken in two rounds (one leaves too many nodes, three too few).
-  It ends at the optimum up to rounding, in 0 to 8 pivots on Coulomb grids
-  of up to 1681 nodes, where the primal active-set QP (``_active_set_qp``)
-  adds or drops one node per step and took 40 to 638.  A support whose
-  tangent Hessian is singular hands the problem to that active-set QP from
-  the best vertex.  On an uncertified kernel, where pivoting can cycle, the
-  active-set QP runs from the best vertex and the vertices of least
-  gradient at the uniform point, and ends at a KKT point up to rounding.
-  ``iterations`` counts pivots or active-set steps.  A non-linear tilt runs
-  entropic mirror descent from the uniform weights and from the midpoints
-  between them and those vertices, and its minimizer drops the tiny weights
-  of KKT-inactive nodes.
-* ``minimize_I`` -- entropy + interaction, by entropic mirror descent with a
-  monotone line-search safeguard, from the uniform weights and, on
-  uncertified kernels or under a non-linear tilt, also from the reference
-  weights and the midpoints between the uniform weights and the vertices of
-  least value or least gradient.
+* ``minimize_J`` -- pure energy.
+* ``minimize_I`` -- entropy + interaction.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
+
+Both solvers build their objective and hand it to ``_solve``, whose
+docstring is the one account of the solver policy: which solver runs, from
+which starts, and what ``local`` and ``iterations`` then mean.
 
 Singular kernels (+inf on the diagonal, e.g. Coulomb in d >= 2) make every
 measure with atoms carry infinite energy, a discretization ambiguity the
@@ -72,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._enum import compositions_array
-from .measures import (DiscreteMeasure, ReferenceMeasure, _as_points, _record_json,
-                       _squared_distance)
+from .measures import (DiscreteMeasure, ReferenceMeasure, _as_box, _as_points, _grid_points,
+                       _record_json, _squared_distance)
 from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
@@ -86,8 +63,8 @@ SCAN_NODE_LIMIT = 4
 # The check runs on k^2 d before any k x k array exists, so a grid too fine
 # fails with this message instead of at the allocation.  2^27 entries are
 # 1 GiB: 8192 nodes in d = 2, where the 1681-node grid of step 0.05 on
-# [-1, 1]^2 needs 45 MB.
-# Kernels that sample segments (masked_interaction) make blocks larger still.
+# [-1, 1]^2 needs 45 MB.  The w3 kernel of masked_interaction forms a few such
+# blocks.
 GRID_PAIR_BUDGET = 2**27
 # Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
 # four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
@@ -123,19 +100,14 @@ class GridSpec:
 
     @classmethod
     def regular(cls, bounds, h):
-        b = np.asarray(bounds, dtype=float)
         # NaN fails the comparison, so it is refused along with 0 and inf
         if not 0 < h < math.inf:
             raise ValueError(f"grid step h must be positive and finite, got {h!r}")
-        if not np.isfinite(b).all():
-            raise ValueError("grid bounds must be finite")
-        axes = [np.arange(lo, hi + h / 2, h) for lo, hi in b]
+        axes = [np.arange(lo, hi + h / 2, h) for lo, hi in _as_box(bounds)]
         if any(len(a) < 2 for a in axes):
             raise ValueError("each axis needs at least two nodes")
         _check_pair_budget(math.prod(len(a) for a in axes), len(axes))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(nodes, step=h)
+        return cls(_grid_points(axes), step=h)
 
     @classmethod
     def from_points(cls, points):
@@ -176,30 +148,31 @@ class MinimizationResult:
         return _record_json(self)
 
 
-def _fold_tilt(tilt, k):
-    """Split ``tilt`` into (g, non-linear tilt).  An array is the linear
-    functional g . w on the k feasible nodes, which the builders fold into v;
-    an object with ``value`` and ``grad`` stays a separate term."""
+def _fold_tilt(tilt, v):
+    """The linear term and the non-linear tilt of an objective whose linear
+    term is v on the feasible nodes before ``tilt``.  An array is the linear
+    functional g . w, folded in: (v + g, None); an object with ``value`` and
+    ``grad`` stays a separate term: (v, tilt)."""
     if tilt is None:
-        return None, None
+        return v, None
     if isinstance(tilt, (list, tuple, np.ndarray)):
         g = np.asarray(tilt, dtype=float)
-        if g.shape != (k,):
-            raise ValueError(f"tilt of shape {g.shape} does not match the {k} "
+        if g.shape != v.shape:
+            raise ValueError(f"tilt of shape {g.shape} does not match the {len(v)} "
                              "feasible nodes")
         if not np.all(np.isfinite(g)):
             raise ValueError("tilt values must be finite")
-        return g, None
+        return v + g, None
     if hasattr(tilt, "value") and hasattr(tilt, "grad"):
-        return None, tilt
+        return v, tilt
     raise TypeError("tilt must be None, an array, or provide value/grad")
 
 
 class _Objective:
-    """Simplex objective: optional entropy vs nu, quadratic kernel, linear v and
-    an optional non-linear tilt."""
+    """Simplex objective: quadratic kernel and linear v, an optional entropy
+    vs nu and an optional non-linear tilt."""
 
-    def __init__(self, nodes, kernel, v=None, nu=None, tilt=None, surrogate=None):
+    def __init__(self, nodes, kernel, v, nu=None, tilt=None, surrogate=None):
         self.nodes = nodes
         self.K = kernel
         self.v = v
@@ -212,9 +185,7 @@ class _Objective:
         return len(self.nodes)
 
     def value(self, w):
-        total = 0.5 * float(w @ (self.K @ w))
-        if self.v is not None:
-            total += float(self.v @ w)
+        total = 0.5 * float(w @ (self.K @ w)) + float(self.v @ w)
         if self.nu is not None:
             mask = w > 0
             total += float(np.sum(w[mask] * np.log(w[mask] / self.nu[mask])))
@@ -223,9 +194,7 @@ class _Objective:
         return total
 
     def grad(self, w):
-        g = self.K @ w
-        if self.v is not None:
-            g = g + self.v
+        g = self.K @ w + self.v
         if self.nu is not None:
             wsafe = np.maximum(w, 1e-300)
             g = g + np.log(wsafe / self.nu) + 1.0
@@ -234,9 +203,7 @@ class _Objective:
         return g
 
     def value_batch(self, wmat):
-        totals = 0.5 * np.einsum("bi,ij,bj->b", wmat, self.K, wmat)
-        if self.v is not None:
-            totals = totals + wmat @ self.v
+        totals = 0.5 * np.einsum("bi,ij,bj->b", wmat, self.K, wmat) + wmat @ self.v
         if self.nu is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(wmat > 0, wmat * np.log(wmat / self.nu), 0.0)
@@ -518,8 +485,8 @@ def build_objective_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec
     K, surrogate = _kernel_on_nodes(pair, sub, grid)
     nu = nu_full[feasible]
     nu = nu / nu.sum()
-    g, tilt = _fold_tilt(tilt, len(feasible))
-    return _Objective(sub, K, v=g, nu=nu, tilt=tilt, surrogate=surrogate), feasible
+    v, tilt = _fold_tilt(tilt, np.zeros(len(feasible)))
+    return _Objective(sub, K, v=v, nu=nu, tilt=tilt, surrogate=surrogate), feasible
 
 
 def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
@@ -533,8 +500,7 @@ def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
         raise ValueError("all confinement values are infinite on the grid")
     sub = nodes[feasible]
     K, surrogate = _kernel_on_nodes(pair, sub, grid)
-    g, tilt = _fold_tilt(tilt, len(feasible))
-    v = v_vals[feasible] if g is None else v_vals[feasible] + g
+    v, tilt = _fold_tilt(tilt, v_vals[feasible])
     return _Objective(sub, K, v=v, nu=None, tilt=tilt, surrogate=surrogate), feasible
 
 
@@ -584,43 +550,55 @@ def _drop_inactive(obj, w, fval, gap, tol):
 
 
 def _solve(obj, feasible, grid, tol, max_iter):
-    """The one start policy behind ``minimize_I`` and ``minimize_J``.
+    """The solver policy behind ``minimize_I`` and ``minimize_J``: one path,
+    fixed starts and no randomness, so two calls return the same result.
 
     A kernel that passes the tangent-space certificate (not tested under a
     non-linear tilt, which leaves the problem non-quadratic) makes the problem
     convex: one start, and the answer is global (``local=None``).  Otherwise
     ``DEFAULT_STARTS`` starts run and the lowest value is kept, with
-    ``local=True``.
+    ``local=True``.  ``max_iter`` bounds each run's pivots, steps or
+    iterations, and ``converged`` says whether the final gap is within
+    ``tol``.
 
-    A quadratic J on a certified kernel runs block pivoting
-    (``_block_pivoting_qp``) from ``_sublevel_start``: two rounds of keeping
-    the nodes whose gradient at the uniform measure on the current set lies
-    at or below its mean there.  One round leaves a set larger than the
-    support, which in d = 1 loses only its two end nodes per pivot, and a
-    third cuts into the support; after two, the Coulomb grids of up to 1681
-    nodes need 0 to 8 pivots.  While the count of infeasible nodes falls,
+    J with no tilt or a linear one is a QP on the simplex, and both of its
+    solvers solve the KKT system on a support by the Newton step of
+    ``_support_step``.  On a certified kernel, block pivoting
+    (``_block_pivoting_qp``) runs from ``_sublevel_start``: two rounds of
+    keeping the nodes whose gradient at the uniform measure on the current
+    set lies at or below its mean there.  One round leaves a set larger than
+    the support, which in d = 1 loses only its two end nodes per pivot, and a
+    third cuts into the support.  While the count of infeasible nodes falls,
     all of them swap; after ``BACKUP_SWAPS`` full swaps without a fall, one
     node at a time does (Murty's rule, the backup), which ends the cycles
-    full swaps alone can enter.  A passive set whose tangent Hessian is not
+    full swaps alone can enter.  Pivoting ends at the optimum up to rounding,
+    in 0 to 8 pivots on Coulomb grids of up to 1681 nodes, where the primal
+    active-set QP (``_active_set_qp``), adding or dropping one node per
+    step, took 40 to 638 steps.  A passive set whose tangent Hessian is not
     positive definite (a PSD kernel singular there, such as a rank-one one)
-    hands the problem to the active-set QP from the best vertex.  An
-    uncertified quadratic J runs the active-set QP from the vertices of
-    ``_vertex_starts``, since pivoting can cycle there.  ``iterations``
-    counts pivots on the pivoting path, and add and drop steps summed over
-    the starts on the active-set path; a fallback counts only its active-set
-    steps.  ``max_iter`` bounds each run's pivots or steps.
+    hands the problem to the active-set QP from the best vertex, and the
+    answer stays global.  An uncertified J runs the active-set QP from the
+    vertices of ``_vertex_starts``, since pivoting can cycle there; each run
+    ends at a KKT point up to rounding, in general a local minimum.
+    ``iterations`` counts pivots on the pivoting path, and add and drop steps
+    summed over the starts on the active-set path; a fallback counts only
+    its active-set steps.
 
-    I and a non-linearly tilted J run mirror descent from the uniform
-    weights, then nu (I only), then the midpoints between the uniform weights
-    and the vertices of ``_vertex_starts``; for I, -log nu is added to v, so
-    that the vertices are ranked by I's own vertex values and gradient at the
-    uniform weights.  Mirror descent's own values are compared, and
-    ``iterations`` sums its iterations over the starts.
+    I and a non-linearly tilted J run entropic mirror descent, whose
+    backtracking line search makes the objective fall monotonically along
+    every run, from the uniform weights, then nu (I only), then the
+    midpoints between the uniform weights and the vertices of
+    ``_vertex_starts``; for I, -log nu is added to v, so that the vertices
+    are ranked by I's own vertex values and gradient at the uniform weights.
+    Mirror descent's own values are compared, and ``iterations`` sums its
+    iterations over the starts.  A run stopped by ``max_iter``, or by a line
+    search that fails above ``tol``, reports ``converged=False``.  The
+    minimizer of a tilted J then loses its KKT-inactive nodes
+    (``_drop_inactive``); the entropy of I keeps every weight positive.
     """
     certified = obj.tilt is None and _tangent_psd_certified(obj.K)
     count = 1 if certified else DEFAULT_STARTS
-    k = obj.k
-    v = np.zeros(k) if obj.v is None else obj.v
+    k, v = obj.k, obj.v
     if obj.nu is None and obj.tilt is None:
         pivoted = (_block_pivoting_qp(obj.K, v, _sublevel_start(obj.K, v), max_iter)
                    if certified else None)
@@ -654,17 +632,13 @@ def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
                tilt=None, tol=DEFAULT_TOL, max_iter=20000) -> MinimizationResult:
     """Minimize entropy + interaction (+ optional tilt) over the grid simplex.
 
-    Entropic mirror descent with a backtracking safeguard, so the objective
-    decreases monotonically along every run.  When the kernel passes the
-    tangent-space certificate and the tilt is absent or linear, the objective
-    is strictly convex: one run from the uniform weights finds the global
-    minimum (``local=None``).  Otherwise ``DEFAULT_STARTS`` runs, from the
-    uniform weights, the reference weights nu and the midpoints between the
-    uniform weights and the vertices of least value or least gradient there,
-    keep the lowest value, reported with ``local=True``.  Every start is
-    fixed, so two calls return the same result.  ``converged`` says whether
-    the final gap is within ``tol``; a run stopped by ``max_iter`` or by a
-    failed line search above ``tol`` reports False.
+    ``tilt`` is None, an array g (the linear functional g . w on the feasible
+    nodes of ``build_objective_I``) or an object with ``value`` and ``grad``.
+    Returns the minimizer on the grid nodes and its value, with ``local=None``
+    when the value is the global minimum and ``local=True`` when it may be a
+    local one, ``converged`` when the final gap is within ``tol``, and the
+    self-energy ``surrogate`` when W is +inf on the diagonal.  Two calls
+    return the same result.  The solver and its starts are ``_solve``'s.
     """
     obj, feasible = build_objective_I(pair, ref, grid, tilt)
     return _solve(obj, feasible, grid, tol, max_iter)
@@ -674,27 +648,14 @@ def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
                max_iter=50000) -> MinimizationResult:
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
-    With no tilt or a linear one (folded into V), J is a quadratic on the
-    simplex and an exact QP solves it.  When the kernel passes the
-    tangent-space certificate the QP is convex and block pivoting solves it
-    (``method="block_pivoting_qp"``; ``iterations`` counts pivots, which
-    ``max_iter`` bounds) to the global minimum (``local=None``).  It starts
-    from a sublevel set of the gradient, taken in two rounds, and swaps one
-    node at a time after ``BACKUP_SWAPS`` swaps that leave as many infeasible
-    nodes.  Where a support's tangent Hessian is singular it falls back to
-    the active-set QP from the best vertex (``method="active_set_qp"``;
-    ``iterations`` counts its add and drop steps, which ``max_iter``
-    bounds), still global.  On an uncertified kernel the active-set QP runs
-    from ``DEFAULT_STARTS`` vertices, the best one and those of least
-    gradient at the uniform weights, and keeps the lowest value, a KKT point
-    reported with ``local=True``; ``iterations`` sums the steps over the
-    starts.  A non-linear tilt runs entropic mirror descent from the
-    uniform weights and the midpoints between them and the same vertices
-    (``local=True``); nodes left with a weight below ``SUPPORT_DROP_TOL`` and
-    a gradient above the least one by more than ``tol`` are then dropped,
-    unless that raises the value by more than 1e-12 relative.  Every start is
-    fixed, so two calls return the same result.  ``converged`` says whether
-    the final gap is within ``tol``.
+    ``tilt`` is None, an array g (the linear functional g . w on the nodes of
+    finite confinement, folded into V) or an object with ``value`` and
+    ``grad``.  Returns the minimizer on the grid nodes and its value, with
+    ``local=None`` when the value is the global minimum and ``local=True``
+    when it may be a local one, ``converged`` when the final gap is within
+    ``tol``, and the self-energy ``surrogate`` when W is +inf on the
+    diagonal.  Two calls return the same result.  The solver and its starts,
+    and what ``method`` and ``iterations`` report, are ``_solve``'s.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
     return _solve(obj, feasible, grid, tol, max_iter)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import v_const, v_quadratic, v_zero, w_sqdist, w_zero
+from conftest import (CountingW, v_const, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist,
+                      w_zero)
 from gibbslab import functionals, measures
 from gibbslab.functionals import (
     WEIGHT_DROP_TOL,
@@ -79,6 +80,30 @@ class TestHamiltonian:
             assert hamiltonian(ParticleConfig(pts), pair) == pytest.approx(
                 hamiltonian_oracle(pts, v_quadratic, w_sqdist), abs=1e-12
             )
+
+
+class TestOffDiagonalSums:
+    """H_n and the off-diagonal interaction energy sum W over i != j only, so
+    a W undefined at x = y is never evaluated there."""
+
+    def test_hamiltonian_of_a_w_undefined_on_the_diagonal(self, rng):
+        pts = rng.normal(size=(6, 2))
+        pair = PotentialPair(v_quadratic, w_nan_on_diagonal, dim=2, symmetric=True)
+        assert hamiltonian(ParticleConfig(pts), pair) == pytest.approx(
+            hamiltonian_oracle(pts, v_quadratic, w_nan_on_diagonal), abs=1e-12)
+
+    def test_offdiag_energy_of_a_w_undefined_on_the_diagonal(self, rng):
+        mu = DiscreteMeasure(rng.normal(size=(5, 2)), np.full(5, 0.2))
+        assert math.isfinite(interaction_energy_offdiag(mu, w_nan_on_diagonal))
+
+    def test_no_point_paired_with_itself(self, rng):
+        W = CountingW(w_sqdist, refuse_identical=True)
+        pts = rng.normal(size=(7, 2))
+        hamiltonian(ParticleConfig(pts), PotentialPair(v_quadratic, W, dim=2))
+        interaction_energy_offdiag(DiscreteMeasure(pts, np.full(7, 1 / 7)), W)
+        rate_J_n_offdiag(DiscreteMeasure(pts, np.full(7, 1 / 7)),
+                         PotentialPair(v_quadratic, W, dim=2), 7, 14.0)
+        assert W.calls == 3
 
 
 class TestInteractionEnergies:

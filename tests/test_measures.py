@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -52,11 +52,29 @@ def all_pairs_d_bl(mu, nu):
                 row[u], row[v] = sign, -sign
                 rows.append(row)
                 rhs.append(np.linalg.norm(pts[u] - pts[v]))
-    # without presolve, which accepts rows violated within 1e-7
+    # without presolve, and at HiGHS's least feasibility tolerances: at the
+    # default 1e-7 it returned 0.375000005 for uniform{0.25, 0} against
+    # uniform{1e-8, -0.5}, whose distance is 0.375 - 5e-9
     res = linprog(-signed, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(-0.5, 0.5),
-                  method="highs", options={"presolve": False})
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return -res.fun
+
+
+class Replay:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` returns
+    the next of the given values, whatever the strategy, starting over after
+    the last, so every run of the example draws the same values."""
+
+    def __init__(self, *values):
+        self._values = values
+        self._draws = 0
+
+    def draw(self, strategy):
+        self._draws += 1
+        return self._values[(self._draws - 1) % len(self._values)]
 
 
 def bruteforce_w1_2x2(xa, xb, wa, wb, p):
@@ -89,7 +107,7 @@ class TestDiscreteMeasure:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_atom_rejected(self, bad):
-        with pytest.raises(ValueError, match="^atom coordinates must be finite$"):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
             DiscreteMeasure([[0.0, 1.0], [bad, 0.0]], [0.5, 0.5])
 
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0],
@@ -278,6 +296,9 @@ class TestBoundedLipschitz:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
+    # the oracle at HiGHS's default tolerances failed this example; it is
+    # replayed in d = 1 under every d
+    @example(data=Replay([(0.25,), (0.0,), (1e-8,), (-0.5,)], [0, 1], [2, 3]))
     def test_matches_the_all_pairs_lp(self, d, data):
         # spreads well past 1, so some pairs keep a row and some do not; drawing
         # indices into a small pool repeats atoms within and across the measures
@@ -711,6 +732,12 @@ class TestReferenceMeasure:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             ReferenceMeasure.finite([[0.0]], [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_reference_of_non_finite_atoms_refused(self, bad):
+        # a NaN atom was accepted and then matched no atom of any measure
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            ReferenceMeasure.finite([[0.0], [bad]])
 
     def test_finite_reference_is_canonicalized_once(self):
         cloud = [[1.0, 0.0], [0.0, -0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 0.0]]

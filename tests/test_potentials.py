@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import CountingW, w_nan_on_diagonal, w_sqdist
 from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction
 from gibbslab.potentials import (
     AssumptionReport,
@@ -21,6 +22,7 @@ from gibbslab.potentials import (
     evaluate_W,
     masked_interaction,
     normalize_pair,
+    offdiag_pair_matrix,
     pair_matrix,
     phi_moment_check,
     power_confinement,
@@ -149,6 +151,30 @@ class TestCoulombAgainstEinsum:
         assert 0.0 < diag.mean_acceptance < 1.0
 
 
+class TestOffdiagPairMatrix:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_pair_matrix_off_the_diagonal(self, lead, rng):
+        x, y = rng.normal(size=(*lead, 5, 2)), rng.normal(size=(*lead, 5, 2))
+        got = offdiag_pair_matrix(coulomb_kernel(2), x, y)
+        full = pair_matrix(coulomb_kernel(2), x.reshape(-1, 5, 2)[0], y.reshape(-1, 5, 2)[0])
+        off = ~np.eye(5, dtype=bool)
+        assert got.shape == (*lead, 5, 5)
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1) == 0.0)
+        assert got.reshape(-1, 5, 5)[0][off].tobytes() == full[off].tobytes()
+
+    def test_no_site_paired_with_itself(self, rng):
+        W = CountingW(w_nan_on_diagonal, refuse_identical=True)
+        x = rng.normal(size=(4, 6, 2))
+        vals = offdiag_pair_matrix(W, x, x)
+        assert W.calls == 1 and np.isfinite(vals).all()
+
+    def test_one_site_makes_no_call(self):
+        def W(x, y):
+            raise AssertionError("W called")
+        assert np.array_equal(offdiag_pair_matrix(W, np.ones((3, 1, 2)), np.ones((3, 1, 2))),
+                              np.zeros((3, 1, 1)))
+
+
 class TestPowerConfinement:
     def test_values(self):
         V = power_confinement(2)
@@ -192,7 +218,7 @@ class TestMaskedInteractions:
 
     def test_w3_wall_blocks(self):
         wall = Region.box([(-0.5, 0.5), (-0.5, 0.5)], open_=False)
-        W = masked_interaction("w3", self.h, wall, segment_samples=1000)
+        W = masked_interaction("w3", self.h, wall)
         # segment through the wall: interaction off
         assert W(np.array([-2.0, 0.0]), np.array([2.0, 0.0])) == 0.0
         # segment passing above the wall: particles see each other
@@ -200,14 +226,76 @@ class TestMaskedInteractions:
 
     def test_w3_vectorized(self):
         wall = Region.ball([0.0, 0.0], 0.5, open_=False)
-        W = masked_interaction("w3", self.h, wall, segment_samples=257)
+        W = masked_interaction("w3", self.h, wall)
         xs = np.array([[-2.0, 0.0], [-2.0, 2.0]])
         ys = np.array([[2.0, 0.0], [2.0, 2.0]])
         np.testing.assert_array_equal(W(xs, ys), [0.0, 1.0])
 
+    @pytest.mark.parametrize("open_, expected", [(False, 0.0), (True, 1.0)])
+    def test_w3_segment_touching_the_boundary(self, open_, expected):
+        # the segment meets the box at its corner (0.5, 0.5) and runs along
+        # its top face, and is tangent to the ball: it meets the closed
+        # regions and misses the open ones
+        box = Region.box([(-0.5, 0.5), (-0.5, 0.5)], open_=open_)
+        W = masked_interaction("w3", self.h, box)
+        assert W(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == expected
+        assert W(np.array([-1.0, 0.5]), np.array([1.0, 0.5])) == expected
+        assert W(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == expected
+        ball = Region.ball([0.0, 0.0], 1.0, open_=open_)
+        assert masked_interaction("w3", self.h, ball)(np.array([-2.0, 1.0]),
+                                                       np.array([2.0, 1.0])) == expected
+
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    @pytest.mark.parametrize("open_", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_w3_agrees_with_dense_sampling(self, kind, open_, d):
+        # against 20001 points sampled on each segment; a segment on which
+        # fewer than 5 samples fall in the region is skipped, since there the
+        # samples, not the exact test, are unreliable
+        rng = np.random.default_rng(d)
+        ts = np.linspace(0.0, 1.0, 20001)
+        for _ in range(60):
+            if kind == "box":
+                lo = rng.uniform(-1.0, 0.0, d)
+                region = Region.box(np.stack([lo, lo + rng.uniform(0.1, 1.5, d)], 1), open_)
+            else:
+                region = Region.ball(rng.uniform(-0.5, 0.5, d), rng.uniform(0.1, 1.0), open_)
+            x, y = rng.uniform(-2.0, 2.0, (2, d))
+            if rng.random() < 0.2:    # a segment along the first axis
+                y = x + np.eye(d)[0] * rng.uniform(-3.0, 3.0)
+            hits = region.contains(x + ts[:, None] * (y - x))
+            if hits.any() and hits.sum() < 5:
+                continue
+            W = masked_interaction("w3", self.h, region)
+            assert W(x, y) == (0.0 if hits.any() else 1.0)
+
+    def test_w3_pair_matrix_on_a_fine_grid(self):
+        # 441 nodes in d = 2: sampling 1000 points per segment made 3.1 GB
+        nodes = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 21)] * 2), -1).reshape(-1, 2)
+        W = masked_interaction("w3", w_sqdist, Region.ball([0.0, 0.0], 0.3, open_=False))
+        K = pair_matrix(W, nodes, nodes)
+        assert K.shape == (441, 441) and np.array_equal(K, K.T)
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             masked_interaction("w4", self.h, self.box)
+
+    @pytest.mark.parametrize("bounds", [[(np.nan, 1.0)], [(0.0, np.nan)], [(1.0, 0.0)],
+                                        [(-1.0, 1.0), (2.0, -2.0)], [0.0, 1.0]])
+    def test_box_bounds_refused(self, bounds):
+        with pytest.raises(ValueError, match="^box bounds must be a"):
+            Region.box(bounds)
+
+    def test_box_with_infinite_bounds_is_a_half_space(self):
+        half = Region.box([(0.0, np.inf), (-np.inf, np.inf)], open_=False)
+        np.testing.assert_array_equal(half.contains([[1e300, -5.0], [-1.0, 0.0]]), [True, False])
+
+    @pytest.mark.parametrize("center, radius", [([0.0, 0.0], np.nan), ([0.0, 0.0], 0.0),
+                                                ([0.0, 0.0], -1.0), ([np.nan, 0.0], 1.0),
+                                                ([0.0, np.inf], 1.0)])
+    def test_ball_refused(self, center, radius):
+        with pytest.raises(ValueError, match="^ball centre must be finite and radius positive$"):
+            Region.ball(center, radius)
 
     @pytest.mark.parametrize("region", [Region.box([(-1.0, 1.0), (0.0, 2.0)]),
                                         Region.ball([0.5, -0.5], 1.0)])
@@ -229,6 +317,14 @@ class TestMaskedInteractions:
 
 
 class TestAssumptionChecks:
+    @pytest.mark.parametrize("make", [lambda b: ProbePlan.grid(b, per_axis=3),
+                                      lambda b: ProbePlan.random(b, count=5)])
+    @pytest.mark.parametrize("bounds", [[(0.0, np.inf)], [(np.nan, 1.0)], [(1.0, 1.0)],
+                                        [(2.0, 1.0)], [0.0, 1.0]])
+    def test_probe_box_refused(self, make, bounds):
+        with pytest.raises(ValueError, match=r"^bounds must be a \(d, 2\) array of finite"):
+            make(bounds)
+
     def test_pair_of_another_dimension_refused(self):
         # a d = 1 Coulomb pair on a 2-D probe read only the first coordinate,
         # and B1 reported min W = -2
@@ -533,3 +629,10 @@ class TestSuperlinearFunction:
             SuperlinearFunction([2.0, 1.0])
         with pytest.raises(ValueError):
             SuperlinearFunction([0.0, 1.0])
+
+    @pytest.mark.parametrize("breakpoints", [[np.nan], [np.nan, 2.0], [1.0, np.nan],
+                                             [1.0, np.nan, 3.0]])
+    def test_nan_breakpoint_refused(self, breakpoints):
+        # a NaN passed both order checks, and phi was NaN from there on
+        with pytest.raises(ValueError, match="^breakpoints must be"):
+            SuperlinearFunction(breakpoints)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import v_quadratic, v_zero, w_sqdist, w_zero
+from conftest import CountingW, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist, w_zero
 from gibbslab import sampler
 from gibbslab.functionals import hamiltonian, rate_I, rate_J
 from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
@@ -750,22 +750,6 @@ class TestAgainstReferenceMetropolis:
             self.assert_same_chain(kept, diags[c], reference, cfg.n)
 
 
-class CountingW:
-    """W wrapper that counts its calls and, if asked, refuses a pair of two
-    identical points (in density mode: a site paired with itself)."""
-
-    def __init__(self, W, refuse_identical):
-        self.W, self.refuse_identical, self.calls = W, refuse_identical, 0
-
-    def __call__(self, x, y):
-        self.calls += 1
-        if self.refuse_identical:
-            xb, yb = np.broadcast_arrays(x, y)
-            if np.any(np.all(xb == yb, axis=-1)):
-                raise AssertionError("W received a site paired with itself")
-        return self.W(x, y)
-
-
 class TestWCallsPerSweep:
     @pytest.mark.parametrize("case", ["density", "finite", "asymmetric_W"])
     @pytest.mark.parametrize("chains", [1, 3])
@@ -779,6 +763,22 @@ class TestWCallsPerSweep:
         assert sweeps == 3 + 1 + 2 * 5
         per_sym = 1 if pair.symmetric else 2
         assert counter.calls <= per_sym * (1 + 2 * sweeps)
+
+
+class TestWUndefinedOnTheDiagonal:
+    """W = |x - y|^2 log |x - y| is NaN at x = y; the chain never evaluates it
+    there, and neither does ``hamiltonian`` of its kept states."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_trace_is_the_hamiltonian_of_the_kept_states(self, symmetric):
+        pair = PotentialPair(v_quadratic, w_nan_on_diagonal, dim=2, symmetric=symmetric)
+        ref = ReferenceMeasure.lebesgue_box([(-1.0, 1.0), (-1.0, 1.0)])
+        cfg = SamplerConfig(n=6, beta_n=6.0, sigma=0.3, burn_in=5, seed=4)
+        kept, diags = mh_sample_chains(pair, ref, cfg, samples=15, chains=2)
+        traces = np.concatenate([d.energy_trace for d in diags])
+        assert all(d.mean_acceptance > 0 for d in diags)
+        for config, traced in zip(kept, traces):
+            assert hamiltonian(config, pair) == pytest.approx(traced, abs=1e-9)
 
 
 class TestSweepCount:
@@ -825,12 +825,11 @@ class TestSweepCount:
         pair = PotentialPair(v_zero, w_zero, dim=1, symmetric=True)
         n = 40
         cfg = SamplerConfig(n=n, beta_n=1.0)
-        rest = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
         cdf = np.cumsum(ref.weights)
         cdf /= cdf[-1]
         probs = ref.weights / ref.weights.sum()
         for seed in range(200):
-            pts = _draw_starts(pair, ref, cfg, [np.random.default_rng(seed)], rest, cdf)[0]
+            pts = _draw_starts(pair, ref, cfg, [np.random.default_rng(seed)], cdf)[0]
             picks = np.random.default_rng(seed).choice(7, size=n, p=probs)
             np.testing.assert_array_equal(pts[0, :, 0], ref.atoms[picks, 0])
 

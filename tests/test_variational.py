@@ -283,8 +283,25 @@ def test_regular_grid_step_not_positive_and_finite_refused(h):
 def test_regular_grid_bounds_not_finite_refused(bounds):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="grid bounds must be finite"):
+        with pytest.raises(ValueError, match=r"^bounds must be a \(d, 2\) array of finite"):
             GridSpec.regular(bounds, 0.5)
+
+
+@pytest.mark.parametrize("bounds", [[(1.0, 1.0)], [(1.0, -1.0)], [(-1.0, 1.0), (0.5, 0.0)]])
+def test_regular_grid_bounds_not_ordered_refused(bounds):
+    with pytest.raises(ValueError, match=r"^bounds must be a \(d, 2\) array of finite"):
+        GridSpec.regular(bounds, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_nodes_refused(bad):
+    # from_points took a NaN or infinite node
+    nodes = [[0.0, 0.0], [1.0, bad]]
+    with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+        GridSpec.from_points(nodes)
+    obj = variational._Objective(np.zeros((2, 2)), np.eye(2), v=np.zeros(2))
+    with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+        simplex_scan_oracle(obj, nodes, 0.5)
 
 
 @pytest.mark.parametrize("d, h", [(1, 0.01), (2, 0.2)])
@@ -332,8 +349,7 @@ def test_linear_tilt_equals_shifted_confinement():
     ("w2", 2, 0.1, 0.2351047790),
 ])
 def test_active_set_on_uncertified_masked_kernels(kind, d, h, frank_wolfe_value):
-    W = masked_interaction(kind, coulomb_kernel(d), Region.box([[-0.5, 0.5]] * d),
-                           segment_samples=50)
+    W = masked_interaction(kind, coulomb_kernel(d), Region.box([[-0.5, 0.5]] * d))
     pair = PotentialPair(power_confinement(2.0), W, dim=d, symmetric=True)
     grid = GridSpec.regular([(-1.0, 1.0)] * d, h)
     assert not _tangent_psd_certified(build_objective_J(pair, grid)[0].K)
