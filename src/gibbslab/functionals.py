@@ -146,31 +146,40 @@ def confinement_energy(mu: DiscreteMeasure, V) -> float:
 def _gibbs_weights(ref: ReferenceMeasure, V):
     """Weights of exp(-V) ell, normalized, on the distinct atoms of ``ref``.
 
-    Per reference, once, at its construction: the repeated atoms of ell are
-    merged and their weights summed (``ref._canon``).  Per call: V is
-    evaluated on the distinct atoms, the weights are divided by their total
-    mass, then, as ``DiscreteMeasure`` does, weights at or below
-    ``WEIGHT_DROP_TOL`` are set to 0 and the rest renormalized.  The result
-    is aligned with the distinct atoms.  Warns, for the caller of the public
-    function, on every call where the mass misses 1 by more than
-    ``NORMALIZATION_TOL``.
+    Once per reference, at its construction: the repeated atoms of ell are
+    merged and their weights summed (``ref._canon``).  Once per reference
+    and V: V is evaluated on the distinct atoms, the weights are divided by
+    their total mass, then, as ``DiscreteMeasure`` does, weights at or below
+    ``WEIGHT_DROP_TOL`` are set to 0 and the rest renormalized.  The mass and
+    the read-only result, aligned with the distinct atoms, are kept in
+    ``ref._gibbs_memo`` under the V object; a call with another V replaces
+    them.  Per call: warns, for the caller of the public function, when the
+    mass misses 1 by more than ``NORMALIZATION_TOL``; a mass of 0 or +inf is
+    never kept, so every such call raises.
     """
     if not ref.is_finite:
         raise ValueError("exact Gibbs reference needs a finite reference measure")
-    atoms, ell_weights, _ = ref._canon
-    vals = evaluate_V(V, atoms)
-    with np.errstate(over="ignore"):
-        raw = ell_weights * np.exp(-vals)
-    total = math.fsum(raw.tolist())
-    if not (0.0 < total < np.inf):
-        raise ValueError(f"exp(-V) ell has mass {total}; cannot normalize")
+    memo = ref._gibbs_memo
+    if memo is not None and memo[0] is V:
+        _, total, weights = memo
+    else:
+        atoms, ell_weights, _ = ref._canon
+        vals = evaluate_V(V, atoms)
+        with np.errstate(over="ignore"):
+            raw = ell_weights * np.exp(-vals)
+        total = math.fsum(raw.tolist())
+        if not (0.0 < total < np.inf):
+            raise ValueError(f"exp(-V) ell has mass {total}; cannot normalize")
+        weights = raw / total
+        weights[weights <= WEIGHT_DROP_TOL] = 0.0
+        weights /= math.fsum(weights.tolist())
+        weights.setflags(write=False)
+        # the reference is otherwise immutable; the memo is its one mutable slot
+        object.__setattr__(ref, "_gibbs_memo", (V, total, weights))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         warnings.warn(
             f"exp(-V) ell has mass {total!r}, not 1; normalizing", stacklevel=3
         )
-    weights = raw / total
-    weights[weights <= WEIGHT_DROP_TOL] = 0.0
-    weights /= math.fsum(weights.tolist())
     return weights
 
 
@@ -179,7 +188,8 @@ def gibbs_reference(ref: ReferenceMeasure, V) -> DiscreteMeasure:
 
     Normalizes in all cases; warns (rather than failing) when the declared
     potential misses unit mass by more than the tolerance, since callers may
-    legitimately pass an unnormalized confinement.
+    legitimately pass an unnormalized confinement.  Its weights are
+    ``rate_I``'s, computed once per reference and V (``_gibbs_weights``).
     """
     weights = _gibbs_weights(ref, V)
     keep = weights > 0.0
@@ -193,10 +203,11 @@ def rate_I(mu: DiscreteMeasure, pair: PotentialPair, ref: ReferenceMeasure) -> F
     The weights of exp(-V) ell are those of ``gibbs_reference``, taken
     without building the measure.  Per reference, once: the distinct atoms
     of ell, their summed weights and the index from an atom to its position,
-    all held by ``ref``.  Per call: V on those atoms, the normalized and
-    dropped weights (``_gibbs_weights``, with its mass warning), one index
-    lookup per atom of mu, and the interaction energy of mu.  A pair declared
-    for another dimension than ``ref`` is refused."""
+    all held by ``ref``.  Per reference and V, once: V on those atoms and the
+    normalized and dropped weights (``_gibbs_weights``, kept on ``ref``).
+    Per call: the mass warning, one index lookup per atom of mu, and the
+    interaction energy of mu.  A pair declared for another dimension than
+    ``ref`` is refused."""
     _check_dim(pair, ref.dim, "reference")
     weights = _gibbs_weights(ref, pair.V)
     entropy = _relative_entropy(mu, ref.dim, ref._canon[2], weights)

@@ -182,7 +182,15 @@ class DiscreteMeasure:
         total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        self._canonicalize(atoms, weights)
 
+    def _canonicalize(self, atoms: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
+        """Merge, drop, renormalize and freeze, and return self: the canonical
+        form of input already checked, a (k, d) float array of finite atoms
+        with no -0.0 and k >= 1 non-negative finite weights summing to 1
+        within ``WEIGHT_SUM_TOL``.  ``__init__`` calls it after checking;
+        ``empirical_measure``, whose configuration holds such atoms, calls it
+        on a bare instance."""
         atoms, weights = _merge_atoms(atoms, weights)
 
         if not weights.min() > WEIGHT_DROP_TOL:
@@ -197,6 +205,7 @@ class DiscreteMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_weights", weights)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -382,9 +391,16 @@ class ReferenceMeasure:
     distinct atoms in ``_merge_atoms`` order, their summed weights, and a dict
     from an atom's bytes to its position among them.  ``atoms`` and
     ``weights`` keep the cloud as given, repeats and order included.
+
+    ``_gibbs_memo`` is a one-entry memo of ``functionals._gibbs_weights``:
+    None, or the confinement V last asked for, the mass of exp(-V) ell and
+    the read-only normalized weights on the distinct atoms.  A call with
+    another V object replaces the entry, so a reference holds at most one
+    set of Gibbs weights.
     """
 
-    __slots__ = ("mode", "atoms", "weights", "log_density", "box", "description", "_canon")
+    __slots__ = ("mode", "atoms", "weights", "log_density", "box", "description", "_canon",
+                 "_gibbs_memo")
 
     def __init__(self, mode, atoms=None, weights=None, log_density=None, box=None,
                  description=""):
@@ -397,6 +413,7 @@ class ReferenceMeasure:
             summed.setflags(write=False)
             canon = (distinct, summed, {a.tobytes(): k for k, a in enumerate(distinct)})
         object.__setattr__(self, "_canon", canon)
+        object.__setattr__(self, "_gibbs_memo", None)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
@@ -459,9 +476,13 @@ class ReferenceMeasure:
 # operations
 # -----------------------------------------------------------------------------
 def empirical_measure(config: ParticleConfig) -> DiscreteMeasure:
-    """Empirical measure (1/n) sum of Dirac masses at the configuration points."""
+    """Empirical measure (1/n) sum of Dirac masses at the configuration points.
+
+    A configuration's points are finite floats without -0.0 and n >= 1, so
+    the measure is canonicalized without checking them again; it equals
+    ``DiscreteMeasure(config.points, np.full(n, 1 / n))`` bitwise."""
     n = config.n
-    return DiscreteMeasure(config.points, np.full(n, 1.0 / n))
+    return object.__new__(DiscreteMeasure)._canonicalize(config.points, np.full(n, 1.0 / n))
 
 
 def psi_integral(mu: DiscreteMeasure, psi: WeightFunction) -> float:
@@ -515,10 +536,14 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     |f| <= 1/2 (a shift does not change the integral against mu - nu), so
     d_bl is the W_1 transport cost for that truncated metric.  The LP is
     solved once, without presolve.  HiGHS accepts an f that breaks a row or
-    the box by up to its 1e-7 feasibility tolerance, so when atoms are closer
-    than that the value can exceed the optimum by up to about 1e-7: on
-    delta_1 against the uniform measure on 0, 1/2 and 2^-24 it returns 5/6,
-    against the optimum 5/6 - 2^-24/3.
+    the box by up to its 1e-7 feasibility tolerance, so the value can exceed
+    the optimum, by at most 1e-7 times the total mass of an optimal dual
+    solution, which is at most 2 on the box and 1 / delta on the rows, delta
+    the shortest kept distance.  This needs no close atoms, only a row
+    within 1e-7 of the box: delta at 2^-24 against delta at 1 returns 1,
+    against the optimum 1 - 2^-24, since f = 1/2, -1/2 breaks their one row
+    by 2^-24.  On delta_1 against the uniform measure on 0, 1/2 and 2^-24 it
+    returns 5/6, against the optimum 5/6 - 2^-24/3.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")

@@ -34,7 +34,9 @@ Three generators:
   its row shuffled uniformly, which gives every ordering its exact
   probability; only the drawn rows are turned into atoms.
   ``exact_gibbs_law`` keeps the law of all m^n index tuples, built one slot
-  at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check.
+  at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check;
+  each new slot is prepended as the slowest digit, so every broadcast add
+  runs along the long axis of the tuples built so far.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -591,11 +593,16 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
 
     The probabilities, proportional to exp(-beta_n H_n) times the product of
     reference weights, are built one slot at a time, so no per-tuple energy
-    sum is formed: appending atom j as the new fastest digit of a prefix adds
-    j's site term -beta_n V_j / n + log w_j and, through ``prefix``, the
-    interaction -beta_n (W + W^T)_{aj} / (2 n^2) with every atom a already
-    in the prefix.  evaluate_V and evaluate_W refuse NaN and -inf and the
-    weights are positive and finite, so the only non-finite value is -inf.
+    sum is formed.  Each new slot is prepended as the slowest digit: putting
+    atom j in front of a tuple t adds j's site term -beta_n V_j / n + log w_j
+    and, through ``prefix[j, t]``, the interaction -beta_n (W + W^T)_{ja} /
+    (2 n^2) with every atom a of t.  Every broadcast add then runs its inner
+    loop over the m^slot tuples built so far, not over the m atoms.  The
+    site term and the link matrix (W + W^T) are the same for every slot, and
+    H_n and the weights are invariant under permuting the slots, so the
+    array built in this order is the law in lexicographic order.
+    evaluate_V and evaluate_W refuse NaN and -inf and the weights are
+    positive and finite, so the only non-finite value is -inf.
     """
     _check_exact_args(pair, ell, beta_n)
     m = len(ell.atoms)
@@ -607,12 +614,15 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     log_prob = site
     if n > 1:
         Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+        # symmetric, so prefix[j, t] sums link[j, a] over the atoms a of tuple t
         link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
         prefix = link
         for slot in range(1, n):
-            log_prob = (log_prob[:, None] + site[None, :] + prefix).ravel()
+            extended = prefix + site[:, None]
+            extended += log_prob[None, :]
+            log_prob = extended.ravel()
             if slot < n - 1:
-                prefix = (prefix[:, None, :] + link[None, :, :]).reshape(-1, m)
+                prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
         # the last prefix holds m^n floats: freed here, its memory can serve
         # the index tuples below, which would otherwise fault in fresh pages
         del prefix

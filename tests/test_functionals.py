@@ -418,6 +418,61 @@ class TestRateIAgainstMergingReference:
                 rate_I(mu, pair, ell)
 
 
+class CountingV:
+    """V wrapper that counts its calls."""
+
+    def __init__(self, V):
+        self.V, self.calls = V, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.V(x)
+
+
+@pytest.mark.filterwarnings("ignore:exp\\(-V\\) ell has mass")
+class TestGibbsWeightsMemo:
+    """The weights of exp(-V) ell are computed once per reference and V."""
+
+    def test_once_across_rate_calls(self):
+        pair, ref, beta = coulomb_cases(with_repeats)[2]
+        V = CountingV(pair.V)
+        counted = PotentialPair(V, pair.W, dim=pair.dim, symmetric=True)
+        mus = [empirical_measure(c) for c in exact_sample_finite(pair, ref, 6, beta, 5, 200)]
+        values = [rate_I(mu, counted, ref).value for mu in mus]
+        assert V.calls == 1
+        # the memo's weights give the values a fresh reference gives
+        fresh = ReferenceMeasure.finite(ref.atoms, ref.weights)
+        assert values == [rate_I(mu, pair, fresh).value for mu in mus]
+
+    def test_another_V_gets_its_own_weights(self):
+        ref = ReferenceMeasure.finite([[0.0], [1.0], [0.0], [2.0]], [1.0, 2.0, 0.5, 1.5])
+        first, second = v_quadratic, v_const(0.3)
+        for V in (first, second, first):
+            nu = gibbs_reference(ref, V)
+            assert ref._gibbs_memo[0] is V
+            atoms, weights = merging_gibbs_weights(ref, V)
+            np.testing.assert_array_equal(nu.atoms, atoms)
+            np.testing.assert_allclose(nu.weights, weights, rtol=1e-14)
+        assert gibbs_reference(ref, first) != gibbs_reference(ref, second)
+
+    def test_memoised_weights_are_read_only(self):
+        ref = ReferenceMeasure.finite([[0.0], [1.0], [2.0]])
+        weights = functionals._gibbs_weights(ref, v_quadratic)
+        assert functionals._gibbs_weights(ref, v_quadratic) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
+    def test_no_mass_refused_on_every_call(self):
+        ref = ReferenceMeasure.finite([[0.0], [1.0]])
+        V = CountingV(lambda x: np.full(np.asarray(x).shape[:-1], np.inf))
+        pair = PotentialPair(V, w_zero, dim=1)
+        for calls in (1, 2):
+            with pytest.raises(ValueError, match="has mass 0"):
+                rate_I(DiscreteMeasure.dirac([0.0]), pair, ref)
+            assert V.calls == calls and ref._gibbs_memo is None
+
+
 class TestRateJ:
     def test_dirac(self):
         pair = quad_pair()

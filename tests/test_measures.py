@@ -238,6 +238,23 @@ class TestEmpiricalMeasure:
         mu = empirical_measure(ParticleConfig([[0.0], [1.0], [2.0], [3.0]]))
         np.testing.assert_allclose(mu.weights, 0.25)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_the_checked_constructor_bitwise(self, rng, d):
+        # configurations of a block, with repeated points and -0.0 among them
+        pool = np.vstack([rng.normal(size=(3, d)), np.zeros((1, d)), -np.zeros((1, d))])
+        block = pool[rng.integers(0, len(pool), size=(40, 7))]
+        block[0] = pool[0]
+        configs = ParticleConfig._from_block(block)
+        for config in configs:
+            n = config.n
+            mu = empirical_measure(config)
+            expected = DiscreteMeasure(config.points, np.full(n, 1.0 / n))
+            assert mu.atoms.tobytes() == expected.atoms.tobytes()
+            assert mu.weights.tobytes() == expected.weights.tobytes()
+            assert mu == expected and hash(mu) == hash(expected)
+            assert not (mu.atoms.flags.writeable or mu.weights.flags.writeable)
+        assert empirical_measure(configs[0]).support_size == 1
+
 
 class TestBoundedLipschitz:
     def test_identical_measures(self):
@@ -354,6 +371,13 @@ class TestBoundedLipschitz:
         got = d_bl(mu, nu)
         assert got == pytest.approx(0.5 + 1 / 3, abs=1e-15)  # HiGHS's answer
         assert 0.0 <= got - (5 / 6 - eps / 3) <= 1e-7
+
+    def test_gap_below_the_solver_feasibility_tolerance_without_close_atoms(self):
+        # two atoms 1 - eps apart keep one row, which f = 1/2, -1/2 breaks by
+        # eps < 1e-7: the value can overshoot with no two atoms close
+        eps = 2.0**-24
+        got = d_bl(DiscreteMeasure.dirac([eps]), DiscreteMeasure.dirac([1.0]))
+        assert 0.0 <= got - (1.0 - eps) <= 1e-7
 
     def test_one_solve_without_presolve(self, monkeypatch):
         options = []

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CountingW, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist, w_zero
 from gibbslab import sampler
@@ -350,6 +352,38 @@ def count_marginal(digits, probs, counts):
     row = {tuple(c): i for i, c in enumerate(counts.tolist())}
     index = [row[tuple(c)] for c in tuple_counts.tolist()]
     return np.bincount(index, weights=probs, minlength=len(counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
+       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), data=st.data())
+def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated, data):
+    # up to 5 atoms, one of them copied when repeated: at least n distinct
+    # ones, so the d = 2 Coulomb kernel, +inf on its diagonal, leaves some
+    # tuple finite
+    distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
+    rng = np.random.default_rng(seed)
+    atoms = rng.uniform(-1.0, 1.0, (distinct, d))
+    if repeated:
+        atoms = np.vstack([atoms, atoms[rng.integers(distinct)]])
+    m = len(atoms)
+    ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, m))
+    pair = PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+    beta = float(n if speed == "n" else n * n)
+    digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+
+    H = np.array([hamiltonian(ParticleConfig(atoms[row]), pair) for row in digits])
+    np.testing.assert_array_equal(probs == 0, H == np.inf)
+    live = np.flatnonzero(probs > 0)
+    expected = -beta * H[live] + np.log(ell.weights)[digits[live]].sum(axis=1)
+    got = np.log(probs[live])
+    top = np.argmax(got)
+    np.testing.assert_allclose(got - got[top], expected - expected[top], rtol=0, atol=1e-12)
+
+    counts, count_probs = exact_count_law(pair, ell, n=n, beta_n=beta)
+    marginal = count_marginal(digits, probs, counts)
+    np.testing.assert_array_equal(count_probs == 0, marginal == 0)
+    np.testing.assert_allclose(count_probs, marginal, rtol=0, atol=1e-12)
 
 
 class TestCountLaw:
