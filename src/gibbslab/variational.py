@@ -6,10 +6,10 @@ continuum infima and converge under refinement for the catalog potentials.
 
 On a grid, J(w) = (1/2) w^T K w + v . w is a quadratic on the simplex for
 every interaction W, and I adds the relative entropy to the reference.  Every
-objective carries its linear term v, zero for an untilted I.  A linear tilt
-g . w (an array) is folded into v when the objective is built; only a
-non-linear tilt (an object with ``value`` and ``grad``) stays a separate
-term.
+objective carries its linear term v, zero for an untilted I.  A tilt is the
+linear functional g . w, given as the array g and folded into v when the
+objective is built: the paper's Laplace and Varadhan checks tilt by
+t int psi dmu, which the grid makes linear in w.
 
 A convexity certificate decides how far a solver's answer can be trusted.
 Only the curvature along the simplex matters: w^T K w is convex on the
@@ -25,9 +25,14 @@ kernels fail.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
 
-Both solvers build their objective and hand it to ``_solve``, whose
-docstring is the one account of the solver policy: which solver runs, from
-which starts, and what ``local`` and ``iterations`` then mean.
+Each problem class has one solver policy, ``_solve_J`` and ``_solve_I``,
+whose docstrings say which solver runs, from which starts, and what
+``iterations`` counts.  Both follow the certificate: a certified kernel makes
+the problem convex, one start runs and the answer is global (``local=None``);
+otherwise ``DEFAULT_STARTS`` starts run, the lowest value is kept, and
+``local=True``.  The starts are fixed, so two calls return the same result.
+``max_iter`` bounds each run's pivots, steps or iterations, and
+``converged`` says whether the final gap is within ``tol``.
 
 Singular kernels (+inf on the diagonal, e.g. Coulomb in d >= 2) make every
 measure with atoms carry infinite energy, a discretization ambiguity the
@@ -75,9 +80,6 @@ QP_ROUNDING = 1e-13
 # Full swaps block pivoting makes without a fall in the count of infeasible
 # nodes before it swaps one node at a time (Kim and Park 2011 use 3).
 BACKUP_SWAPS = 3
-# Weights below this, at nodes whose gradient is above the least one by more
-# than tol, are dropped from a mirror-descent minimizer of J.
-SUPPORT_DROP_TOL = 1e-9
 
 
 def _check_pair_budget(k, d):
@@ -149,35 +151,30 @@ class MinimizationResult:
 
 
 def _fold_tilt(tilt, v):
-    """The linear term and the non-linear tilt of an objective whose linear
-    term is v on the feasible nodes before ``tilt``.  An array is the linear
-    functional g . w, folded in: (v + g, None); an object with ``value`` and
-    ``grad`` stays a separate term: (v, tilt)."""
+    """The linear term v + g of an objective whose linear term is v on the
+    feasible nodes before the tilt g . w; v itself when ``tilt`` is None."""
     if tilt is None:
-        return v, None
-    if isinstance(tilt, (list, tuple, np.ndarray)):
-        g = np.asarray(tilt, dtype=float)
-        if g.shape != v.shape:
-            raise ValueError(f"tilt of shape {g.shape} does not match the {len(v)} "
-                             "feasible nodes")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("tilt values must be finite")
-        return v + g, None
-    if hasattr(tilt, "value") and hasattr(tilt, "grad"):
-        return v, tilt
-    raise TypeError("tilt must be None, an array, or provide value/grad")
+        return v
+    if not isinstance(tilt, (list, tuple, np.ndarray)):
+        raise TypeError(f"tilt must be None or an array, got {type(tilt).__name__}")
+    g = np.asarray(tilt, dtype=float)
+    if g.shape != v.shape:
+        raise ValueError(f"tilt of shape {g.shape} does not match the {len(v)} "
+                         "feasible nodes")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("tilt must be finite at every node")
+    return v + g
 
 
 class _Objective:
-    """Simplex objective: quadratic kernel and linear v, an optional entropy
-    vs nu and an optional non-linear tilt."""
+    """Simplex objective: quadratic kernel and linear v, and an optional
+    entropy vs nu."""
 
-    def __init__(self, nodes, kernel, v, nu=None, tilt=None, surrogate=None):
+    def __init__(self, nodes, kernel, v, nu=None, surrogate=None):
         self.nodes = nodes
         self.K = kernel
         self.v = v
         self.nu = nu
-        self.tilt = tilt
         self.surrogate = surrogate
 
     @property
@@ -189,8 +186,6 @@ class _Objective:
         if self.nu is not None:
             mask = w > 0
             total += float(np.sum(w[mask] * np.log(w[mask] / self.nu[mask])))
-        if self.tilt is not None:
-            total += self.tilt.value(w)
         return total
 
     def grad(self, w):
@@ -198,8 +193,6 @@ class _Objective:
         if self.nu is not None:
             wsafe = np.maximum(w, 1e-300)
             g = g + np.log(wsafe / self.nu) + 1.0
-        if self.tilt is not None:
-            g = g + self.tilt.grad(w)
         return g
 
     def value_batch(self, wmat):
@@ -208,8 +201,6 @@ class _Objective:
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(wmat > 0, wmat * np.log(wmat / self.nu), 0.0)
             totals = totals + terms.sum(axis=1)
-        if self.tilt is not None:
-            totals = totals + np.array([self.tilt.value(w) for w in wmat])
         return totals
 
 
@@ -447,16 +438,19 @@ def _block_pivoting_qp(K, v, passive, max_iter):
     return w, pivots, float(w @ g - g.min())
 
 
-def _finish(obj, best_w, best_val, iterations, gap, method, feasible, all_nodes,
-            local, tol):
+def _finish(obj, runs, method, feasible, all_nodes, local, tol):
+    """The result of the run of least value among ``runs``, tuples (weights on
+    the ``feasible`` nodes, value, iterations, gap), its iterations summed
+    over the runs."""
+    w, value, _, gap = min(runs, key=lambda run: run[1])
     weights = np.zeros(len(all_nodes))
-    weights[feasible] = best_w
+    weights[feasible] = w
     keep = weights > 0
     minimizer = DiscreteMeasure(all_nodes[keep], weights[keep] / weights[keep].sum())
     return MinimizationResult(
         minimizer=minimizer,
-        value=float(best_val),
-        iterations=iterations,
+        value=float(value),
+        iterations=sum(run[2] for run in runs),
         convergence_gap=float(gap),
         method=method,
         converged=bool(gap <= tol),
@@ -485,8 +479,8 @@ def build_objective_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec
     K, surrogate = _kernel_on_nodes(pair, sub, grid)
     nu = nu_full[feasible]
     nu = nu / nu.sum()
-    v, tilt = _fold_tilt(tilt, np.zeros(len(feasible)))
-    return _Objective(sub, K, v=v, nu=nu, tilt=tilt, surrogate=surrogate), feasible
+    v = _fold_tilt(tilt, np.zeros(len(feasible)))
+    return _Objective(sub, K, v=v, nu=nu, surrogate=surrogate), feasible
 
 
 def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
@@ -500,8 +494,8 @@ def build_objective_J(pair: PotentialPair, grid: GridSpec, tilt=None):
         raise ValueError("all confinement values are infinite on the grid")
     sub = nodes[feasible]
     K, surrogate = _kernel_on_nodes(pair, sub, grid)
-    v, tilt = _fold_tilt(tilt, v_vals[feasible])
-    return _Objective(sub, K, v=v, nu=None, tilt=tilt, surrogate=surrogate), feasible
+    v = _fold_tilt(tilt, v_vals[feasible])
+    return _Objective(sub, K, v=v, surrogate=surrogate), feasible
 
 
 def _tangent_psd_certified(K) -> bool:
@@ -520,145 +514,101 @@ def _tangent_psd_certified(K) -> bool:
 
 
 def _vertex_starts(K, v, count):
-    """Start nodes of the QP: the best vertex, then the nodes of least gradient
+    """Start nodes of the solvers: the best vertex, then the nodes of least gradient
     K.mean(1) + v at the uniform weights, ``count`` nodes in all."""
     best = int(np.argmin(0.5 * np.diag(K) + v))
     order = np.argsort(K.mean(1) + v, kind="stable")
     return [best] + [int(i) for i in order[order != best][:max(count - 1, 0)]]
 
 
-def _drop_inactive(obj, w, fval, gap, tol):
-    """Zero the KKT-inactive nodes of a minimizer without an entropy term.
+def _solve_J(obj, feasible, grid, tol, max_iter):
+    """The solver policy of ``minimize_J``: J is a QP on the simplex, and both
+    of its solvers solve the KKT system on a support by the Newton step of
+    ``_support_step``.
 
-    Mirror descent's multiplicative updates never set a weight to zero, so a
-    node whose gradient stays above the least one keeps a tiny weight.  Those
-    nodes, weight below ``SUPPORT_DROP_TOL`` and gradient above g.min() + tol,
-    are dropped and the rest renormalized; the cleaned point replaces w only
-    if its value is not above fval by more than 1e-12 relative.
+    On a certified kernel, block pivoting (``_block_pivoting_qp``) runs from
+    ``_sublevel_start``.  While the count of infeasible nodes falls, all of
+    them swap; after ``BACKUP_SWAPS`` full swaps without a fall, one node at
+    a time does (Murty's rule), which ends the cycles full swaps alone can
+    enter.  Pivoting ends at the optimum up to rounding, in 0 to 8 pivots on
+    Coulomb grids of up to 1681 nodes, where the primal active-set QP
+    (``_active_set_qp``), adding or dropping one node per step, took 40 to
+    638 steps.  A passive set whose tangent Hessian is not positive definite
+    (a PSD kernel singular there, such as a rank-one one) hands the problem
+    to the active-set QP from the best vertex, and the answer stays global.
+    An uncertified J runs the active-set QP from the vertices of
+    ``_vertex_starts``, since pivoting can cycle there; each run ends at a
+    KKT point up to rounding, in general a local minimum.  ``iterations``
+    counts pivots on the pivoting path, and add and drop steps summed over
+    the starts on the active-set path; a fallback counts only its active-set
+    steps.
     """
-    g = obj.grad(w)
-    drop = (w < SUPPORT_DROP_TOL) & (g > g.min() + tol)
-    if not drop.any():
-        return w, fval, gap
-    clean = np.where(drop, 0.0, w)
-    clean /= clean.sum()
-    value = obj.value(clean)
-    if value > fval + 1e-12 * max(1.0, abs(fval)):
-        return w, fval, gap
-    g = obj.grad(clean)
-    return clean, value, float(clean @ g - g.min())
-
-
-def _solve(obj, feasible, grid, tol, max_iter):
-    """The solver policy behind ``minimize_I`` and ``minimize_J``: one path,
-    fixed starts and no randomness, so two calls return the same result.
-
-    A kernel that passes the tangent-space certificate (not tested under a
-    non-linear tilt, which leaves the problem non-quadratic) makes the problem
-    convex: one start, and the answer is global (``local=None``).  Otherwise
-    ``DEFAULT_STARTS`` starts run and the lowest value is kept, with
-    ``local=True``.  ``max_iter`` bounds each run's pivots, steps or
-    iterations, and ``converged`` says whether the final gap is within
-    ``tol``.
-
-    J with no tilt or a linear one is a QP on the simplex, and both of its
-    solvers solve the KKT system on a support by the Newton step of
-    ``_support_step``.  On a certified kernel, block pivoting
-    (``_block_pivoting_qp``) runs from ``_sublevel_start``: two rounds of
-    keeping the nodes whose gradient at the uniform measure on the current
-    set lies at or below its mean there.  One round leaves a set larger than
-    the support, which in d = 1 loses only its two end nodes per pivot, and a
-    third cuts into the support.  While the count of infeasible nodes falls,
-    all of them swap; after ``BACKUP_SWAPS`` full swaps without a fall, one
-    node at a time does (Murty's rule, the backup), which ends the cycles
-    full swaps alone can enter.  Pivoting ends at the optimum up to rounding,
-    in 0 to 8 pivots on Coulomb grids of up to 1681 nodes, where the primal
-    active-set QP (``_active_set_qp``), adding or dropping one node per
-    step, took 40 to 638 steps.  A passive set whose tangent Hessian is not
-    positive definite (a PSD kernel singular there, such as a rank-one one)
-    hands the problem to the active-set QP from the best vertex, and the
-    answer stays global.  An uncertified J runs the active-set QP from the
-    vertices of ``_vertex_starts``, since pivoting can cycle there; each run
-    ends at a KKT point up to rounding, in general a local minimum.
-    ``iterations`` counts pivots on the pivoting path, and add and drop steps
-    summed over the starts on the active-set path; a fallback counts only
-    its active-set steps.
-
-    I and a non-linearly tilted J run entropic mirror descent, whose
-    backtracking line search makes the objective fall monotonically along
-    every run, from the uniform weights, then nu (I only), then the
-    midpoints between the uniform weights and the vertices of
-    ``_vertex_starts``; for I, -log nu is added to v, so that the vertices
-    are ranked by I's own vertex values and gradient at the uniform weights.
-    Mirror descent's own values are compared, and ``iterations`` sums its
-    iterations over the starts.  A run stopped by ``max_iter``, or by a line
-    search that fails above ``tol``, reports ``converged=False``.  The
-    minimizer of a tilted J then loses its KKT-inactive nodes
-    (``_drop_inactive``); the entropy of I keeps every weight positive.
-    """
-    certified = obj.tilt is None and _tangent_psd_certified(obj.K)
-    count = 1 if certified else DEFAULT_STARTS
-    k, v = obj.k, obj.v
-    if obj.nu is None and obj.tilt is None:
-        pivoted = (_block_pivoting_qp(obj.K, v, _sublevel_start(obj.K, v), max_iter)
-                   if certified else None)
-        if pivoted is not None:
-            method, w = "block_pivoting_qp", pivoted[0]
-            runs = [(w, obj.value(w), *pivoted[1:])]
-        else:
-            method, runs = "active_set_qp", []
-            for start in _vertex_starts(obj.K, v, count):
-                w, it, gap = _active_set_qp(obj.K, v, start, max_iter)
-                runs.append((w, obj.value(w), it, gap))
+    K, v = obj.K, obj.v
+    certified = _tangent_psd_certified(K)
+    pivoted = _block_pivoting_qp(K, v, _sublevel_start(K, v), max_iter) if certified else None
+    if pivoted is not None:
+        method, runs = "block_pivoting_qp", [(pivoted[0], obj.value(pivoted[0]), *pivoted[1:])]
     else:
-        method = "mirror_descent"
-        inits = [np.full(k, 1.0 / k)]
-        if obj.nu is not None:
-            inits.append(obj.nu)
-            v = v - np.log(obj.nu)
-        for j in _vertex_starts(obj.K, v, count):
-            inits.append(np.full(k, 0.5 / k))
-            inits[-1][j] += 0.5
-        runs = [_mirror_descent(obj, w0, tol, max_iter) for w0 in inits[:count]]
-    w, fval, _, gap = min(runs, key=lambda run: run[1])
-    if method == "mirror_descent" and obj.nu is None:
-        # J with a non-linear tilt; the entropy of I keeps every weight positive
-        w, fval, gap = _drop_inactive(obj, w, fval, gap, tol)
-    return _finish(obj, w, fval, sum(run[2] for run in runs), gap, method, feasible,
-                   grid.nodes, None if certified else True, tol)
+        method = "active_set_qp"
+        starts = _vertex_starts(K, v, 1 if certified else DEFAULT_STARTS)
+        runs = [(w, obj.value(w), it, gap)
+                for w, it, gap in (_active_set_qp(K, v, j, max_iter) for j in starts)]
+    return _finish(obj, runs, method, feasible, grid.nodes, None if certified else True, tol)
+
+
+def _solve_I(obj, feasible, grid, tol, max_iter):
+    """The solver policy of ``minimize_I``: entropic mirror descent, whose
+    backtracking line search makes the objective fall monotonically along
+    every run, from the uniform weights, then nu, then the midpoints between
+    the uniform weights and the vertices of ``_vertex_starts``, with -log nu
+    added to v so that the vertices are ranked by I's own vertex values and
+    gradient at the uniform weights.  ``iterations`` sums the iterations over
+    the starts.  A run stopped by ``max_iter``, or by a line search that fails
+    above ``tol``, reports ``converged=False``.
+    """
+    certified = _tangent_psd_certified(obj.K)
+    count = 1 if certified else DEFAULT_STARTS
+    k = obj.k
+    inits = [np.full(k, 1.0 / k), obj.nu]
+    for j in _vertex_starts(obj.K, obj.v - np.log(obj.nu), count):
+        inits.append(np.full(k, 0.5 / k))
+        inits[-1][j] += 0.5
+    runs = [_mirror_descent(obj, w0, tol, max_iter) for w0 in inits[:count]]
+    return _finish(obj, runs, "mirror_descent", feasible, grid.nodes,
+                   None if certified else True, tol)
 
 
 def minimize_I(pair: PotentialPair, ref: ReferenceMeasure, grid: GridSpec,
                tilt=None, tol=DEFAULT_TOL, max_iter=20000) -> MinimizationResult:
     """Minimize entropy + interaction (+ optional tilt) over the grid simplex.
 
-    ``tilt`` is None, an array g (the linear functional g . w on the feasible
-    nodes of ``build_objective_I``) or an object with ``value`` and ``grad``.
+    ``tilt`` is None or an array g, the linear functional g . w on the
+    feasible nodes of ``build_objective_I``; any other object is refused.
     Returns the minimizer on the grid nodes and its value, with ``local=None``
     when the value is the global minimum and ``local=True`` when it may be a
     local one, ``converged`` when the final gap is within ``tol``, and the
     self-energy ``surrogate`` when W is +inf on the diagonal.  Two calls
-    return the same result.  The solver and its starts are ``_solve``'s.
+    return the same result.  The solver and its starts are ``_solve_I``'s.
     """
     obj, feasible = build_objective_I(pair, ref, grid, tilt)
-    return _solve(obj, feasible, grid, tol, max_iter)
+    return _solve_I(obj, feasible, grid, tol, max_iter)
 
 
 def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
                max_iter=50000) -> MinimizationResult:
     """Minimize the pure energy functional (+ optional tilt) over the grid simplex.
 
-    ``tilt`` is None, an array g (the linear functional g . w on the nodes of
-    finite confinement, folded into V) or an object with ``value`` and
-    ``grad``.  Returns the minimizer on the grid nodes and its value, with
-    ``local=None`` when the value is the global minimum and ``local=True``
-    when it may be a local one, ``converged`` when the final gap is within
-    ``tol``, and the self-energy ``surrogate`` when W is +inf on the
-    diagonal.  Two calls return the same result.  The solver and its starts,
-    and what ``method`` and ``iterations`` report, are ``_solve``'s.
+    ``tilt`` is None or an array g, the linear functional g . w on the nodes
+    of finite confinement, folded into V; any other object is refused.
+    Returns the minimizer on the grid nodes and its value, with ``local=None``
+    when the value is the global minimum and ``local=True`` when it may be a
+    local one, ``converged`` when the final gap is within ``tol``, and the
+    self-energy ``surrogate`` when W is +inf on the diagonal.  Two calls
+    return the same result.  The solver and its starts, and what ``method``
+    and ``iterations`` report, are ``_solve_J``'s.
     """
     obj, feasible = build_objective_J(pair, grid, tilt)
-    return _solve(obj, feasible, grid, tol, max_iter)
+    return _solve_J(obj, feasible, grid, tol, max_iter)
 
 
 def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
@@ -687,5 +637,5 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
     if np.all(vals == np.inf):
         raise ValueError("objective is infinite on the entire lattice")
     idx = int(np.argmin(vals))      # argmin returns the first (lexicographic) tie
-    return _finish(objective, lattice[idx], vals[idx], len(lattice), 0.0, "simplex_scan",
+    return _finish(objective, [(lattice[idx], vals[idx], len(lattice), 0.0)], "simplex_scan",
                    np.arange(k), nodes, None, 0.0)

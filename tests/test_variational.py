@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +20,9 @@ from gibbslab.potentials import (
     power_confinement,
 )
 from gibbslab.variational import (
-    DEFAULT_STARTS,
     DEFAULT_TOL,
     SCAN_ROW_BUDGET,
     GridSpec,
-    _drop_inactive,
     _Objective,
     _active_set_qp,
     _block_pivoting_qp,
@@ -63,6 +62,13 @@ def sqdist_pair():
     return PotentialPair(v_quadratic, w_sqdist, dim=2, symmetric=True)
 
 
+# three or four nodes in SQUARE, at least 0.05 apart
+NODE_SETS = (st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=4)
+             .map(np.array)
+             .filter(lambda p: np.min(np.linalg.norm(p[:, None] - p[None], axis=-1)
+                                      + 3 * np.eye(len(p))) > 0.05))
+
+
 def lattice_bracket(obj):
     """The 0.01 lattice oracle's value and its lattice error, the Frank-Wolfe
     gap at the lattice minimizer: a convex f* lies in [value - error, value]."""
@@ -76,10 +82,7 @@ def lattice_bracket(obj):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=4)
-       .map(np.array)
-       .filter(lambda p: np.min(np.linalg.norm(p[:, None] - p[None], axis=-1)
-                                + 3 * np.eye(len(p))) > 0.05))
+@given(NODE_SETS)
 def test_active_set_within_the_lattice_bracket(nodes):
     result = minimize_J(coulomb_pair(2), GridSpec.from_points(nodes))
     obj, _ = build_objective_J(coulomb_pair(2), GridSpec.from_points(nodes))
@@ -89,6 +92,41 @@ def test_active_set_within_the_lattice_bracket(nodes):
     assert result.method == ("block_pivoting_qp" if certified else "active_set_qp")
     assert result.converged
     assert oracle - lattice_error - slack <= result.value <= oracle + slack
+
+
+# the benchmark's certified I solves, pinned so that a change in the arithmetic
+# of the objective or of mirror descent shows here
+@pytest.mark.parametrize("grid, iterations", [
+    (GridSpec.from_points(FOUR_NODES), 15),
+    (GridSpec.regular(SQUARE, 0.1), 18),
+], ids=["4_nodes", "441_nodes"])
+def test_benchmark_I_solves_converge(grid, iterations):
+    result = minimize_I(coulomb_pair(2), box(2), grid)
+    assert result.method == "mirror_descent"
+    assert result.converged and result.local is None
+    assert result.iterations == iterations
+
+
+@settings(max_examples=25, deadline=None)
+@given(NODE_SETS)
+def test_mirror_descent_within_the_lattice_bracket(nodes):
+    # converged is not asserted: see the xfail below
+    result = minimize_I(coulomb_pair(2), box(2), GridSpec.from_points(nodes))
+    obj, _ = build_objective_I(coulomb_pair(2), box(2), GridSpec.from_points(nodes))
+    oracle, lattice_error = lattice_bracket(obj)
+    slack = 1e-9 * max(1.0, abs(oracle))
+    assert oracle - lattice_error - slack <= result.value <= oracle + slack
+
+
+@pytest.mark.xfail(strict=True, reason="mirror descent's line search, which tests the "
+                   "value alone, stops at gap 1.24e-8 after 20 iterations")
+def test_mirror_descent_converges_on_three_nodes():
+    nodes = [(-0.7682687750584594, 0.24697951107500082),
+             (0.553366228684596, 0.22600660210608092),
+             (0.8345954095818053, -0.9208142466715943)]
+    result = minimize_I(coulomb_pair(2), box(2), GridSpec.from_points(nodes))
+    assert result.local is None
+    assert result.converged
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,15 +412,18 @@ def test_vertex_starts():
     lambda grid, tilt: minimize_J(coulomb_pair(2), grid, tilt=tilt),
     lambda grid, tilt: minimize_I(coulomb_pair(2), box(2), grid, tilt=tilt),
 ], ids=["J", "I"])
-@pytest.mark.parametrize("bad", ["column", "nan", "-inf"])
+@pytest.mark.parametrize("bad", ["column", "nan", "-inf", "object"])
 def test_a_malformed_tilt_raises(solve, bad):
     grid = GridSpec.regular(SQUARE, 0.5)
     g = np.zeros(len(grid.nodes))
     if bad == "column":
         g = g[:, None]
+    elif bad == "object":
+        # a tilt is the linear functional g . w; a non-linear one is refused
+        g = SimpleNamespace(value=lambda w: 0.0, grad=lambda w: np.zeros_like(w))
     else:
         g[3] = {"nan": np.nan, "-inf": -np.inf}[bad]
-    with pytest.raises(ValueError, match="tilt"):
+    with pytest.raises(TypeError if bad == "object" else ValueError, match="tilt"):
         solve(grid, g)
 
 
@@ -411,57 +452,19 @@ def test_linear_tilt_on_I_equals_shifted_confinement():
                                atol=1e-8)
 
 
-class SquaredMean:
-    """The non-linear tilt (1/2) (x . w)^2, x the nodes' first coordinate."""
-
-    def __init__(self, nodes):
-        self.x = nodes[:, 0]
-
-    def value(self, w):
-        return 0.5 * float(self.x @ w) ** 2
-
-    def grad(self, w):
-        return float(self.x @ w) * self.x
-
-
-def test_nonlinear_tilt_on_J_keeps_the_untilted_support():
-    # the untilted minimizer is symmetric, so x . w = 0 there and the tilt,
-    # >= 0, leaves the minimum and its 21 atoms in place
+def test_linear_tilt_on_J_keeps_the_untilted_support():
+    # g = 0 on the untilted support and 1 elsewhere leaves the KKT conditions
+    # in place: the gradient on the support is unchanged and rises off it
     pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
     grid = GridSpec.regular([(-1.0, 1.0)], 0.05)
-    tilt = SquaredMean(grid.nodes)
     untilted = minimize_J(pair, grid)
-    tilted = minimize_J(pair, grid, tilt=tilt)
-    assert tilted.method == "mirror_descent" and tilted.converged
     assert untilted.minimizer.support_size == 21
+    g = np.where(np.isin(grid.nodes[:, 0], untilted.minimizer.atoms[:, 0]), 0.0, 1.0)
+    tilted = minimize_J(pair, grid, tilt=g)
+    assert tilted.method == untilted.method == "block_pivoting_qp"
+    assert tilted.converged and tilted.local is None
     np.testing.assert_array_equal(tilted.minimizer.atoms, untilted.minimizer.atoms)
-    # mirror descent alone leaves two spurious atoms above the measure's drop tolerance
-    obj, _ = build_objective_J(pair, grid, tilt)
-    inits = [np.full(obj.k, 1.0 / obj.k)]
-    for j in _vertex_starts(obj.K, obj.v, DEFAULT_STARTS)[:DEFAULT_STARTS - 1]:
-        inits.append(np.full(obj.k, 0.5 / obj.k))
-        inits[-1][j] += 0.5
-    raw, raw_value, _, _ = min((_mirror_descent(obj, w0, DEFAULT_TOL, 50000) for w0 in inits),
-                               key=lambda run: run[1])
-    assert np.sum(raw > 1e-15) == 23
-    assert abs(tilted.value - raw_value) <= 1e-12
-    w = np.zeros(obj.k)
-    w[np.searchsorted(obj.nodes[:, 0], tilted.minimizer.atoms[:, 0])] = tilted.minimizer.weights
-    assert tilted.value == pytest.approx(obj.value(w), abs=1e-15)
-
-
-@pytest.mark.parametrize("v, dropped", [([0.0, 2.0, 3.0], True), ([0.0, 2.0, 0.5], False)])
-def test_drop_inactive_keeps_a_clean_point_only_if_no_worse(v, dropped):
-    # node 2 has weight 5e-10 and a gradient above the least one; dropping it
-    # moves its mass to nodes 0 and 1, which lowers the value only when its
-    # gradient lies above the mean gradient w . g = 1
-    obj = _Objective(np.zeros((3, 1)), np.zeros((3, 3)), v=np.array(v))
-    w = np.array([0.5, 0.5 - 5e-10, 5e-10])
-    g = obj.grad(w)
-    clean, value, gap = _drop_inactive(obj, w, obj.value(w), float(w @ g - g.min()), 1e-8)
-    assert bool(clean[2] == 0.0) is dropped
-    assert value == obj.value(clean)
-    assert bool(value < obj.value(w)) is dropped
+    assert abs(tilted.value - untilted.value) <= 1e-12
 
 
 def test_single_start_I_matches_best_of_five():
@@ -505,9 +508,7 @@ def test_scan_oracle_refuses_a_lattice_over_budget():
 @pytest.mark.parametrize("solve", [
     lambda: minimize_I(sqdist_pair(), box(2), GridSpec.regular(SQUARE, 0.5)),
     lambda: minimize_J(sqdist_pair(), GridSpec.regular(SQUARE, 0.5)),
-    lambda: minimize_J(coulomb_pair(1), GridSpec.regular([(-1.0, 1.0)], 0.05),
-                       tilt=SquaredMean(GridSpec.regular([(-1.0, 1.0)], 0.05).nodes)),
-], ids=["I", "J", "tilted_J"])
+], ids=["I", "J"])
 def test_uncertified_solves_are_deterministic(solve):
     first, second = solve(), solve()
     assert first.local is True
