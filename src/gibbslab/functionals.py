@@ -68,7 +68,7 @@ def _masked_quadratic(weights_outer: np.ndarray, values: np.ndarray) -> float:
     if np.any(mask & (values == np.inf)):
         return np.inf
     sel = mask & np.isfinite(values)
-    return math.fsum((weights_outer[sel] * values[sel]).ravel())
+    return math.fsum((weights_outer[sel] * values[sel]).tolist())
 
 
 def hamiltonian(config: ParticleConfig, pair: PotentialPair) -> float:

@@ -487,7 +487,7 @@ def empirical_measure(config: ParticleConfig) -> DiscreteMeasure:
 
 def psi_integral(mu: DiscreteMeasure, psi: WeightFunction) -> float:
     """Integral of psi against mu: sum of w_i * psi(a_i)."""
-    return math.fsum(mu.weights * psi(mu.atoms))
+    return math.fsum((mu.weights * psi(mu.atoms)).tolist())
 
 
 def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
@@ -499,7 +499,7 @@ def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
     mask = norms > r
     if not np.any(mask):
         return 0.0
-    return math.fsum(mu.weights[mask] * psi(mu.atoms[mask]))
+    return math.fsum((mu.weights[mask] * psi(mu.atoms[mask])).tolist())
 
 
 def linprog(c, *, A_eq, b_eq, bounds, method, options):
@@ -607,7 +607,7 @@ def _wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float
     """Exact transport cost in R^1 via the quantile (monotone) coupling of the
     sorted atoms."""
     mass, ia, ib = _quantile_coupling(mu.weights, nu.weights)
-    return math.fsum(mass * np.abs(mu.atoms[ia, 0] - nu.atoms[ib, 0]) ** p)
+    return math.fsum((mass * np.abs(mu.atoms[ia, 0] - nu.atoms[ib, 0]) ** p).tolist())
 
 
 def _gaussian_images(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:

@@ -125,7 +125,7 @@ class PotentialPair:
     def __init__(self, V, W, dim, symmetric=False, declared_lower_bound_c=None, name=""):
         self.V = V
         self.W = W
-        self.dim = _dimension(dim)
+        self.dim = _integer(dim, "dimension")
         self.symmetric = bool(symmetric)
         self.declared_lower_bound_c = declared_lower_bound_c
         self.name = name or "custom"
@@ -134,16 +134,17 @@ class PotentialPair:
         return f"PotentialPair({self.name}, d={self.dim})"
 
 
-def _dimension(d) -> int:
-    """d as an int, refused unless it is an integer >= 1: ``int`` would read
-    2.7 as 2, and a kernel power of a non-integer d is no Coulomb kernel."""
+def _integer(value, name: str, least: int = 1) -> int:
+    """value as an int, refused unless it is an integer >= least: ``int``
+    would read 2.7 as 2, a kernel power of a non-integer d is no Coulomb
+    kernel, and a bool is no dimension or count of particles or sweeps."""
     try:
-        dim = operator.index(d)
+        k = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        dim = 0
-    if dim < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
-    return dim
+        k = None
+    if k is None or k < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return k
 
 
 def _check_dim(pair: PotentialPair, dim: int, what: str) -> None:
@@ -167,7 +168,7 @@ def coulomb_kernel(d: int):
     one coordinate plane at a time: no (..., d) difference block is formed
     and no square root is taken.
     """
-    d = _dimension(d)
+    d = _integer(d, "dimension")
     if d == 1:
         def W(x, y):
             return -np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
@@ -465,7 +466,7 @@ def _log_normalizer(v2, ell: ReferenceMeasure) -> float:
         vals = evaluate_V(v2, ell.atoms)
         with np.errstate(over="ignore"):
             terms = ell.weights * np.exp(-vals)
-        z = math.fsum(terms)
+        z = math.fsum(terms.tolist())
     else:
         box = ell.box
         axes = [np.linspace(lo, hi, QUADRATURE_PER_AXIS + 1) for lo, hi in box]
@@ -474,7 +475,7 @@ def _log_normalizer(v2, ell: ReferenceMeasure) -> float:
         logdens = ell.log_density(pts)
         vals = evaluate_V(v2, pts)
         with np.errstate(over="ignore"):
-            z = math.fsum(np.exp(logdens - vals)) * cell
+            z = math.fsum(np.exp(logdens - vals).tolist()) * cell
     if not (0.0 < z < np.inf):
         raise ValueError(f"normalizer integral of exp(-V2) is {z}, must be finite and positive")
     return math.log(z)
@@ -600,7 +601,7 @@ def phi_moment_check(phi: SuperlinearFunction, nu: DiscreteMeasure, psi_bar) -> 
     does not exceed the second.
     """
     svals = np.asarray(psi_bar(nu.atoms), dtype=float)
-    integral = math.fsum(nu.weights * np.exp(phi(svals)))
+    integral = math.fsum((nu.weights * np.exp(phi(svals))).tolist())
     K = phi.max_slope
     bound = math.exp(phi.breakpoints[0]) + math.fsum(2.0 ** (-k) for k in range(1, K + 1))
     if integral > bound:

@@ -36,7 +36,11 @@ Three generators:
   ``exact_gibbs_law`` keeps the law of all m^n index tuples, built one slot
   at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check;
   each new slot is prepended as the slowest digit, so every broadcast add
-  runs along the long axis of the tuples built so far.
+  runs along the long axis of the tuples built so far, and the last slot's
+  law is built in place in the last interaction prefix, which is not read
+  again.  The index tuples and the compositions depend on (n, m) alone:
+  each is built once per (n, m), kept for the last (n, m) asked for, and
+  returned as a shared read-only array.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -56,7 +60,8 @@ import numpy as np
 
 from ._enum import compositions_array
 from .measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure, _record_json
-from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, offdiag_pair_matrix
+from .potentials import (PotentialPair, _check_dim, _integer, evaluate_V, evaluate_W,
+                         offdiag_pair_matrix)
 from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
 
 # Most m^n tuples of exact_gibbs_law, and most entries of exact_count_law's
@@ -86,17 +91,14 @@ class SamplerConfig:
     init: ParticleConfig | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "burn_in", _integer(self.burn_in, "burn_in", 0))
+        object.__setattr__(self, "thinning", _integer(self.thinning, "thinning"))
         # NaN fails every comparison, so it is refused along with inf
         if not 0 < self.beta_n < math.inf:
             raise ValueError(f"beta_n must lie in (0, inf), got {self.beta_n!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"proposal step sigma must lie in (0, inf), got {self.sigma!r}")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
 
 
 @dataclass
@@ -224,7 +226,8 @@ def _draw_starts(pair, ref, cfg, rngs, cdf):
             ld[todo] = ref.log_density(pts[todo].reshape(-1, d)).reshape(-1, n)
         for c, vals in zip(todo, raw_v):
             if ld is None or np.all(np.isfinite(ld[c])):
-                energy[c] = math.fsum(vals) / n + math.fsum(Y[c].ravel()) / pair_norm
+                energy[c] = (math.fsum(vals.tolist()) / n
+                             + math.fsum(Y[c].ravel().tolist()) / pair_norm)
         todo = todo[energy[todo] == np.inf]
         if not len(todo):
             if pair.symmetric:
@@ -477,12 +480,35 @@ def mh_sample_chains(pair, ref, cfg: SamplerConfig, samples: int, chains: int):
     return [s for kept, _ in results for s in kept], [diag for _, diag in results]
 
 
-def _check_exact_args(pair, ell, beta_n):
+def _check_exact_args(pair, ell, n, beta_n) -> int:
+    """Refuse the arguments of an exact law; returns n as an int."""
     if not ell.is_finite:
         raise ValueError("exact law needs a finite reference measure")
     _check_dim(pair, ell.dim, "reference")
+    n = _integer(n, "n")
     if not 0 < beta_n < math.inf:
         raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
+    return n
+
+
+@functools.lru_cache(maxsize=1)
+def _index_tuples(n, m):
+    """The read-only (m^n, n) index tuples of ``exact_gibbs_law``, built once
+    per (n, m): the transposed (n, m^n) array of ``np.indices``."""
+    digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
+    digits.flags.writeable = False
+    return digits
+
+
+@functools.lru_cache(maxsize=1)
+def _compositions(n, m):
+    """The read-only (C, m) compositions of n of ``exact_count_law``, built
+    once per (n, m).  ``compositions_array`` itself stays uncached, so the
+    weight lattices of ``simplex_scan_oracle``, 10^5 rows and more, are not
+    held after its scan."""
+    counts = compositions_array(n, m)
+    counts.flags.writeable = False
+    return counts
 
 
 def _normalize_log(log_prob) -> np.ndarray:
@@ -510,14 +536,14 @@ def _count_log_weights(pair, ell, n, beta_n):
     with S_aa = +inf holds two or more particles.  ``ENUM_BUDGET`` bounds the
     entries of the count array.
     """
-    _check_exact_args(pair, ell, beta_n)
+    n = _check_exact_args(pair, ell, n, beta_n)
     m = len(ell.atoms)
     entries = math.comb(n + m - 1, m - 1) * m
     if entries > ENUM_BUDGET:
         raise BudgetExceededError(
             f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {ENUM_BUDGET}")
     atoms = np.asarray(ell.atoms, dtype=float)
-    counts = compositions_array(n, m)
+    counts = _compositions(n, m)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     c = counts.astype(float)
     occupied = (counts > 0).astype(float)
@@ -553,9 +579,13 @@ def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     count array.
 
     Returns (counts, probabilities): counts is the (C, m) int64 array of
-    ``_enum.compositions_array``, in lexicographic order.  Raises
-    BudgetExceededError over budget and SamplerError when every composition
-    has infinite energy.
+    ``_enum.compositions_array``, in lexicographic order.  It depends on
+    (n, m) alone, so it is built once per (n, m) and shared between calls:
+    it is read-only, and a call with another (n, m) builds a new one and
+    leaves earlier results as they were.  n must be an integer >= 1.
+    Raises BudgetExceededError over budget, checked before the cached
+    counts are looked up, and SamplerError when every composition has
+    infinite energy.
     """
     counts, log_weight = _count_log_weights(pair, ell, n, beta_n)
     return counts, _normalize_log(log_weight)
@@ -588,8 +618,12 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     np.unravel_index on shape (m,) * n.  The index tuples, of dtype
     ``np.min_scalar_type(m - 1)``, are a transposed (Fortran-order) view of
     the (n, m^n) array of ``np.indices``: each slot's column is contiguous,
-    each tuple's row is strided.  Raises BudgetExceededError when m^n
-    exceeds ``ENUM_BUDGET``.
+    each tuple's row is strided.  They depend on (n, m) alone, so they are
+    built once per (n, m) and shared between calls: the array is read-only,
+    and a call with another (n, m) builds a new one and leaves earlier
+    results as they were.  n must be an integer >= 1.  Raises
+    BudgetExceededError when m^n exceeds ``ENUM_BUDGET``, checked before the
+    cached tuples are looked up.
 
     The probabilities, proportional to exp(-beta_n H_n) times the product of
     reference weights, are built one slot at a time, so no per-tuple energy
@@ -600,11 +634,15 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     loop over the m^slot tuples built so far, not over the m atoms.  The
     site term and the link matrix (W + W^T) are the same for every slot, and
     H_n and the weights are invariant under permuting the slots, so the
-    array built in this order is the law in lexicographic order.
+    array built in this order is the law in lexicographic order.  The last
+    slot's law is built in place in the last prefix, an (m, m^(n-1)) block
+    that is not read again, by the adds a fresh block would take, in the
+    same order.  So besides the tuples and blocks m times smaller the law
+    takes one m^n block of floats, the probability vector returned.
     evaluate_V and evaluate_W refuse NaN and -inf and the weights are
     positive and finite, so the only non-finite value is -inf.
     """
-    _check_exact_args(pair, ell, beta_n)
+    n = _check_exact_args(pair, ell, n, beta_n)
     m = len(ell.atoms)
     if m**n > ENUM_BUDGET:
         raise BudgetExceededError(
@@ -617,18 +655,19 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
         # symmetric, so prefix[j, t] sums link[j, a] over the atoms a of tuple t
         link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
         prefix = link
-        for slot in range(1, n):
-            extended = prefix + site[:, None]
-            extended += log_prob[None, :]
-            log_prob = extended.ravel()
-            if slot < n - 1:
-                prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
-        # the last prefix holds m^n floats: freed here, its memory can serve
-        # the index tuples below, which would otherwise fault in fresh pages
-        del prefix
+        for _ in range(1, n - 1):
+            law = prefix + site[:, None]
+            law += log_prob[None, :]
+            log_prob = law.ravel()
+            prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
+        # the last prefix is not read again, so the last slot's law is built
+        # in it by the same two adds in the same order: no second m^n block
+        law = prefix
+        law += site[:, None]
+        law += log_prob[None, :]
+        log_prob = law.ravel()
     probs = _normalize_log(log_prob)
-    digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
-    return digits, probs
+    return _index_tuples(n, m), probs
 
 
 def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):

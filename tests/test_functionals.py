@@ -82,6 +82,18 @@ class TestHamiltonian:
             )
 
 
+def test_masked_quadratic_with_inf_equals_the_sum_over_numpy_scalars():
+    # +inf only where the weight is zero, so the sum runs over the selected entries
+    rng = np.random.default_rng(12)
+    w = rng.uniform(0.1, 1.0, 30)
+    w[::4] = 0.0
+    outer = np.outer(w, w)
+    values = rng.normal(size=(30, 30))
+    values[::4, 1::3] = np.inf
+    sel = (outer > 0.0) & np.isfinite(values)
+    assert functionals._masked_quadratic(outer, values) == math.fsum(outer[sel] * values[sel])
+
+
 class TestOffDiagonalSums:
     """H_n and the off-diagonal interaction energy sum W over i != j only, so
     a W undefined at x = y is never evaluated there."""

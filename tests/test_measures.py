@@ -430,6 +430,16 @@ class TestDPsi:
 
 
 class TestWasserstein:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
+    def test_1d_cost_equals_the_sum_over_numpy_scalars(self, p):
+        rng = np.random.default_rng(11)
+        mu = DiscreteMeasure.uniform(rng.normal(size=(40, 1)))
+        w = rng.uniform(0.1, 1.0, 30)
+        nu = DiscreteMeasure(rng.normal(size=(30, 1)), w / w.sum())
+        mass, ia, ib = measures._quantile_coupling(mu.weights, nu.weights)
+        expected = math.fsum(mass * np.abs(mu.atoms[ia, 0] - nu.atoms[ib, 0]) ** p)
+        assert measures._wasserstein_1d(mu, nu, p) == expected
+
     def test_single_coupling(self):
         got = wasserstein_p(DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([1.0]), 2)
         assert got == pytest.approx(1.0, abs=1e-12)
@@ -691,6 +701,17 @@ class TestPsiIntegrals:
         assert tail_psi_mass(mu, psi, 10.0) == 0.0
         assert tail_psi_mass(mu, psi, 1.0) == pytest.approx(1.5)
         assert tail_psi_mass(mu, psi, 0.0) == pytest.approx(psi_integral(mu, psi))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sums_equal_the_sums_over_numpy_scalars(self, d):
+        # math.fsum reads the terms as a list of floats: the same floats, the same sum
+        rng = np.random.default_rng(7 + d)
+        w = rng.uniform(0.1, 1.0, 50)
+        mu = DiscreteMeasure(rng.normal(size=(50, d)), w / w.sum())
+        psi = WeightFunction.norm_power(1.5)
+        assert psi_integral(mu, psi) == math.fsum(mu.weights * psi(mu.atoms))
+        tail = np.linalg.norm(mu.atoms, axis=1) > 0.8
+        assert tail_psi_mass(mu, psi, 0.8) == math.fsum(mu.weights[tail] * psi(mu.atoms[tail]))
 
     @pytest.mark.parametrize("r", [-1.0, math.nan])
     def test_tail_radius_not_non_negative_refused(self, r):

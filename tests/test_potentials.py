@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import CountingW, w_nan_on_diagonal, w_sqdist
-from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction
+from gibbslab import potentials
+from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction, _grid_points
 from gibbslab.potentials import (
     AssumptionReport,
     PotentialPair,
@@ -57,7 +58,7 @@ class TestCoulomb:
             K = pair_matrix(W, X, X)
             assert np.array_equal(K, K.T)
 
-    @pytest.mark.parametrize("d", [1.5, 2.0, 0, -1, "2", None])
+    @pytest.mark.parametrize("d", [1.5, 2.0, 0, -1, "2", None, True])
     def test_dimension_not_an_integer_of_at_least_one_refused(self, d):
         # coulomb_kernel(1.5) returned the kernel |z|^0.25
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
@@ -69,7 +70,7 @@ class TestCoulomb:
 
 
 class TestPotentialPair:
-    @pytest.mark.parametrize("dim", [2.7, 2.0, 0, -1, "1", None])
+    @pytest.mark.parametrize("dim", [2.7, 2.0, 0, -1, "1", None, True])
     def test_dimension_not_an_integer_of_at_least_one_refused(self, dim):
         # dim=2.7 read 2 and dim=-1 was accepted
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
@@ -511,6 +512,25 @@ class TestNormalizePair:
                                                   np.asarray(y)[..., 0]).shape)
         with pytest.raises((ValueError, FloatingPointError)):
             normalize_pair(zero, v2, wfun, ell)
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_log_normalizer_equals_the_sum_over_numpy_scalars(finite):
+    # math.fsum reads the terms as a list of floats: the same floats, the same sum
+    v2 = power_confinement(2.0)
+    if finite:
+        rng = np.random.default_rng(13)
+        ell = ReferenceMeasure.finite(rng.normal(size=(40, 2)), rng.uniform(0.5, 1.5, 40))
+        terms = ell.weights * np.exp(-v2(ell.atoms))
+        expected = math.log(math.fsum(terms))
+    else:
+        ell = ReferenceMeasure.lebesgue_box([(-1.0, 2.0), (-1.5, 1.0)])
+        q = potentials.QUADRATURE_PER_AXIS
+        axes = [np.linspace(lo, hi, q + 1) for lo, hi in ell.box]
+        pts = _grid_points([0.5 * (a[1:] + a[:-1]) for a in axes])
+        cell = np.prod([(hi - lo) / q for lo, hi in ell.box])
+        expected = math.log(math.fsum(np.exp(ell.log_density(pts) - v2(pts))) * cell)
+    assert potentials._log_normalizer(v2, ell) == expected
 
 
 def scan_phi_reference(nu, psi_bar, lambda_max):

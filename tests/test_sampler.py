@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -12,7 +13,7 @@ from conftest import CountingW, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist
 from gibbslab import sampler
 from gibbslab.functionals import hamiltonian, rate_I, rate_J
 from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from gibbslab.potentials import PotentialPair, coulomb_kernel
+from gibbslab.potentials import PotentialPair, coulomb_kernel, evaluate_V, evaluate_W
 from gibbslab.sampler import (
     BudgetExceededError,
     ChainDiagnostics,
@@ -166,6 +167,20 @@ class TestMHGaussianTarget:
         with pytest.raises(ValueError, match="thinning"):
             SamplerConfig(n=1, beta_n=1.0, thinning=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 0), ("n", -1), ("n", 2.5), ("n", True), ("n", "3"),
+        ("burn_in", -1), ("burn_in", 2.5), ("burn_in", False),
+        ("thinning", 0), ("thinning", 1.5), ("thinning", True)])
+    def test_counts_must_be_integers(self, name, value):
+        # n = 2.5 passed a plain n < 1 check and failed later in numpy
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= [01], got"):
+            SamplerConfig(**{"n": 1, "beta_n": 1.0, name: value})
+
+    def test_numpy_integers_are_read_as_ints(self):
+        cfg = SamplerConfig(n=np.int64(3), beta_n=1.0, burn_in=np.int32(2), thinning=np.uint8(1))
+        assert (cfg.n, cfg.burn_in, cfg.thinning) == (3, 2, 1)
+        assert all(type(v) is int for v in (cfg.n, cfg.burn_in, cfg.thinning))
+
     @pytest.mark.parametrize("case", ["density", "finite"])
     def test_pair_of_another_dimension_refused(self, case):
         # a d = 1 Coulomb pair on a 2-D reference read only the first coordinate
@@ -304,6 +319,78 @@ class TestExactFinite:
         with pytest.raises(ValueError):
             exact_sample_finite(pair, ell, n=2, beta_n=beta, seed=0, samples=1)
 
+    @pytest.mark.parametrize("n", [0, -1, True, 2.5])
+    @pytest.mark.parametrize("law", ["tuple", "count", "draws"])
+    def test_particle_count_must_be_an_integer_of_at_least_one(self, law, n):
+        # n = 0 divided by zero and drew from NaN probabilities, n = -1 failed
+        # in a reshape and n = True in a broadcast
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        call = {"tuple": exact_gibbs_law, "count": exact_count_law,
+                "draws": lambda *a, **k: exact_sample_finite(*a, **k, seed=0, samples=3)}[law]
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got"):
+            call(pair, ell, n=n, beta_n=1.0)
+
+    def test_numpy_integer_particle_count(self):
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        for law in (exact_gibbs_law, exact_count_law):
+            table, probs = law(pair, ell, n=np.int64(3), beta_n=3.0)
+            expected_table, expected = law(pair, ell, n=3, beta_n=3.0)
+            assert table is expected_table
+            assert probs.tobytes() == expected.tobytes()
+        draws = exact_sample_finite(pair, ell, n=np.int64(3), beta_n=3.0, seed=4, samples=5)
+        again = exact_sample_finite(pair, ell, n=3, beta_n=3.0, seed=4, samples=5)
+        assert [c.points.tobytes() for c in draws] == [c.points.tobytes() for c in again]
+
+    def test_tuples_and_counts_are_shared_read_only(self, monkeypatch):
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        digits, _ = exact_gibbs_law(pair, ell, n=2, beta_n=1.0)
+        counts, _ = exact_count_law(pair, ell, n=2, beta_n=1.0)
+        for table in (digits, counts):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+        assert exact_gibbs_law(pair, ell, n=2, beta_n=2.0)[0] is digits
+        assert exact_count_law(pair, ell, n=2, beta_n=2.0)[0] is counts
+        # another (n, m) replaces the one cached entry; earlier results stay as they were
+        kept = digits.copy(), counts.copy()
+        digits3, _ = exact_gibbs_law(pair, ell, n=3, beta_n=1.0)
+        counts3, _ = exact_count_law(pair, ell, n=3, beta_n=1.0)
+        assert sampler._index_tuples.cache_info().currsize == 1
+        assert sampler._compositions.cache_info().currsize == 1
+        np.testing.assert_array_equal(digits, kept[0])
+        np.testing.assert_array_equal(counts, kept[1])
+        assert digits3.shape == (27, 3) and counts3.shape == (10, 3)
+        assert exact_gibbs_law(pair, ell, n=2, beta_n=1.0)[0] is not digits
+        # with the n = 3 tables cached, the budget is still checked first:
+        # 27 tuples and 30 count entries
+        monkeypatch.setattr(sampler, "ENUM_BUDGET", 26)
+        with pytest.raises(BudgetExceededError):
+            exact_gibbs_law(pair, ell, n=3, beta_n=1.0)
+        with pytest.raises(BudgetExceededError):
+            exact_count_law(pair, ell, n=3, beta_n=1.0)
+
+    def test_law_takes_one_block_besides_the_tuples(self):
+        # 10^6 tuples: the law is built in its last prefix block, so the traced
+        # peak of a call that also builds the tuples is one m^n block of floats
+        # and the n m^n bytes of tuples, against 16.0 MiB with a fresh block
+        # for the last slot
+        m, n = 10, 6
+        rng = np.random.default_rng(5)
+        ell = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (m, 1)), rng.uniform(0.5, 1.5, m))
+        pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+        sampler._index_tuples.cache_clear()
+        tracemalloc.start()
+        try:
+            digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=float(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digits.nbytes == n * m**n and probs.nbytes == 8 * m**n
+        assert peak <= 8 * m**n + n * m**n + 2**20
+
     def test_single_slot_many_atoms(self):
         # n = 1 never uses W, and atom indices above the int16 range must survive
         m = 40000
@@ -384,6 +471,53 @@ def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated
     marginal = count_marginal(digits, probs, counts)
     np.testing.assert_array_equal(count_probs == 0, marginal == 0)
     np.testing.assert_allclose(count_probs, marginal, rtol=0, atol=1e-12)
+
+
+def reference_slot_recursion(pair, ell, n, beta_n):
+    """The tuple law built slot by slot with a fresh block for every slot,
+    the last one included, and normalized out of place, with its index
+    tuples from ``np.indices``: the arithmetic ``exact_gibbs_law`` must
+    repeat exactly."""
+    atoms = np.asarray(ell.atoms, dtype=float)
+    m = len(atoms)
+    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
+    log_prob = site
+    if n > 1:
+        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
+        prefix = link
+        for slot in range(1, n):
+            extended = prefix + site[:, None]
+            extended += log_prob[None, :]
+            log_prob = extended.ravel()
+            if slot < n - 1:
+                prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
+    probs = np.exp(log_prob - log_prob.max())
+    probs /= probs.sum()
+    digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
+    return digits, probs
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
+       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), data=st.data())
+def test_tuple_law_equals_the_fresh_block_recursion(seed, n, d, speed, repeated, data):
+    # the references of test_tuple_law_matches_hamiltonian_and_count_law:
+    # up to 5 atoms, one copied when repeated, and the d = 2 Coulomb kernel
+    # +inf on the diagonal
+    distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
+    rng = np.random.default_rng(seed)
+    atoms = rng.uniform(-1.0, 1.0, (distinct, d))
+    if repeated:
+        atoms = np.vstack([atoms, atoms[rng.integers(distinct)]])
+    ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, len(atoms)))
+    pair = PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+    beta = float(n if speed == "n" else n * n)
+    digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+    expected_digits, expected = reference_slot_recursion(pair, ell, n, beta)
+    assert digits.dtype == expected_digits.dtype
+    assert np.array_equal(digits, expected_digits)
+    assert np.array_equal(probs, expected)
 
 
 class TestCountLaw:
