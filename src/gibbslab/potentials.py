@@ -117,10 +117,11 @@ class PotentialPair:
     never derived.  The coupled bound inf [W(x,y) + eps1 (V(x) + V(y))] > c
     is not declared here: ``check_assumption_C1`` takes eps1 and c as
     arguments.  ``symmetric`` is trusted by the samplers, which refuse a
-    start where W is seen to be asymmetric.
+    start where W is seen to be asymmetric.  A pair can be weakly referenced:
+    a ``GridSpec`` keeps its kernel on the grid for as long as the pair lives.
     """
 
-    __slots__ = ("V", "W", "symmetric", "declared_lower_bound_c", "dim", "name")
+    __slots__ = ("V", "W", "symmetric", "declared_lower_bound_c", "dim", "name", "__weakref__")
 
     def __init__(self, V, W, dim, symmetric=False, declared_lower_bound_c=None, name=""):
         self.V = V

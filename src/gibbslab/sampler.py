@@ -512,12 +512,27 @@ def _compositions(n, m):
 
 
 def _normalize_log(log_prob) -> np.ndarray:
-    """exp(log_prob) normalized to sum 1, in place; log_prob is finite or -inf."""
+    """exp(log_prob) normalized to sum 1, in place; log_prob is finite or -inf.
+
+    numpy's ``exp`` takes a slow path on -inf (about 5 ms per 10^6 entries
+    when 85% are -inf, as in the d = 2 Coulomb tuple law, against 1 ms when
+    none is), so when some entry is -inf only the finite ones are
+    exponentiated and scattered into the zero-filled array.  exp(-inf) is 0
+    exactly and the sum runs over the same array in the same order, so the
+    law is bitwise the one of exponentiating every entry.
+    """
     shift = log_prob.max()
     if shift == -np.inf:
         raise SamplerError("all configurations have infinite energy; the Gibbs law is empty")
     log_prob -= shift
-    probs = np.exp(log_prob, out=log_prob)
+    if log_prob.min() == -np.inf:
+        finite = np.flatnonzero(log_prob > -np.inf)
+        values = np.exp(log_prob[finite])
+        log_prob.fill(0.0)
+        log_prob[finite] = values
+        probs = log_prob
+    else:
+        probs = np.exp(log_prob, out=log_prob)
     probs /= probs.sum()
     return probs
 

@@ -520,6 +520,28 @@ def test_tuple_law_equals_the_fresh_block_recursion(seed, n, d, speed, repeated,
     assert np.array_equal(probs, expected)
 
 
+@pytest.mark.parametrize("d, infinite_share", [(2, 0.8488), (1, 0.0)],
+                         ids=["coulomb_d2", "all_finite"])
+def test_normalized_law_equals_exponentiating_every_entry(monkeypatch, d, infinite_share):
+    # the 10^6-tuple laws of the exact_finite benchmark: in d = 2 every tuple
+    # with two particles on one atom is -inf, 1 - 10!/(4! 10^6) of them, and
+    # only the finite entries are exponentiated; in d = 1 every entry is
+    rng = np.random.default_rng(11)
+    m, n = 10, 6
+    ell = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (m, d)), rng.uniform(0.5, 1.5, m))
+    pair = PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+    logs = []
+    normalize = sampler._normalize_log
+    monkeypatch.setattr(sampler, "_normalize_log",
+                        lambda log_prob: logs.append(log_prob.copy()) or normalize(log_prob))
+    _, probs = exact_gibbs_law(pair, ell, n=n, beta_n=float(n))
+    log_prob, = logs
+    assert np.mean(log_prob == -np.inf) == pytest.approx(infinite_share, abs=1e-4)
+    expected = np.exp(log_prob - log_prob.max())
+    expected /= expected.sum()
+    assert np.array_equal(probs, expected)
+
+
 class TestCountLaw:
     @pytest.mark.parametrize("case", ["d1_speed_n", "d1_speed_n2", "coulomb_d2", "repeated_atom"])
     def test_equals_the_tuple_law_count_marginal(self, case):

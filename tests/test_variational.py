@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import v_quadratic, w_sqdist
+from conftest import CountingW, v_quadratic, w_sqdist
 from gibbslab import measures, variational
 from gibbslab.measures import ReferenceMeasure
 from gibbslab.potentials import (
@@ -551,3 +553,126 @@ def test_a_finite_reference_is_not_merged_again_per_build(monkeypatch):
     np.testing.assert_array_equal(obj.nu, expected[0].nu)
     raw = np.array([1.5, 2.0 * np.exp(-1.0)])
     np.testing.assert_allclose(obj.nu, raw / raw.sum(), rtol=1e-15)
+
+
+def test_grid_nodes_are_read_only():
+    points = np.array(FOUR_NODES)
+    grid = GridSpec.from_points(points)
+    for nodes in (grid.nodes, GridSpec.regular(SQUARE, 0.5).nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0, 0] = 5.0
+    # the grid holds its own copy: the caller's array stays writable
+    points[0, 0] = 5.0
+    assert grid.nodes[0, 0] == FOUR_NODES[0, 0]
+
+
+def kernel_build_calls():
+    """The W calls one build of a singular kernel makes, whatever the grid's size."""
+    W = CountingW(coulomb_kernel(2), refuse_identical=False)
+    build_objective_J(PotentialPair(power_confinement(2.0), W, dim=2, symmetric=True),
+                      GridSpec.regular(SQUARE, 1.0))
+    return W.calls
+
+
+@pytest.mark.parametrize("h", [0.1, 0.1 / math.sqrt(2)], ids=["h_0.1", "h_0.0707"])
+def test_moment_tilts_trace_the_rate_of_the_second_moment(h):
+    # the contraction principle for r = int |x|^2 dmu: the minimizer mu_t of
+    # J - t int |x|^2 has the moment r_t, and J(mu_t) - J* is the rate of r_t,
+    # r - 1/4 - (1/4) log 4r for d = 2 Coulomb with V = |x|^2; on the grid it
+    # holds to O(h^2), err / h^2 measured 0.184-0.189, 0.036-0.038 and
+    # 0.093-0.095 at t = -1, 0.2 and 0.5.  The four solves on one grid and one
+    # pair build the kernel once.
+    W = CountingW(coulomb_kernel(2), refuse_identical=False)
+    pair = PotentialPair(power_confinement(2.0), W, dim=2, symmetric=True)
+    grid = GridSpec.regular([(-1.5, 1.5)] * 2, h)
+    moment = np.sum(grid.nodes ** 2, axis=1)
+    untilted = minimize_J(pair, grid)
+    assert untilted.local is None and untilted.converged
+    for t in (-1.0, 0.2, 0.5):
+        result = minimize_J(pair, grid, tilt=-t * moment)
+        assert result.method == "block_pivoting_qp"
+        assert result.local is None and result.converged
+        r = result.minimizer.weights @ np.sum(result.minimizer.atoms ** 2, axis=1)
+        rate = r - 0.25 - 0.25 * np.log(4 * r)
+        assert abs(result.value + t * r - untilted.value - rate) <= 0.25 * h * h
+    assert W.calls == kernel_build_calls()
+
+
+def distinct_points(d):
+    """4 to 40 distinct points of the lattice (1/10) Z^d in [-1, 1]^d."""
+    coordinate = st.integers(-10, 10)
+    return (st.lists(st.tuples(*[coordinate] * d), min_size=4, max_size=40, unique=True)
+            .map(lambda p: np.array(p, dtype=float) / 10))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(distinct_points), st.data())
+def test_a_kept_kernel_solves_as_a_cold_one(nodes, data):
+    # I and J solved on a pair and a grid that already hold a kernel entry
+    # give the record, byte for byte, of a cold solve on a fresh pair and grid
+    k, d = nodes.shape
+    tilts = st.lists(st.floats(-1, 1), min_size=k, max_size=k).map(np.array)
+    first, tilt = data.draw(tilts, label="first"), data.draw(tilts, label="tilt")
+    solves = [lambda pair, grid, g: minimize_J(pair, grid, tilt=g, max_iter=500),
+              lambda pair, grid, g: minimize_I(pair, box(d), grid, tilt=g, max_iter=500)]
+    pair, grid = coulomb_pair(d), GridSpec.from_points(nodes)
+    for solve in solves:
+        solve(pair, grid, first)
+    entry = grid._kernels[pair]
+    for solve in solves:
+        cold = solve(coulomb_pair(d), GridSpec.from_points(nodes), tilt)
+        assert solve(pair, grid, tilt).to_json() == cold.to_json()
+    assert grid._kernels[pair] is entry and len(grid._kernels) == 1
+
+
+def test_a_kernel_entry_dies_with_its_pair():
+    grid = GridSpec.regular(SQUARE, 0.5)
+    pair = coulomb_pair(2)
+    minimize_J(pair, grid)
+    minimize_I(pair, box(2), grid)
+    assert list(grid._kernels.keys()) == [pair]
+    K = weakref.ref(grid._kernels[pair].K)
+    pair = weakref.ref(pair)
+    gc.collect()
+    # the entry refers to no pair, so the pair dies, and its entry with it
+    assert pair() is None and K() is None
+    assert len(grid._kernels) == 0
+
+
+def test_a_new_W_or_feasible_set_rebuilds_the_kernel():
+    grid = GridSpec.regular(SQUARE, 0.5)
+    W = CountingW(coulomb_kernel(2), refuse_identical=False)
+    pair = PotentialPair(power_confinement(2.0), W, dim=2, symmetric=True)
+    expected = minimize_J(pair, grid).to_json()
+    entry, calls = grid._kernels[pair], W.calls
+    # a V that keeps every node feasible, and the I objective on the box, keep the entry
+    pair.V = lambda x: 2.0 * power_confinement(2.0)(x)
+    minimize_J(pair, grid)
+    minimize_I(pair, box(2), grid)
+    assert grid._kernels[pair] is entry and W.calls == calls
+    # a V infinite off the first axis drops 20 of the 25 nodes
+    pair.V = lambda x: np.where(np.asarray(x)[..., 1] == 0.0, 0.0, np.inf)
+    line = minimize_J(pair, grid)
+    assert len(grid._kernels[pair].feasible) == 5 and W.calls == 2 * calls
+    assert not np.any(line.minimizer.atoms[:, 1])
+    pair.V = power_confinement(2.0)
+    assert minimize_J(pair, grid).to_json() == expected
+    assert W.calls == 3 * calls
+    # a new W object, even of the same function, is built again
+    entry = grid._kernels[pair]
+    pair.W = CountingW(coulomb_kernel(2), refuse_identical=False)
+    assert minimize_J(pair, grid).to_json() == expected
+    assert grid._kernels[pair] is not entry
+    assert pair.W.calls == calls and W.calls == 3 * calls
+
+
+def test_the_kept_kernel_is_read_only():
+    grid = GridSpec.regular(SQUARE, 0.5)
+    pair = coulomb_pair(2)
+    obj, _ = build_objective_J(pair, grid)
+    assert obj.K is grid._kernels[pair].K
+    with pytest.raises(ValueError, match="read-only"):
+        obj.K[0, 0] = 0.0
+    # each objective owns its surrogate record
+    obj.surrogate["offset"] = 1.0
+    assert build_objective_I(pair, box(2), grid)[0].surrogate["offset"] == 0.25
