@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from .potentials import (PotentialPair, _check_dim, evaluate_V, evaluate_W, offdiag_pair_matrix,
-                         pair_matrix)
+from .potentials import (PotentialPair, _check_dim, _integer, evaluate_V, evaluate_W,
+                         offdiag_pair_matrix, pair_matrix)
 
 NORMALIZATION_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-12
@@ -255,8 +255,10 @@ def rate_J(mu: DiscreteMeasure, pair: PotentialPair) -> FunctionalValue:
 def rate_J_n_offdiag(mu: DiscreteMeasure, pair: PotentialPair, n: int,
                      beta_n: float) -> FunctionalValue:
     """Finite-n off-diagonal energy: (1 - n/beta_n) * confinement + offdiag
-    interaction.  A pair declared for another dimension than ``mu`` is refused."""
+    interaction.  A pair declared for another dimension than ``mu`` is refused,
+    and n must be an integer >= 1."""
     _check_dim(pair, mu.dim, "measure")
+    n = _integer(n, "n")
     if not 0 < beta_n < math.inf:
         raise ValueError(f"beta_n must lie in (0, inf), got {beta_n!r}")
     coeff = 1.0 - n / beta_n

@@ -79,9 +79,11 @@ def pair_matrix(W, a_points, b_points) -> np.ndarray:
     return evaluate_W(W, A[:, None, :], B[None, :, :])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _other_sites(n):
-    """The (n, n - 1) index array whose row i lists the sites j != i.
+    """The (n, n - 1) index array whose row i lists the sites j != i, kept
+    for the last n asked for: a run's sweeps and checks use one n, and a
+    cache per n held 229 MB after ``hamiltonian`` at n = 100, 200, ..., 2000.
 
     Every call shares it, so no caller may write to it.  It is left writable
     because ``np.take`` copies a read-only index array on every call, a copy
@@ -564,8 +566,7 @@ def construct_phi(nu: DiscreteMeasure, psi_bar, lambda_max: int) -> SuperlinearF
     the tails are eventually empty, so breakpoints past the largest
     psi_bar-value are placed just above it.
     """
-    if lambda_max < 1:
-        raise ValueError("lambda_max must be >= 1")
+    lambda_max = _integer(lambda_max, "lambda_max")
     svals = np.asarray(psi_bar(nu.atoms), dtype=float)
     if np.any(svals < 0) or np.any(~np.isfinite(svals)):
         raise ValueError("psi_bar must be finite and non-negative on the support")

@@ -30,9 +30,18 @@ Three generators:
   particles are exchangeable, so H_n depends only on the counts of the m
   atoms, and ``exact_count_law`` gives the exact law of those counts on the
   C(n + m - 1, m - 1) compositions of n, with at most ``ENUM_BUDGET`` entries
-  in its count array.  A drawn composition is expanded into atom indices and
-  its row shuffled uniformly, which gives every ordering its exact
-  probability; only the drawn rows are turned into atoms.
+  in its count array.  Both exact laws are built from one set of per-atom
+  terms (``_atom_terms``): the site term site_a = -beta_n V_a / n + log w_a
+  and the link matrix link = -beta_n (W + W^T) / (2 n^2).  The log weight of
+  a composition c is separable over the atoms but for the cross term:
+
+      log n! + sum_a T[a, c_a] + (1/2) sum_{a != b} c_a c_b link_ab,
+      T[a, h] = h site_a + h (h - 1) / 2 link_aa - log h!,
+
+  so the count law gathers an (m, n + 1) table by the counts.  A drawn
+  composition is expanded into atom indices and its row shuffled uniformly,
+  which gives every ordering its exact probability; only the drawn rows are
+  turned into atoms.
   ``exact_gibbs_law`` keeps the law of all m^n index tuples, built one slot
   at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check;
   each new slot is prepended as the slowest digit, so every broadcast add
@@ -245,16 +254,19 @@ def _chain_seeds(seed, chains):
     """The seeds of ``SeedSequence(seed).spawn(chains)``, derived without spawning.
 
     A ``SeedSequence`` seed is the parent as it is, and its child counter is
-    not advanced, so the caller's sequence is left unchanged.
+    not advanced, so the caller's sequence is left unchanged.  chains must be
+    an integer >= 1.
     """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (c,),
-                                   pool_size=base.pool_size) for c in range(chains)]
+                                   pool_size=base.pool_size)
+            for c in range(_integer(chains, "chains"))]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _strictly_lower(n):
-    """The (n, n) 0/1 mask of the entries below the diagonal."""
+    """The (n, n) 0/1 mask of the entries below the diagonal, kept for the
+    last n asked for: a run sweeps at one n."""
     return np.tri(n, k=-1)
 
 
@@ -362,6 +374,7 @@ def _run_chains(pair, ref, cfg, seeds, samples):
     refused.  Returns one (kept configurations, ChainDiagnostics) pair per seed.
     """
     n, d, beta = cfg.n, ref.dim, cfg.beta_n
+    samples = _integer(samples, "samples", 0)
     _check_dim(pair, d, "reference")
     if cfg.init is not None and cfg.init.points.shape != (n, d):
         raise ValueError(f"init holds {cfg.init.n} points in d = {cfg.init.dim}, but the "
@@ -537,19 +550,31 @@ def _normalize_log(log_prob) -> np.ndarray:
     return probs
 
 
+def _atom_terms(pair, ell, n, beta_n):
+    """The per-atom Gibbs terms of both exact laws: the site term
+    -beta_n V_a / n + log w_a of every atom and, for n > 1, the link matrix
+    -beta_n (W + W^T) / (2 n^2), the log weight one particle on a adds with
+    one on b.  evaluate_V and evaluate_W refuse NaN and -inf and the weights
+    are positive and finite, so the only non-finite term is -inf."""
+    site = -beta_n * evaluate_V(pair.V, ell.atoms) / n + np.log(ell.weights)
+    if n == 1:
+        return site, None
+    Wmat = evaluate_W(pair.W, ell.atoms[:, None, :], ell.atoms[None, :, :])
+    return site, -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
+
+
 def _count_log_weights(pair, ell, n, beta_n):
-    """The (C, m) compositions of n and their unnormalized log weights.
+    """The (C, m) compositions of n and their unnormalized log weights, by
+    the table T of ``exact_count_law``.
 
-    Composition c has log weight
-
-        log multinomial(n; c) + c.log w - beta_n [(c.v) / n
-            + (c^T S_off c + sum_a c_a (c_a - 1) S_aa) / (2 n^2)],   S = (W + W^T) / 2,
-
-    with the log factorials from a ``math.lgamma`` table.  A +inf in v or S
-    is never multiplied by a zero count: c gets log weight -inf when an
-    occupied atom has V = +inf, two occupied atoms have S = +inf, or an atom
-    with S_aa = +inf holds two or more particles.  ``ENUM_BUDGET`` bounds the
-    entries of the count array.
+    T is held as an (n + 1, m) array, one row per count h, and gathered by
+    the counts; 0 times -inf is read as 0, so T[a, 0] = 0 and link_aa enters
+    only from h = 2 on.  The finite off-diagonal links form the cross term,
+    and a composition that occupies both atoms of a -inf link gets log
+    weight -inf, so every infinity sits where it arises.  The counts are
+    read as floats only by the cross term's product, a (C, m) block that
+    lives for that product alone.  ``ENUM_BUDGET`` bounds the entries of the
+    count array.
     """
     n = _check_exact_args(pair, ell, n, beta_n)
     m = len(ell.atoms)
@@ -557,27 +582,20 @@ def _count_log_weights(pair, ell, n, beta_n):
     if entries > ENUM_BUDGET:
         raise BudgetExceededError(
             f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {ENUM_BUDGET}")
-    atoms = np.asarray(ell.atoms, dtype=float)
     counts = _compositions(n, m)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    c = counts.astype(float)
-    occupied = (counts > 0).astype(float)
-    v = evaluate_V(pair.V, atoms)
-    infinite = occupied @ (v == np.inf)
-    energy = c @ np.where(v == np.inf, 0.0, v) / n
-    if n > 1:
-        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
-        S = 0.5 * (Wmat + Wmat.T)
-        inf_S = (S == np.inf).astype(float)
-        S[inf_S > 0] = 0.0
-        diag, inf_diag = np.diag(S).copy(), np.diag(inf_S).copy()
-        np.fill_diagonal(S, 0.0)
-        np.fill_diagonal(inf_S, 0.0)
-        infinite += ((occupied @ inf_S) * occupied).sum(axis=1) + (counts >= 2) @ inf_diag
-        energy += (((c @ S) * c).sum(axis=1) + (c * (c - 1.0)) @ diag) / (2.0 * n * n)
-    log_weight = log_fact[n] - log_fact[counts].sum(axis=1) + c @ np.log(ell.weights)
-    log_weight -= beta_n * energy
-    log_weight[infinite > 0] = -np.inf
+    site, link = _atom_terms(pair, ell, n, beta_n)
+    h = np.arange(n + 1.0)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])[:, None]
+    table = np.multiply(h, site, out=np.zeros((n + 1, m)), where=h > 0) - log_fact
+    if link is not None:
+        table[2:] += h[2:] * (h[2:] - 1.0) / 2.0 * np.diag(link)
+    log_weight = table[counts, np.arange(m)].sum(axis=1) + log_fact[n]
+    if link is not None:
+        off = np.where(np.eye(m, dtype=bool) | (link == -np.inf), 0.0, link)
+        hard = np.argwhere(np.triu(link == -np.inf, 1))
+        log_weight += 0.5 * np.einsum("ij,ij->i", counts @ off, counts)
+        for a, b in hard:
+            log_weight[(counts[:, a] > 0) & (counts[:, b] > 0)] = -np.inf
     return counts, log_weight
 
 
@@ -588,10 +606,16 @@ def exact_count_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     the m atoms, and the law of L_n = c / n is a law on the
     C(n + m - 1, m - 1) compositions of n, against the m^n tuples of
     ``exact_gibbs_law``.  Composition c has weight multinomial(n; c) times
-    prod_a w_a^{c_a} exp(-beta_n H_n(c)), with the diagonal of W counted
-    c_a (c_a - 1) times and a +inf never multiplied by a zero count (see
-    ``_count_log_weights``).  ``ENUM_BUDGET`` bounds the C * m entries of the
-    count array.
+    prod_a w_a^{c_a} exp(-beta_n H_n(c)).  With the site terms
+    site_a = -beta_n V_a / n + log w_a and the links
+    link = -beta_n (W + W^T) / (2 n^2) of ``_atom_terms``, its log weight is
+
+        log n! + sum_a T[a, c_a] + (1/2) sum_{a != b} c_a c_b link_ab,
+        T[a, h] = h site_a + h (h - 1) / 2 link_aa - log h!,
+
+    so the diagonal of W is counted c_a (c_a - 1) times, and a +inf of V or
+    W is never multiplied by a zero count (see ``_count_log_weights``).
+    ``ENUM_BUDGET`` bounds the C * m entries of the count array.
 
     Returns (counts, probabilities): counts is the (C, m) int64 array of
     ``_enum.compositions_array``, in lexicographic order.  It depends on
@@ -616,13 +640,13 @@ def exact_sample_finite(pair: PotentialPair, ell: ReferenceMeasure, n: int,
     of c has probability p(c) / multinomial(n; c).  Only the drawn rows are
     turned into atoms.
     """
+    samples = _integer(samples, "samples", 0)
     counts, probs = exact_count_law(pair, ell, n, beta_n)
-    atoms = np.asarray(ell.atoms, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     picks = rng.choice(len(probs), size=samples, p=probs)
     drawn = counts[picks].ravel()
-    slots = np.repeat(np.tile(np.arange(len(atoms)), samples), drawn).reshape(samples, n)
-    return ParticleConfig._from_block(atoms[rng.permuted(slots, axis=1)])
+    slots = np.repeat(np.tile(np.arange(len(ell.atoms)), samples), drawn).reshape(samples, n)
+    return ParticleConfig._from_block(ell.atoms[rng.permuted(slots, axis=1)])
 
 
 def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: float):
@@ -662,13 +686,10 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     if m**n > ENUM_BUDGET:
         raise BudgetExceededError(
             f"enumeration of {m}^{n} configurations exceeds budget {ENUM_BUDGET}")
-    atoms = np.asarray(ell.atoms, dtype=float)
-    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
+    site, link = _atom_terms(pair, ell, n, beta_n)
     log_prob = site
-    if n > 1:
-        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
+    if link is not None:
         # symmetric, so prefix[j, t] sums link[j, a] over the atoms a of tuple t
-        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
         prefix = link
         for _ in range(1, n - 1):
             law = prefix + site[:, None]
@@ -688,5 +709,6 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
 def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):
     """samples independent configurations of n iid draws from mu_star."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.choice(mu_star.support_size, size=(samples, n), p=mu_star.weights)
+    size = (_integer(samples, "samples", 0), _integer(n, "n"))
+    idx = rng.choice(mu_star.support_size, size=size, p=mu_star.weights)
     return ParticleConfig._from_block(mu_star.atoms[idx])

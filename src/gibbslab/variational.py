@@ -623,18 +623,21 @@ def _solve_I(obj, feasible, grid, tol, max_iter):
     every run, from the uniform weights, then nu, then the midpoints between
     the uniform weights and the vertices of ``_vertex_starts``, with -log nu
     added to v so that the vertices are ranked by I's own vertex values and
-    gradient at the uniform weights.  ``iterations`` sums the iterations over
-    the starts.  A run stopped by ``max_iter``, or by a line search that fails
-    above ``tol``, reports ``converged=False``.
+    gradient at the uniform weights.  A certified kernel runs the uniform
+    start alone and ranks no vertex; otherwise ``DEFAULT_STARTS`` starts run,
+    and only the vertices among them are ranked.  ``iterations`` sums the
+    iterations over the starts.  A run stopped by ``max_iter``, or by a line
+    search that fails above ``tol``, reports ``converged=False``.
     """
     certified = obj.grid_kernel.certified()
-    count = 1 if certified else DEFAULT_STARTS
     k = obj.k
-    inits = [np.full(k, 1.0 / k), obj.nu]
-    for j in _vertex_starts(obj.K, obj.v - np.log(obj.nu), count):
-        inits.append(np.full(k, 0.5 / k))
-        inits[-1][j] += 0.5
-    runs = [_mirror_descent(obj, w0, tol, max_iter) for w0 in inits[:count]]
+    inits = [np.full(k, 1.0 / k)]
+    if not certified:
+        inits.append(obj.nu)
+        for j in _vertex_starts(obj.K, obj.v - np.log(obj.nu), DEFAULT_STARTS - 2):
+            inits.append(np.full(k, 0.5 / k))
+            inits[-1][j] += 0.5
+    runs = [_mirror_descent(obj, w0, tol, max_iter) for w0 in inits]
     return _finish(obj, runs, "mirror_descent", feasible, grid.nodes,
                    None if certified else True, tol)
 

@@ -10,6 +10,11 @@ def v_zero(x):
     return np.zeros(np.asarray(x).shape[:-1])
 
 
+def v_wall_from(cut):
+    """|x|^2, and +inf where the first coordinate is cut or more."""
+    return lambda x: np.where(np.asarray(x)[..., 0] >= cut, np.inf, v_quadratic(x))
+
+
 def w_zero(x, y):
     shape = np.broadcast(np.asarray(x)[..., 0], np.asarray(y)[..., 0]).shape
     return np.zeros(shape)

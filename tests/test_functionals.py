@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (CountingW, v_const, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist,
-                      w_zero)
+from conftest import (CountingW, v_const, v_quadratic, v_wall_from, v_zero, w_nan_on_diagonal,
+                      w_sqdist, w_zero)
 from gibbslab import functionals, measures
 from gibbslab.functionals import (
     WEIGHT_DROP_TOL,
@@ -501,6 +502,21 @@ class TestRateJ:
         assert out.breakdown["confinement"] == pytest.approx(0.5)
         assert out.breakdown["interaction"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("diverged", ["confinement", "interaction"])
+    def test_breakdown_names_the_diverged_component(self, diverged):
+        # a wall at x_0 >= 1 makes the confinement of the second atom +inf; the
+        # d = 2 Coulomb kernel makes every interaction with atoms +inf
+        if diverged == "confinement":
+            V, W, other = v_wall_from(1.0), w_sqdist, "interaction"
+        else:
+            V, W, other = v_quadratic, coulomb_kernel(2), "confinement"
+        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
+        out = rate_J(mu, PotentialPair(V, W, dim=2, symmetric=True))
+        assert out.value == np.inf and not out.finite
+        assert out.breakdown["diverged"] == diverged
+        assert out.breakdown[diverged] == np.inf
+        assert math.isfinite(out.breakdown[other])
+
     def test_paths_agree_randomized(self, rng):
         pair = quad_pair()
         for _ in range(30):
@@ -529,6 +545,30 @@ class TestRateJnOffdiag:
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
         with pytest.raises(ValueError, match=r"beta_n must lie in \(0, inf\)"):
             rate_J_n_offdiag(mu, quad_pair(), n=4, beta_n=beta)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.5])
+    def test_particle_count_must_be_an_integer_of_at_least_one(self, n):
+        # n = 2.5 returned a value
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got"):
+            rate_J_n_offdiag(mu, quad_pair(), n=n, beta_n=4.0)
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0], ids=["coeff_negative", "coeff_zero",
+                                                           "coeff_positive"])
+    def test_infinite_confinement(self, beta):
+        # the second atom sits on a wall: +inf times 1 - n / beta_n
+        pair = PotentialPair(v_wall_from(1.0), w_sqdist, dim=1, symmetric=True)
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        if beta < 4.0:
+            with pytest.raises(ValueError, match="negative coefficient against infinite"):
+                rate_J_n_offdiag(mu, pair, n=4, beta_n=beta)
+            return
+        out = rate_J_n_offdiag(mu, pair, n=4, beta_n=beta)
+        offdiag = interaction_energy_offdiag(mu, w_sqdist)
+        assert out.breakdown["confinement"] == np.inf
+        assert out.breakdown["coefficient"] == 1.0 - 4.0 / beta
+        assert out.value == (offdiag if beta == 4.0 else np.inf)
+        assert out.finite == (beta == 4.0)
 
     def test_decomposition_identity(self, rng):
         # J_{n,neq}(L_n) = H_n - (1/beta_n) sum_i V(x_i)
@@ -578,6 +618,17 @@ def test_pair_of_another_dimension_refused(evaluate, what):
     pair = PotentialPair(power_confinement(2.0), coulomb_kernel(1), dim=1, symmetric=True)
     with pytest.raises(ValueError, match=f"declared for d = 1, but the {what} is in d = 2"):
         evaluate(pair)
+
+
+class TestFunctionalValue:
+    @pytest.mark.parametrize("value", [1.5, np.inf])
+    def test_finite_and_json(self, value):
+        out = FunctionalValue(value, {"entropy": value, "interaction": None})
+        assert out.finite == math.isfinite(value)
+        record = json.loads(out.to_json())
+        assert record == {"value": value, "finite": math.isfinite(value),
+                          "breakdown": {"entropy": value, "interaction": None}}
+        assert float(out) == value
 
 
 class TestStarGap:

@@ -169,6 +169,13 @@ class TestOffdiagPairMatrix:
         vals = offdiag_pair_matrix(W, x, x)
         assert W.calls == 1 and np.isfinite(vals).all()
 
+    def test_other_sites_are_kept_for_one_size(self, rng):
+        # a cache per size held 229 MB after n = 100, 200, ..., 2000
+        offdiag_pair_matrix(w_sqdist, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+        offdiag_pair_matrix(w_sqdist, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
+        assert potentials._other_sites.cache_info().currsize == 1
+        assert potentials._other_sites(6) is potentials._other_sites(6)
+
     def test_one_site_makes_no_call(self):
         def W(x, y):
             raise AssertionError("W called")
@@ -614,6 +621,13 @@ class TestConstructPhi:
         nu = DiscreteMeasure.dirac([1.0])
         with pytest.raises(ValueError):
             construct_phi(nu, WeightFunction.norm_power(1), 0)
+
+    @pytest.mark.parametrize("lambda_max", [0, -1, True, 2.5, "3"])
+    def test_lambda_max_must_be_an_integer_of_at_least_one(self, lambda_max):
+        # lambda_max = True was taken as 1
+        nu = DiscreteMeasure.dirac([1.0])
+        with pytest.raises(ValueError, match="lambda_max must be an integer >= 1, got"):
+            construct_phi(nu, WeightFunction.norm_power(1), lambda_max)
 
     def test_equals_the_scan_reference(self):
         # atoms at +-x share a psi_bar-value, so tie blocks occur, and weights

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingW, v_quadratic, v_zero, w_nan_on_diagonal, w_sqdist, w_zero
+from conftest import (CountingW, v_quadratic, v_wall_from, v_zero, w_nan_on_diagonal, w_sqdist,
+                      w_zero)
 from gibbslab import sampler
+from gibbslab._enum import compositions_array
 from gibbslab.functionals import hamiltonian, rate_I, rate_J
 from gibbslab.measures import DiscreteMeasure, ParticleConfig, ReferenceMeasure
 from gibbslab.potentials import PotentialPair, coulomb_kernel, evaluate_V, evaluate_W
@@ -176,6 +178,30 @@ class TestMHGaussianTarget:
         with pytest.raises(ValueError, match=rf"{name} must be an integer >= [01], got"):
             SamplerConfig(**{"n": 1, "beta_n": 1.0, name: value})
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
+    def test_mh_sample_refuses_a_bad_sample_count(self, value):
+        # samples = -1 and samples = True failed in numpy with unrelated messages
+        pair, ref, cfg = reference_case("finite")
+        with pytest.raises(ValueError, match="samples must be an integer >= 0, got"):
+            mh_sample(pair, ref, cfg, samples=value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("samples", -1), ("samples", True), ("samples", 2.5),
+        ("chains", 0), ("chains", -2), ("chains", True), ("chains", 1.5)])
+    def test_mh_sample_chains_refuses_bad_counts(self, name, value):
+        # chains = 0 and -2 failed inside numpy, and chains = True ran one chain
+        pair, ref, cfg = reference_case("finite")
+        least = 0 if name == "samples" else 1
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, got"):
+            mh_sample_chains(pair, ref, cfg, **{"samples": 2, "chains": 2, name: value})
+
+    def test_the_lower_triangle_is_kept_for_one_size(self):
+        sampler._strictly_lower(3)
+        mask = sampler._strictly_lower(5)
+        assert sampler._strictly_lower.cache_info().currsize == 1
+        assert sampler._strictly_lower(5) is mask
+        np.testing.assert_array_equal(mask, np.tri(5, k=-1))
+
     def test_numpy_integers_are_read_as_ints(self):
         cfg = SamplerConfig(n=np.int64(3), beta_n=1.0, burn_in=np.int32(2), thinning=np.uint8(1))
         assert (cfg.n, cfg.burn_in, cfg.thinning) == (3, 2, 1)
@@ -331,6 +357,14 @@ class TestExactFinite:
         with pytest.raises(ValueError, match="n must be an integer >= 1, got"):
             call(pair, ell, n=n, beta_n=1.0)
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    def test_exact_sample_finite_refuses_a_bad_sample_count(self, value):
+        ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]])
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        with pytest.raises(ValueError, match="samples must be an integer >= 0, got"):
+            exact_sample_finite(pair, ell, n=2, beta_n=1.0, seed=0, samples=value)
+        assert exact_sample_finite(pair, ell, n=2, beta_n=1.0, seed=0, samples=0) == []
+
     def test_numpy_integer_particle_count(self):
         ell = ReferenceMeasure.finite([[0.0], [1.0], [2.0]], [1.0, 2.0, 0.5])
         pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
@@ -432,6 +466,17 @@ class TestExactFinite:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def w_hard_core_coulomb(d, radius):
+    """The d-dimensional Coulomb kernel, and +inf for points closer than radius."""
+    coulomb = coulomb_kernel(d)
+
+    def W(x, y):
+        dist = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
+        return np.where(dist < radius, np.inf, coulomb(x, y))
+
+    return W
+
+
 def count_marginal(digits, probs, counts):
     """The tuple law's probabilities summed over the orderings of each row of counts."""
     m = counts.shape[1]
@@ -443,23 +488,43 @@ def count_marginal(digits, probs, counts):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
-       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), data=st.data())
-def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated, data):
+       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), wall=st.booleans(),
+       hard_core=st.booleans(), data=st.data())
+def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated, wall,
+                                                     hard_core, data):
     # up to 5 atoms, one of them copied when repeated: at least n distinct
     # ones, so the d = 2 Coulomb kernel, +inf on its diagonal, leaves some
-    # tuple finite
+    # tuple finite.  A wall adds a sixth atom beyond x_0 = 1, where V is +inf,
+    # and a hard core makes W +inf below a drawn distance between two
+    # distinct atoms; when they leave no tuple finite, both laws must refuse
     distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
     rng = np.random.default_rng(seed)
     atoms = rng.uniform(-1.0, 1.0, (distinct, d))
     if repeated:
         atoms = np.vstack([atoms, atoms[rng.integers(distinct)]])
+    if wall:
+        beyond = rng.uniform(-1.0, 1.0, d)
+        beyond[0] += 2.0
+        atoms = np.vstack([atoms, beyond])
     m = len(atoms)
     ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, m))
-    pair = PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+    V = v_wall_from(1.0) if wall else v_quadratic
+    W = coulomb_kernel(d)
+    gaps = np.linalg.norm(atoms[:, None] - atoms[None, :], axis=-1)
+    if hard_core and gaps.max() > 0:
+        radius = data.draw(st.sampled_from(sorted(set(gaps[gaps > 0]))), label="radius")
+        W = w_hard_core_coulomb(d, radius)
+    pair = PotentialPair(V, W, dim=d, symmetric=True)
     beta = float(n if speed == "n" else n * n)
+    tuples = np.indices((m,) * n).reshape(n, -1).T
+    H = np.array([hamiltonian(ParticleConfig(atoms[row]), pair) for row in tuples])
+    if np.all(H == np.inf):
+        for law in (exact_gibbs_law, exact_count_law):
+            with pytest.raises(SamplerError, match="the Gibbs law is empty"):
+                law(pair, ell, n=n, beta_n=beta)
+        return
     digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
-
-    H = np.array([hamiltonian(ParticleConfig(atoms[row]), pair) for row in digits])
+    np.testing.assert_array_equal(digits, tuples)
     np.testing.assert_array_equal(probs == 0, H == np.inf)
     live = np.flatnonzero(probs > 0)
     expected = -beta * H[live] + np.log(ell.weights)[digits[live]].sum(axis=1)
@@ -502,9 +567,9 @@ def reference_slot_recursion(pair, ell, n, beta_n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
        speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), data=st.data())
 def test_tuple_law_equals_the_fresh_block_recursion(seed, n, d, speed, repeated, data):
-    # the references of test_tuple_law_matches_hamiltonian_and_count_law:
-    # up to 5 atoms, one copied when repeated, and the d = 2 Coulomb kernel
-    # +inf on the diagonal
+    # the references of test_tuple_law_matches_hamiltonian_and_count_law
+    # without its walls and hard cores: up to 5 atoms, one copied when
+    # repeated, and the d = 2 Coulomb kernel +inf on the diagonal
     distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
     rng = np.random.default_rng(seed)
     atoms = rng.uniform(-1.0, 1.0, (distinct, d))
@@ -542,8 +607,94 @@ def test_normalized_law_equals_exponentiating_every_entry(monkeypatch, d, infini
     assert np.array_equal(probs, expected)
 
 
+def reference_count_log_weights(pair, ell, n, beta_n):
+    """The count law's log weights written out as energies: log multinomial(n; c)
+    + c.log w - beta_n [(c.v) / n + (c^T S_off c + sum_a c_a (c_a - 1) S_aa)
+    / (2 n^2)], S = (W + W^T) / 2, over a float copy of the counts, with
+    separate +inf indicator sums for V, the off-diagonal S and the diagonal S."""
+    m = len(ell.atoms)
+    counts = compositions_array(n, m)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    c = counts.astype(float)
+    occupied = (counts > 0).astype(float)
+    v = evaluate_V(pair.V, ell.atoms)
+    infinite = occupied @ (v == np.inf)
+    energy = c @ np.where(v == np.inf, 0.0, v) / n
+    if n > 1:
+        Wmat = evaluate_W(pair.W, ell.atoms[:, None, :], ell.atoms[None, :, :])
+        S = 0.5 * (Wmat + Wmat.T)
+        inf_S = (S == np.inf).astype(float)
+        S[inf_S > 0] = 0.0
+        diag, inf_diag = np.diag(S).copy(), np.diag(inf_S).copy()
+        np.fill_diagonal(S, 0.0)
+        np.fill_diagonal(inf_S, 0.0)
+        infinite += ((occupied @ inf_S) * occupied).sum(axis=1) + (counts >= 2) @ inf_diag
+        energy += (((c @ S) * c).sum(axis=1) + (c * (c - 1.0)) @ diag) / (2.0 * n * n)
+    log_weight = log_fact[n] - log_fact[counts].sum(axis=1) + c @ np.log(ell.weights)
+    log_weight -= beta_n * energy
+    log_weight[infinite > 0] = -np.inf
+    return counts, log_weight
+
+
+def count_law_case(case):
+    """(pair, reference, n, beta_n): the three cases of the exact_finite
+    benchmark, built as it builds them (10 atoms, n = 6), repeated atoms, a V
+    wall, a hard-core W and a single particle."""
+    rng = np.random.default_rng(17)
+    line = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (10, 1)), rng.uniform(0.5, 1.5, 10))
+    cloud = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (10, 2)), rng.uniform(0.5, 1.5, 10))
+    coulomb_1, coulomb_2 = (PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+                            for d in (1, 2))
+    if case == "repeated_atoms":
+        # atoms 0 and 1 of the cloud twice each: occupying a copy and its atom costs +inf
+        ell = ReferenceMeasure.finite(np.vstack([cloud.atoms, cloud.atoms[:2]]),
+                                      rng.uniform(0.5, 1.5, 12))
+        return coulomb_2, ell, 4, 4.0
+    return {"d1_speed_n": (coulomb_1, line, 6, 6.0),
+            "d1_speed_n2": (coulomb_1, line, 6, 36.0),
+            "d2_coulomb": (coulomb_2, cloud, 6, 6.0),
+            "v_wall": (PotentialPair(v_wall_from(0.5), coulomb_kernel(1), dim=1, symmetric=True),
+                       line, 5, 25.0),
+            "hard_core": (PotentialPair(v_quadratic, w_hard_core_coulomb(2, 0.6), dim=2,
+                                        symmetric=True), cloud, 3, 3.0),
+            "n1": (coulomb_2, cloud, 1, 1.0)}[case]
+
+
 class TestCountLaw:
-    @pytest.mark.parametrize("case", ["d1_speed_n", "d1_speed_n2", "coulomb_d2", "repeated_atom"])
+    @pytest.mark.parametrize("case", ["d1_speed_n", "d1_speed_n2", "d2_coulomb", "repeated_atoms",
+                                      "v_wall", "hard_core", "n1"])
+    def test_log_weights_equal_the_energy_formula(self, case):
+        # the per-atom table against energies with separate +inf indicator sums
+        pair, ell, n, beta = count_law_case(case)
+        counts, log_weight = _count_log_weights(pair, ell, n, beta)
+        expected_counts, expected = reference_count_log_weights(pair, ell, n, beta)
+        np.testing.assert_array_equal(counts, expected_counts)
+        live = np.isfinite(expected)
+        np.testing.assert_array_equal(np.isfinite(log_weight), live)
+        assert np.all(log_weight[~live] == -np.inf)
+        assert 0 < live.sum() and (case in ("d1_speed_n", "d1_speed_n2", "n1")) == live.all()
+        err = np.abs(log_weight[live] - expected[live])
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(expected[live])))
+
+    def test_takes_at_most_two_and_a_half_count_arrays(self):
+        # 293930 compositions of 12 on 10 atoms, cached: the energy formula over
+        # a float copy of the counts peaked at 3.53 times the count array
+        m, n = 10, 12
+        rng = np.random.default_rng(2)
+        ell = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (m, 1)), rng.uniform(0.5, 1.5, m))
+        pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
+        counts, _ = exact_count_law(pair, ell, n=n, beta_n=float(n))
+        tracemalloc.start()
+        try:
+            exact_count_law(pair, ell, n=n, beta_n=float(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (math.comb(n + m - 1, n), m)
+        assert peak <= 2.5 * counts.nbytes + 2**20
+
+    @pytest.mark.parametrize("case", ["d1_speed_n", "d1_speed_n2", "coulomb_d2", "repeated_atom",
+                                      "v_wall", "hard_core"])
     def test_equals_the_tuple_law_count_marginal(self, case):
         rng = np.random.default_rng(3)
         if case.startswith("d1"):
@@ -556,12 +707,24 @@ class TestCountLaw:
             n, beta = 3, 3.0
             ell = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (5, 2)), rng.uniform(0.5, 1.5, 5))
             pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
-        else:
+        elif case == "repeated_atom":
             # atoms 0 and 2 coincide, so occupying both costs W(x, x) = +inf
             n, beta = 3, 3.0
             ell = ReferenceMeasure.finite([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.3, 0.8]],
                                           [1.0, 2.0, 0.5, 1.5])
             pair = PotentialPair(v_quadratic, coulomb_kernel(2), dim=2, symmetric=True)
+        elif case == "v_wall":
+            # V is +inf on atoms 2 and 3; the d = 1 kernel is finite everywhere
+            n, beta = 4, 4.0
+            ell = ReferenceMeasure.finite([[-1.2], [-0.3], [0.8], [1.5]], [1.0, 2.0, 0.5, 1.5])
+            pair = PotentialPair(v_wall_from(0.5), coulomb_kernel(1), dim=1, symmetric=True)
+        else:
+            # W is +inf between two particles on one atom and between atoms 0
+            # and 1, 0.3 apart
+            n, beta = 3, 3.0
+            ell = ReferenceMeasure.finite([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0], [0.2, 0.9],
+                                           [-0.8, 0.5]], [1.0, 2.0, 0.5, 1.5, 0.8])
+            pair = PotentialPair(v_quadratic, w_hard_core_coulomb(2, 0.5), dim=2, symmetric=True)
         counts, probs = exact_count_law(pair, ell, n=n, beta_n=beta)
         digits, tuple_probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
         assert counts.shape == (math.comb(n + len(ell.atoms) - 1, n), len(ell.atoms))
@@ -572,6 +735,11 @@ class TestCountLaw:
             np.testing.assert_array_equal(probs == 0, counts.max(axis=1) >= 2)
         elif case == "repeated_atom":
             dead = (counts.max(axis=1) >= 2) | ((counts[:, 0] > 0) & (counts[:, 2] > 0))
+            np.testing.assert_array_equal(probs == 0, dead)
+        elif case == "v_wall":
+            np.testing.assert_array_equal(probs == 0, counts[:, 2:].sum(axis=1) > 0)
+        elif case == "hard_core":
+            dead = (counts.max(axis=1) >= 2) | ((counts[:, 0] > 0) & (counts[:, 1] > 0))
             np.testing.assert_array_equal(probs == 0, dead)
         else:
             assert np.all(probs > 0)
@@ -679,6 +847,16 @@ class TestIIDSample:
         freq = float(np.mean(flat == 1.0))
         se = math.sqrt(0.7 * 0.3 / len(flat))
         assert abs(freq - 0.7) < 3 * se
+
+    @pytest.mark.parametrize("name, value", [
+        ("samples", -1), ("samples", True), ("samples", 2.5),
+        ("n", 0), ("n", -1), ("n", True), ("n", 2.5)])
+    def test_refuses_bad_counts(self, name, value):
+        mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+        least = 0 if name == "samples" else 1
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, got"):
+            iid_sample(mu, seed=0, **{"n": 3, "samples": 2, name: value})
+        assert iid_sample(mu, n=3, seed=0, samples=0) == []
 
     def test_seed_reproducibility(self):
         mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])

@@ -507,6 +507,25 @@ def test_scan_oracle_refuses_a_lattice_over_budget():
         simplex_scan_oracle(obj, obj.nodes, 1e-3)
 
 
+@pytest.mark.parametrize("pair, certified", [(lambda: coulomb_pair(2), True),
+                                             (sqdist_pair, False)],
+                         ids=["certified", "uncertified"])
+def test_I_ranks_only_the_vertices_it_runs(monkeypatch, pair, certified):
+    # a certified solve runs the uniform start alone; an uncertified one runs
+    # the uniform weights, nu and three vertices
+    counts, starts = [], []
+    vertex_starts, mirror_descent = variational._vertex_starts, variational._mirror_descent
+    monkeypatch.setattr(variational, "_vertex_starts",
+                        lambda K, v, count: counts.append(count) or vertex_starts(K, v, count))
+    monkeypatch.setattr(variational, "_mirror_descent",
+                        lambda obj, w0, *a: starts.append(w0) or mirror_descent(obj, w0, *a))
+    result = minimize_I(pair(), box(2), GridSpec.regular(SQUARE, 0.5))
+    assert result.local is (None if certified else True)
+    assert counts == ([] if certified else [variational.DEFAULT_STARTS - 2])
+    assert len(starts) == (1 if certified else variational.DEFAULT_STARTS)
+    np.testing.assert_array_equal(starts[0], np.full(len(starts[0]), 1.0 / len(starts[0])))
+
+
 @pytest.mark.parametrize("solve", [
     lambda: minimize_I(sqdist_pair(), box(2), GridSpec.regular(SQUARE, 0.5)),
     lambda: minimize_J(sqdist_pair(), GridSpec.regular(SQUARE, 0.5)),
