@@ -13,21 +13,21 @@ weighted sum, ``_masked_quadratic``, in compensated summation
 the breakdown records which component diverged; NaN from inf - inf is a hard
 error raised by the potential evaluation layer.  The double sums are
 ``_half_integral`` of a kernel matrix.  The sums over i != j, H_n and the
-off-diagonal interaction energy, take W from
+off-diagonal interaction energy, plain and truncated, take W from
 ``potentials.offdiag_pair_matrix``, which never evaluates it at x = y.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure
-from .potentials import (PotentialPair, _check_dim, _integer, evaluate_V, evaluate_W,
-                         offdiag_pair_matrix, pair_matrix)
+from .measures import (WEIGHT_DROP_TOL, DiscreteMeasure, ParticleConfig, ReferenceMeasure,
+                       _json_text)
+from .potentials import (PotentialPair, PotentialValueError, _check_dim, _integer, evaluate_V,
+                         evaluate_W, offdiag_pair_matrix, pair_matrix)
 
 NORMALIZATION_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-12
@@ -45,8 +45,10 @@ class FunctionalValue:
         return math.isfinite(self.value)
 
     def to_json(self) -> str:
-        return json.dumps({"value": self.value, "finite": self.finite,
-                           "breakdown": self.breakdown}, sort_keys=True)
+        """Strict JSON: a non-finite value or breakdown entry is written as
+        null, and ``finite`` is false beside a null value."""
+        return _json_text({"value": self.value, "finite": self.finite,
+                           "breakdown": self.breakdown})
 
     def __float__(self):
         return float(self.value)
@@ -106,14 +108,21 @@ def interaction_energy_offdiag(mu: DiscreteMeasure, W) -> float:
 def truncated_interaction(mu: DiscreteMeasure, W, M: float) -> dict:
     """Both interaction energies with W replaced by min(W, M).
 
-    Returns ``{"full": .., "offdiag": ..}``; both are finite whenever M is.
+    Returns ``{"full": .., "offdiag": ..}``, each finite whenever M is.  The
+    off-diagonal part takes W from ``offdiag_pair_matrix``, which never
+    evaluates it at x = y; "full" is None when W is not defined at some atom
+    paired with itself (NaN or -inf there).
     """
     if not math.isfinite(M):
         raise ValueError("truncation level M must be finite")
-    K = np.minimum(pair_matrix(W, mu.atoms, mu.atoms), M)
-    full = _half_integral(mu, K)
-    np.fill_diagonal(K, 0.0)
-    return {"full": full, "offdiag": _half_integral(mu, K)}
+    K = np.minimum(offdiag_pair_matrix(W, mu.atoms, mu.atoms), M)
+    offdiag = _half_integral(mu, K)
+    try:
+        diagonal = evaluate_W(W, mu.atoms, mu.atoms)
+    except PotentialValueError:
+        return {"full": None, "offdiag": offdiag}
+    np.fill_diagonal(K, np.minimum(diagonal, M))
+    return {"full": _half_integral(mu, K), "offdiag": offdiag}
 
 
 def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

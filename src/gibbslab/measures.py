@@ -42,12 +42,15 @@ Every pairwise distance the package forms, in the metrics here, in
 ``_squared_distance``, which sums the squared differences one coordinate plane
 at a time: no (..., d) block of differences x - y is ever formed.
 
-The package's result records (``MinimizationResult``, ``ChainDiagnostics``,
-``AssumptionReport``) write their JSON through one function here,
-``_record_json``: every dataclass field under its own name, keys sorted,
-arrays and numpy scalars as lists and numbers, a :class:`DiscreteMeasure` as
-its own JSON object and a ``SeedSequence`` as the entropy, spawn key and pool
-size that rebuild it.
+The package writes all its JSON through one function here, ``_json_text``:
+a :class:`DiscreteMeasure`, ``functionals.FunctionalValue`` and, through
+``_record_json``, the result records (``MinimizationResult``,
+``ChainDiagnostics``, ``AssumptionReport``), every dataclass field under its
+own name.  The text is strict JSON with keys sorted: arrays and numpy scalars
+become lists and numbers, a :class:`DiscreteMeasure` its own JSON object, a
+``SeedSequence`` the entropy, spawn key and pool size that rebuild it, and
+every non-finite number null.  A bare ``Infinity``, which a strict parser
+refuses, is never written.
 
 Inputs are checked by two functions here.  ``_as_points`` reads every point
 array the package takes (atoms, grid nodes, particles) and refuses
@@ -57,15 +60,20 @@ calls), a regular grid's and a probe's; it refuses bounds that are not
 finite or not ordered.  ``_grid_points`` builds every product grid.
 
 Importing this module loads numpy alone.  scipy is imported by the calls that
-solve a linear program and by nothing else: ``d_bl`` (``scipy.sparse`` and
-``scipy.optimize``) and ``wasserstein_lp`` (``scipy.sparse``), which is also
-what ``wasserstein_p`` calls in dimension >= 2.  The 1-d quantile coupling,
-the measures themselves and every other module of the package need numpy
-only.  The two solves go through the module-level functions ``milp`` and
-``linprog``, thin wrappers with scipy's parameter names that import
-``scipy.optimize`` on their first call.  They stay module attributes so that
-a caller can rebind them, to count or time the solves, and read each call's
-arguments by name.
+solve a linear program and by nothing else: ``d_bl`` and ``wasserstein_lp``
+(``scipy.sparse``, for the constraint matrix), which is also what
+``wasserstein_p`` calls in dimension >= 2, and the module-level ``linprog``
+they both solve through, which loads the HiGHS binding that scipy ships,
+``scipy.optimize._highspy._core``, on its first call.  The 1-d quantile
+coupling, the measures themselves and every other module of the package need
+numpy only.  ``linprog`` builds the HiGHS model from the CSR or CSC arrays as
+they stand, sets only the options its caller names, and returns the optimum
+and the row duals: the checks and conversions of scipy's ``linprog`` and
+``milp``, which call the same binding, took about half of each solve's time.
+The binding is private to scipy, so the tests compare both metrics with
+scipy's public ``milp`` and ``linprog`` on the same LPs.  ``linprog`` stays a
+module attribute so that a caller can rebind it, to count or time the
+solves, and read each call's arguments by name (``c``, ``A_ub``, ``A_eq``).
 """
 from __future__ import annotations
 
@@ -255,9 +263,7 @@ class DiscreteMeasure:
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.dim, "atoms": self._atoms.tolist(), "weights": self._weights.tolist()}
-        )
+        return _json_text(self)
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
@@ -275,25 +281,42 @@ class DiscreteMeasure:
             fh.write("\n".join(lines) + "\n")
 
 
-def _record_json(record) -> str:
-    """JSON of a dataclass record: every field under its name, keys sorted.
+def _plain(value):
+    """``value`` as the dicts, lists, strings and numbers JSON writes, a
+    non-finite number as None.
 
     Arrays become lists and numpy scalars numbers; a :class:`DiscreteMeasure`
-    becomes its own JSON object, and a ``SeedSequence`` the entropy, spawn
-    key and pool size that rebuild it.
+    becomes its dimension, atoms and weights, and a ``SeedSequence`` the
+    entropy, spawn key and pool size that rebuild it.
     """
-    def plain(value):
-        if isinstance(value, (np.ndarray, np.generic)):
-            return value.tolist()
-        if isinstance(value, DiscreteMeasure):
-            return json.loads(value.to_json())
-        if isinstance(value, np.random.SeedSequence):
-            return {"entropy": value.entropy, "spawn_key": list(value.spawn_key),
-                    "pool_size": value.pool_size}
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _plain(value.tolist())
+    if isinstance(value, DiscreteMeasure):
+        return {"dim": value.dim, "atoms": value.atoms.tolist(), "weights": value.weights.tolist()}
+    if isinstance(value, np.random.SeedSequence):
+        return {"entropy": value.entropy, "spawn_key": list(value.spawn_key),
+                "pool_size": value.pool_size}
+    return value
 
-    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    return json.dumps(fields, sort_keys=True, default=plain)
+
+def _json_text(value) -> str:
+    """The package's one JSON writer: strict JSON, keys sorted, with every
+    non-finite number written as null (``_plain``).  ``allow_nan=False``
+    refuses any infinity or NaN that got past it, rather than writing a bare
+    ``Infinity``, which a strict parser refuses."""
+    return json.dumps(_plain(value), sort_keys=True, allow_nan=False)
+
+
+def _record_json(record) -> str:
+    """JSON of a dataclass record: every field under its name, through
+    ``_json_text``."""
+    return _json_text({f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
 
 
 class ParticleConfig:
@@ -502,16 +525,59 @@ def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
     return math.fsum((mu.weights[mask] * psi(mu.atoms[mask])).tolist())
 
 
-def linprog(c, *, A_eq, b_eq, bounds, method, options):
-    """``scipy.optimize.linprog``, with scipy imported on the first call."""
-    from scipy.optimize import linprog
-    return linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method, options=options)
+def linprog(c, *, A_ub=None, b_lb=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
+    """Minimize c @ x over bounds[0] <= x <= bounds[1] and one block of rows,
+    ranged rows b_lb <= A_ub @ x <= b_ub or equality rows A_eq @ x = b_eq,
+    by HiGHS through the binding scipy ships; scipy's ``linprog`` and
+    ``milp`` call the same binding.
 
+    The matrix is a scipy sparse array in CSR or CSC format, passed to HiGHS
+    row-wise or column-wise as it stands.  HiGHS prints nothing and takes
+    its defaults but for ``options``, a dict of HiGHS option names and
+    values (``"presolve": "off"``), each refused with a ValueError if HiGHS
+    refuses it.  Returns the objective value and the row duals; any model
+    status other than optimal raises a RuntimeError.
+    """
+    from scipy.optimize._highspy import _core as highs
 
-def milp(c, *, constraints, bounds, options):
-    """``scipy.optimize.milp``, with scipy imported on the first call."""
-    from scipy.optimize import milp
-    return milp(c, constraints=constraints, bounds=bounds, options=options)
+    if (A_ub is None) == (A_eq is None):
+        raise ValueError("pass exactly one of A_ub and A_eq")
+    a, lower, upper = (A_ub, b_lb, b_ub) if A_eq is None else (A_eq, b_eq, b_eq)
+    formats = {"csr": highs.MatrixFormat.kRowwise, "csc": highs.MatrixFormat.kColwise}
+    if a.format not in formats:
+        raise ValueError(f"the constraint matrix must be CSR or CSC, got {a.format}")
+    rows, cols = a.shape
+
+    def vector(values, size):
+        # HiGHS takes a vector of another length without a word, so each is
+        # broadcast to its length, which refuses a wrong one; HiGHS reads it
+        # element by element, faster from a list than from a numpy array
+        return np.broadcast_to(np.asarray(values, dtype=float), size).tolist()
+
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, rows
+    lp.col_cost_ = vector(c, cols)
+    lp.col_lower_, lp.col_upper_ = vector(bounds[0], cols), vector(bounds[1], cols)
+    lp.row_lower_, lp.row_upper_ = vector(lower, rows), vector(upper, rows)
+    matrix = lp.a_matrix_
+    matrix.format_ = formats[a.format]
+    matrix.num_col_, matrix.num_row_ = cols, rows
+    matrix.start_ = a.indptr.tolist()
+    matrix.index_ = a.indices.tolist()
+    matrix.value_ = a.data.tolist()
+
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    for key, value in options.items():
+        if solver.setOptionValue(key, value) == highs.HighsStatus.kError:
+            raise ValueError(f"HiGHS refuses the option {key} = {value!r}")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS refuses the LP")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP not solved: {solver.modelStatusToString(status)}")
+    return solver.getInfo().objective_function_value, np.array(solver.getSolution().row_dual)
 
 
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -535,15 +601,16 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     The same f are the functions 1-Lipschitz for min(|x - y|, 1), shifted to
     |f| <= 1/2 (a shift does not change the integral against mu - nu), so
     d_bl is the W_1 transport cost for that truncated metric.  The LP is
-    solved once, without presolve.  HiGHS accepts an f that breaks a row or
-    the box by up to its 1e-7 feasibility tolerance, so the value can exceed
-    the optimum, by at most 1e-7 times the total mass of an optimal dual
-    solution, which is at most 2 on the box and 1 / delta on the rows, delta
-    the shortest kept distance.  This needs no close atoms, only a row
-    within 1e-7 of the box: delta at 2^-24 against delta at 1 returns 1,
-    against the optimum 1 - 2^-24, since f = 1/2, -1/2 breaks their one row
-    by 2^-24.  On delta_1 against the uniform measure on 0, 1/2 and 2^-24 it
-    returns 5/6, against the optimum 5/6 - 2^-24/3.
+    solved once, without presolve, at HiGHS's least primal feasibility
+    tolerance, 1e-10.  HiGHS accepts an f that breaks a row or the box by up
+    to that tolerance, so the value can exceed the optimum, by at most 1e-10
+    times the total mass of an optimal dual solution, which is at most 2 on
+    the box and 1 / delta on the rows, delta the shortest kept distance.
+    This needs no close atoms, only a row within the tolerance of the box.
+    At HiGHS's default, 1e-7, delta at 2^-24 against delta at 1 returned 1,
+    since f = 1/2, -1/2 breaks their one row by 2^-24, and delta_1 against
+    the uniform measure on 0, 1/2 and 2^-24 returned 5/6; at 1e-10 they
+    return their optima 1 - 2^-24 and 5/6 - 2^-24/3 exactly.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch between measures")
@@ -561,17 +628,15 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     near = dists < 1.0
     iu, ju, dists = iu[near], ju[near], dists[near]
     from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint
 
-    # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]
-    rows = np.tile(np.arange(len(iu)), 2)
-    incidence = sparse.csr_array(
-        (np.repeat([1.0, -1.0], len(iu)), (rows, np.concatenate([iu, ju]))), shape=(len(iu), k))
-    res = milp(c=-signed, constraints=LinearConstraint(incidence, -dists, dists),
-               bounds=Bounds(-0.5, 0.5), options={"presolve": False})
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return max(0.0, -res.fun)
+    # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]: its two
+    # entries, in column order since iu < ju
+    rows = len(iu)
+    incidence = sparse.csr_array((np.tile([1.0, -1.0], rows), np.stack([iu, ju], axis=1).ravel(),
+                                  np.arange(0, 2 * rows + 1, 2)), shape=(rows, k))
+    fun, _ = linprog(-signed, A_ub=incidence, b_lb=-dists, b_ub=dists, bounds=(-0.5, 0.5),
+                     options={"presolve": "off", "primal_feasibility_tolerance": 1e-10})
+    return max(0.0, -fun)
 
 
 def d_psi(mu: DiscreteMeasure, nu: DiscreteMeasure, psi: WeightFunction) -> float:
@@ -698,19 +763,15 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
         # column r is the plan cell (ia[r], ib[r]): it enters the row sum ia[r]
         # of mu and the column sum ib[r] of nu
         ia, ib = np.nonzero(cells)
-        columns = np.tile(np.arange(len(ia)), 2)
-        a_eq = sparse.coo_array((np.ones(len(columns)), (np.concatenate([ia, ka + ib]), columns)),
-                                shape=(ka + kb, len(ia)))
-        res = linprog(c=cost[ia, ib], A_eq=a_eq, b_eq=marginals, bounds=(0, None),
-                      method="highs",
-                      options={"presolve": False, "dual_feasibility_tolerance": dual_tol})
-        if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        dual = res.eqlin.marginals
+        cols = len(ia)
+        a_eq = sparse.csc_array((np.ones(2 * cols), np.stack([ia, ka + ib], axis=1).ravel(),
+                                 np.arange(0, 2 * cols + 1, 2)), shape=(ka + kb, cols))
+        fun, dual = linprog(cost[ia, ib], A_eq=a_eq, b_eq=marginals, bounds=(0.0, math.inf),
+                            options={"presolve": "off", "dual_feasibility_tolerance": dual_tol})
         priced = cost - dual[:ka, None] - dual[None, ka:] < -dual_tol
         priced &= ~cells
         if not priced.any():
-            return max(0.0, res.fun)
+            return max(0.0, fun)
         cells |= priced
 
 

@@ -395,7 +395,9 @@ class AssumptionReport:
         return not self.violations
 
     def to_json(self) -> str:
-        """Every field; ``AssumptionReport(**json.loads(text))`` rebuilds the report."""
+        """Every field; ``AssumptionReport(**json.loads(text))`` rebuilds the
+        report, but for a non-finite number (a +inf minimum), which is written
+        as null and reads back as None."""
         return _record_json(self)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class CountingW:
             if np.any(np.all(xb == yb, axis=-1)):
                 raise AssertionError("W received a site paired with itself")
         return self.W(x, y)
+
+
+def strict_json(text):
+    """json.loads refusing the constants Infinity, -Infinity and NaN, which
+    strict JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def v_const(c):

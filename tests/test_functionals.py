@@ -1,11 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (CountingW, v_const, v_quadratic, v_wall_from, v_zero, w_nan_on_diagonal,
-                      w_sqdist, w_zero)
+from conftest import (CountingW, strict_json, v_const, v_quadratic, v_wall_from, v_zero,
+                      w_nan_on_diagonal, w_sqdist, w_zero)
 from gibbslab import functionals, measures
 from gibbslab.functionals import (
     WEIGHT_DROP_TOL,
@@ -198,6 +197,21 @@ class TestTruncatedInteraction:
         mu = DiscreteMeasure.dirac([0.0])
         with pytest.raises(ValueError):
             truncated_interaction(mu, w_sqdist, np.inf)
+
+    @pytest.mark.parametrize("M", [0.05, 100.0])
+    def test_w_undefined_on_the_diagonal(self, M):
+        # |x - y|^2 log |x - y| is NaN at x = y: the off-diagonal energy is
+        # still defined, the full one is not
+        pts = np.array([[0.0, 0.0], [0.3, 0.1], [-0.4, 0.9], [1.2, -0.5], [0.7, 0.7]])
+        mu = DiscreteMeasure(pts, np.full(5, 0.2))
+        res = truncated_interaction(mu, w_nan_on_diagonal, M)
+        assert res["full"] is None
+        # the oracle: (1/2) sum over i != j of w_i w_j min(W(x_i, x_j), M)
+        terms = [0.04 * min(float(w_nan_on_diagonal(pts[i], pts[j])), M)
+                 for i in range(5) for j in range(5) if i != j]
+        assert res["offdiag"] == pytest.approx(0.5 * math.fsum(terms), abs=1e-15)
+        if M == 100.0:
+            assert res["offdiag"] == interaction_energy_offdiag(mu, w_nan_on_diagonal)
 
 
 class TestRelativeEntropy:
@@ -623,11 +637,13 @@ def test_pair_of_another_dimension_refused(evaluate, what):
 class TestFunctionalValue:
     @pytest.mark.parametrize("value", [1.5, np.inf])
     def test_finite_and_json(self, value):
+        # strict JSON: a non-finite value is written as null beside finite = false
         out = FunctionalValue(value, {"entropy": value, "interaction": None})
         assert out.finite == math.isfinite(value)
-        record = json.loads(out.to_json())
-        assert record == {"value": value, "finite": math.isfinite(value),
-                          "breakdown": {"entropy": value, "interaction": None}}
+        written = value if math.isfinite(value) else None
+        record = strict_json(out.to_json())
+        assert record == {"value": written, "finite": math.isfinite(value),
+                          "breakdown": {"entropy": written, "interaction": None}}
         assert float(out) == value
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
 
+from conftest import strict_json
 from gibbslab import measures
 from gibbslab.measures import (
     DiscreteMeasure,
@@ -16,6 +19,7 @@ from gibbslab.measures import (
     WeightFunction,
     _gaussian_images,
     _merge_atoms,
+    _record_json,
     _transport_candidates,
     _union_support,
     d_bl,
@@ -61,6 +65,21 @@ def all_pairs_d_bl(mu, nu):
                                            "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return -res.fun
+
+
+def spied_solves(monkeypatch):
+    """Each later call to measures.linprog, as its arguments by name and its
+    result."""
+    solves = []
+    real_linprog = measures.linprog
+
+    def spy(*args, **kwargs):
+        result = real_linprog(*args, **kwargs)
+        solves.append((inspect.signature(real_linprog).bind(*args, **kwargs).arguments, result))
+        return result
+
+    monkeypatch.setattr(measures, "linprog", spy)
+    return solves
 
 
 class Replay:
@@ -190,6 +209,23 @@ class TestDiscreteMeasure:
         obj = json.loads(mu.to_json())
         assert set(obj) == {"dim", "atoms", "weights"}
         assert obj["dim"] == 2
+
+    def test_record_json_is_strict(self):
+        # every non-finite number, a float, a numpy scalar or an array entry,
+        # at any depth, is written as null, never as a bare Infinity or NaN
+        @dataclasses.dataclass
+        class Record:
+            value: float
+            trace: np.ndarray
+            minima: dict
+            gap: np.float64
+            measure: DiscreteMeasure
+
+        record = Record(math.inf, np.array([1.0, -np.inf, np.nan]), {"W": np.inf, "V": 0.5},
+                        np.float64(np.nan), DiscreteMeasure.dirac([0.25]))
+        assert strict_json(_record_json(record)) == {
+            "value": None, "trace": [1.0, None, None], "minima": {"W": None, "V": 0.5},
+            "gap": None, "measure": {"dim": 1, "atoms": [[0.25]], "weights": [1.0]}}
 
     def test_csv_export(self, tmp_path):
         mu = DiscreteMeasure([[0.0, 1.0], [2.0, -1.0]], [0.3, 0.7])
@@ -355,8 +391,8 @@ class TestBoundedLipschitz:
         assert d_bl(nu, mu) == pytest.approx(0.6, abs=1e-12)
 
     def test_gap_below_the_solver_feasibility_tolerance(self):
-        # two atoms eps = 2^-24 apart, under HiGHS's 1e-7 feasibility tolerance.
-        # f(0) = 1/2, f(1) = -1/2 and f(eps) = 1/2 - eps give 1/2 + eps / 2
+        # two atoms eps = 2^-24 apart, under HiGHS's default 1e-7 feasibility
+        # tolerance.  f(0) = 1/2, f(1) = -1/2 and f(eps) = 1/2 - eps give 1/2 + eps / 2
         eps = 2.0**-24
         mu = DiscreteMeasure.dirac([0.0])
         nu = DiscreteMeasure.uniform([[1.0], [eps]])
@@ -364,30 +400,23 @@ class TestBoundedLipschitz:
         # d_bl is W_1 for the metric min(|x - y|, 1); delta_1 has one coupling
         # with nu, moving mass 1/3 from 1 to each of 0, 1/2 and eps, at cost
         # (1 + 1/2 + 1 - eps) / 3 = 5/6 - eps/3.  f = -1/2, -1/2 + eps, 0, 1/2
-        # at 0, eps, 1/2, 1 attains it.  HiGHS returns f(eps) = -1/2, which
-        # breaks the row between eps and 1/2 by eps, and so 5/6
+        # at 0, eps, 1/2, 1 attains it.  At the default tolerance HiGHS
+        # returned f(eps) = -1/2, which breaks the row between eps and 1/2 by
+        # eps, and so 5/6
         mu = DiscreteMeasure.dirac([1.0])
         nu = DiscreteMeasure.uniform([[0.0], [0.5], [eps]])
-        got = d_bl(mu, nu)
-        assert got == pytest.approx(0.5 + 1 / 3, abs=1e-15)  # HiGHS's answer
-        assert 0.0 <= got - (5 / 6 - eps / 3) <= 1e-7
+        assert abs(d_bl(mu, nu) - (5 / 6 - eps / 3)) <= 1e-10
 
     def test_gap_below_the_solver_feasibility_tolerance_without_close_atoms(self):
         # two atoms 1 - eps apart keep one row, which f = 1/2, -1/2 breaks by
-        # eps < 1e-7: the value can overshoot with no two atoms close
+        # eps < 1e-7: at the default tolerance the value was 1, with no two
+        # atoms close
         eps = 2.0**-24
         got = d_bl(DiscreteMeasure.dirac([eps]), DiscreteMeasure.dirac([1.0]))
-        assert 0.0 <= got - (1.0 - eps) <= 1e-7
+        assert abs(got - (1.0 - eps)) <= 1e-10
 
     def test_one_solve_without_presolve(self, monkeypatch):
-        options = []
-        real_milp = measures.milp
-
-        def spy(*args, **kwargs):
-            options.append(kwargs.get("options"))
-            return real_milp(*args, **kwargs)
-
-        monkeypatch.setattr(measures, "milp", spy)
+        solves = spied_solves(monkeypatch)
         eps = 2.0**-24
         cases = [
             (DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([0.25])),
@@ -397,9 +426,16 @@ class TestBoundedLipschitz:
             (DiscreteMeasure.dirac([0.0, 0.0]), DiscreteMeasure.dirac([3.0, 0.0])),
         ]
         for mu, nu in cases:
-            options.clear()
+            solves.clear()
             d_bl(mu, nu)
-            assert options == [{"presolve": False}]
+            assert len(solves) == 1
+            arguments = solves[0][0]
+            assert arguments["options"] == {"presolve": "off",
+                                            "primal_feasibility_tolerance": 1e-10}
+            # one column per atom of the union support, ranged rows only
+            assert arguments["c"].shape == (len(_union_support(mu, nu)[0]),)
+            assert arguments["A_ub"].format == "csr"
+            assert "A_eq" not in arguments
 
 
 class TestDPsi:
@@ -535,23 +571,18 @@ class TestWasserstein:
             wasserstein_p(mu, nu, p)
 
     def test_one_transport_solve(self, monkeypatch):
-        calls = []
-        real_linprog = measures.linprog
-
-        def spy(*args, **kwargs):
-            calls.append(inspect.signature(real_linprog).bind(*args, **kwargs).arguments)
-            return real_linprog(*args, **kwargs)
-
-        monkeypatch.setattr(measures, "linprog", spy)
+        solves = spied_solves(monkeypatch)
         mu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         nu = DiscreteMeasure([[0.0, 0.36], [1.0, 1.0], [2.0, 0.0]], [0.2, 0.5, 0.3])
         wasserstein_p(mu, nu, 2)
-        assert len(calls) == 1
-        arguments = calls[0]
-        assert arguments["options"] == {"presolve": False, "dual_feasibility_tolerance": 1e-10}
+        assert len(solves) == 1
+        arguments = solves[0][0]
+        assert arguments["options"] == {"presolve": "off", "dual_feasibility_tolerance": 1e-10}
         # one plan cell per atom pair, one marginal row per atom
         assert arguments["c"].shape == (6,)
         assert arguments["A_eq"].shape == (5, 6)
+        assert arguments["A_eq"].format == "csc"
+        assert "A_ub" not in arguments
 
     def test_p_below_one_rejected(self):
         mu = DiscreteMeasure.dirac([0.0])
@@ -681,6 +712,91 @@ class TestPricedTransportLP:
         for p in (1, 2):
             assert wasserstein_lp(mu, nu, p) == pytest.approx(assignment_cost(x, y, p), rel=1e-12)
             assert wasserstein_lp(nu, mu, p) == pytest.approx(assignment_cost(x, y, p), rel=1e-12)
+
+
+class TestLinprog:
+    @pytest.mark.parametrize("d", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1, 2]))
+    # milp passes an option it does not know to HiGHS as it stands, with this warning
+    @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
+    def test_equals_scipys_milp_and_linprog(self, d, data, p):
+        # measures.linprog calls scipy's private HiGHS binding; scipy's public
+        # milp and linprog, given each LP that d_bl and wasserstein_lp solve,
+        # with the same options, must return the same optimum and, for the
+        # transport LP, the same duals.  Indices into a small pool repeat
+        # atoms, and spreads past 1 leave d_bl some pairs without a row.
+        coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=12))
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=25)
+        mu, nu = (empirical_measure(ParticleConfig([pool[i] for i in data.draw(index)]))
+                  for _ in range(2))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            solves = spied_solves(monkeypatch)
+            dbl = d_bl(mu, nu)
+            dbl_solves = len(solves)
+            cost = wasserstein_lp(mu, nu, p)
+        # d_bl solves once unless mu = nu; wasserstein_lp at least once
+        assert dbl_solves == (mu != nu) and len(solves) > dbl_solves
+        for arguments, (fun, dual) in solves:
+            # scipy's front-ends take presolve as a bool
+            options = dict(arguments["options"], presolve=False)
+            if "A_ub" in arguments:
+                res = milp(arguments["c"], bounds=Bounds(*arguments["bounds"]), options=options,
+                           constraints=LinearConstraint(arguments["A_ub"], arguments["b_lb"],
+                                                        arguments["b_ub"]))
+                assert res.success
+            else:
+                res = linprog(arguments["c"], A_eq=arguments["A_eq"], b_eq=arguments["b_eq"],
+                              bounds=arguments["bounds"], method="highs", options=options)
+                assert res.success
+                np.testing.assert_allclose(dual, res.eqlin.marginals, rtol=0, atol=1e-12)
+            assert abs(fun - res.fun) <= 1e-12
+        if dbl_solves:
+            assert dbl == max(0.0, -solves[0][1][0])
+        assert cost == max(0.0, solves[-1][1][0])
+
+    def test_one_block_of_rows(self):
+        a = sparse.csr_array(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="exactly one of A_ub and A_eq"):
+            measures.linprog(np.ones(2), A_ub=a, b_lb=[0.0], b_ub=[1.0], A_eq=a.tocsc(),
+                             b_eq=[1.0], bounds=(0.0, 1.0), options={})
+        with pytest.raises(ValueError, match="exactly one of A_ub and A_eq"):
+            measures.linprog(np.ones(2), bounds=(0.0, 1.0), options={})
+        with pytest.raises(ValueError, match="must be CSR or CSC, got coo"):
+            measures.linprog(np.ones(2), A_eq=a.tocoo(), b_eq=[1.0], bounds=(0.0, 1.0),
+                             options={})
+
+    @pytest.mark.parametrize("c, b_eq", [(np.ones(3), [1.0]), (np.ones(2), [1.0, 2.0])])
+    def test_refuses_vectors_of_the_wrong_length(self, c, b_eq):
+        # HiGHS itself solved both, reading 2 of the 3 costs and 1 of the 2 bounds
+        a = sparse.csc_array(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            measures.linprog(c, A_eq=a, b_eq=b_eq, bounds=(0.0, 1.0), options={})
+
+    @pytest.mark.parametrize("key, value", [("presolve", False), ("presolve", "maybe"),
+                                            ("primal_feasibility_tolerance", -1.0),
+                                            ("no_such_option", 1)])
+    def test_refuses_an_option_highs_refuses(self, key, value):
+        a = sparse.csc_array(np.ones((1, 2)))
+        with pytest.raises(ValueError, match=f"HiGHS refuses the option {key}"):
+            measures.linprog(np.ones(2), A_eq=a, b_eq=[1.0], bounds=(0.0, 1.0),
+                             options={key: value})
+
+    def test_refuses_a_status_other_than_optimal(self):
+        # x1 + x2 = 3 on the box [0, 1]^2 is infeasible
+        a = sparse.csc_array(np.ones((1, 2)))
+        with pytest.raises(RuntimeError, match="LP not solved: Infeasible"):
+            measures.linprog(np.ones(2), A_eq=a, b_eq=[3.0], bounds=(0.0, 1.0), options={})
+
+    def test_optimum_and_row_duals(self):
+        # minimize x1 + 2 x2 subject to 1 <= x1 + x2 <= 2 on x >= 0: x = (1, 0),
+        # and the row's dual is the cost of x1, 1
+        a = sparse.csr_array(np.ones((1, 2)))
+        fun, dual = measures.linprog(np.array([1.0, 2.0]), A_ub=a, b_lb=[1.0], b_ub=[2.0],
+                                     bounds=(0.0, math.inf), options={})
+        assert fun == 1.0
+        assert dual.tolist() == [1.0]
 
 
 class TestPsiIntegrals:

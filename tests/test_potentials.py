@@ -1,11 +1,10 @@
-import json
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import CountingW, w_nan_on_diagonal, w_sqdist
+from conftest import CountingW, strict_json, w_nan_on_diagonal, w_sqdist
 from gibbslab import potentials
 from gibbslab.measures import DiscreteMeasure, ReferenceMeasure, WeightFunction, _grid_points
 from gibbslab.potentials import (
@@ -440,8 +439,11 @@ class TestAssumptionChecks:
         assert reports[0].sample_seed == 0 and reports[0].violations
         assert reports[1].minima == {"W": np.inf}
         for report in reports:
-            assert AssumptionReport(**json.loads(report.to_json())) == report
-            assert set(json.loads(report.to_json())) == {f.name for f in fields(AssumptionReport)}
+            assert set(strict_json(report.to_json())) == {f.name for f in fields(AssumptionReport)}
+        assert AssumptionReport(**strict_json(reports[0].to_json())) == reports[0]
+        # strict JSON: the +inf minimum is written as null and reads back as None
+        assert (AssumptionReport(**strict_json(reports[1].to_json()))
+                == replace(reports[1], minima={"W": None}))
 
     def test_violations_counted_and_capped_per_bound(self):
         # C1 keeps at most VIOLATION_EXAMPLES examples per declared bound, V's first
