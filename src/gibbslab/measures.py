@@ -59,28 +59,44 @@ reference's (``ReferenceMeasure.density_on_box``, which ``lebesgue_box``
 calls), a regular grid's and a probe's; it refuses bounds that are not
 finite or not ordered.  ``_grid_points`` builds every product grid.
 
-Importing this module loads numpy alone.  scipy is imported by the calls that
-solve a linear program and by nothing else: ``d_bl`` and ``wasserstein_lp``
-(``scipy.sparse``, for the constraint matrix), which is also what
-``wasserstein_p`` calls in dimension >= 2, and the module-level ``linprog``
-they both solve through, which loads the HiGHS binding that scipy ships,
-``scipy.optimize._highspy._core``, on its first call.  The 1-d quantile
-coupling, the measures themselves and every other module of the package need
-numpy only.  ``linprog`` builds the HiGHS model from the CSR or CSC arrays as
-they stand, sets only the options its caller names, and returns the optimum
-and the row duals: the checks and conversions of scipy's ``linprog`` and
-``milp``, which call the same binding, took about half of each solve's time.
-The binding is private to scipy, so the tests compare both metrics with
-scipy's public ``milp`` and ``linprog`` on the same LPs.  ``linprog`` stays a
-module attribute so that a caller can rebind it, to count or time the
-solves, and read each call's arguments by name (``c``, ``A_ub``, ``A_eq``).
+Importing this module loads numpy alone.  The package uses two of scipy's
+compiled modules, which ``_scipy_extension`` loads from their files, each on
+its first use, with no package ``__init__`` of scipy's run:
+the HiGHS binding ``scipy.optimize._highspy._core`` on the first LP solve,
+in ``linprog``, which ``d_bl`` and ``wasserstein_lp`` (so ``wasserstein_p``
+in dimension >= 2) solve through, and the LAPACK wrapper
+``scipy.linalg._flapack`` on the first Newton step of ``minimize_J``.  Both
+paths exist from scipy 1.15, the floor in pyproject.toml.  On a 2-core
+x86-64 Linux box, with numpy at 29 MB of RSS, the first ``d_bl`` in a
+process took 280 ms and 49 MB more through ``scipy.optimize`` (whose import
+loads every solver it has, ``scipy.sparse`` and ``scipy.linalg`` among
+them), against 5 ms and 5 MB through the binding alone; a first
+``minimize_J`` that took Newton steps took 140-200 ms and 28 MB more
+through ``scipy.linalg``, against 7 ms and 4 MB.  The 1-d quantile
+coupling, the measures themselves and every other module of the package
+need numpy only.
+
+``linprog`` builds the HiGHS model from the CSR or CSC arrays of a
+``_Compressed`` matrix as they stand, sets only the options its caller
+names, and returns the optimum and the row duals: the checks and
+conversions of scipy's ``linprog`` and ``milp``, which call the same
+binding, took about half of each solve's time.  The binding is private to
+scipy, so the tests compare both metrics with scipy's public ``milp`` and
+``linprog`` on the same LPs.  ``linprog`` stays a module attribute so that a
+caller can rebind it, to count or time the solves, and read each call's
+arguments by name (``c``, ``A_ub``, ``A_eq``) and each matrix's ``shape``,
+``data``, ``indices`` and ``indptr``.
 """
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
 import math
-from typing import Callable
+import os
+import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -525,20 +541,84 @@ def tail_psi_mass(mu: DiscreteMeasure, psi: WeightFunction, r: float) -> float:
     return math.fsum((mu.weights[mask] * psi(mu.atoms[mask])).tolist())
 
 
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name``, such as ``"scipy.linalg._flapack"``,
+    loaded with no package ``__init__`` above it run.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise the
+    module is loaded from its file under scipy's directory and registered
+    under its own name, so that a later ``import scipy.optimize`` or
+    ``scipy.linalg`` reuses it: a pybind11 module, such as HiGHS's, cannot be
+    loaded twice in one process.  That later import does not bind the module
+    as an attribute of its package, so ``scipy.linalg._flapack`` then raises
+    AttributeError, while ``from scipy.linalg import _flapack`` and scipy's
+    own imports find it.  Where there is no such file, or it does not
+    load alone (on a platform where scipy's ``__init__`` must first make its
+    shared libraries findable), the module is imported the usual way, and
+    that import names what is missing.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.origin), *name.split(".")[1:-1]),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return importlib.import_module(name)
+    sys.modules[name] = module
+    return module
+
+
+class _Compressed(NamedTuple):
+    """A sparse matrix as HiGHS reads it: ``format`` "csr" (row-wise) or "csc"
+    (column-wise), its (rows, cols) ``shape``, and the ``indptr``,
+    ``indices`` and ``data`` arrays of that format, as scipy's sparse arrays
+    name them."""
+
+    format: str
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _two_per_line(format: str, shape: tuple, first, second, values) -> _Compressed:
+    """The CSR ("csr") or CSC ("csc") matrix whose line r, a row or a column
+    as ``format`` says, holds values[0] at first[r] and values[1] at
+    second[r], first[r] < second[r].  The indices are int32, the width of
+    HiGHS's own indices."""
+    lines = len(first)
+    indices = np.empty(2 * lines, dtype=np.int32)
+    indices[0::2], indices[1::2] = first, second
+    return _Compressed(format, shape, np.arange(0, 2 * lines + 1, 2, dtype=np.int32), indices,
+                       np.tile(np.asarray(values, dtype=float), lines))
+
+
 def linprog(c, *, A_ub=None, b_lb=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
     """Minimize c @ x over bounds[0] <= x <= bounds[1] and one block of rows,
     ranged rows b_lb <= A_ub @ x <= b_ub or equality rows A_eq @ x = b_eq,
-    by HiGHS through the binding scipy ships; scipy's ``linprog`` and
-    ``milp`` call the same binding.
+    by HiGHS through the binding scipy ships,
+    ``scipy.optimize._highspy._core``; scipy's ``linprog`` and ``milp`` call
+    the same binding.  ``_scipy_extension`` loads it on the first call
+    without ``scipy.optimize`` and its other solvers.
 
-    The matrix is a scipy sparse array in CSR or CSC format, passed to HiGHS
-    row-wise or column-wise as it stands.  HiGHS prints nothing and takes
-    its defaults but for ``options``, a dict of HiGHS option names and
-    values (``"presolve": "off"``), each refused with a ValueError if HiGHS
-    refuses it.  Returns the objective value and the row duals; any model
-    status other than optimal raises a RuntimeError.
+    The matrix is in CSR or CSC format, a ``_Compressed`` or a scipy sparse
+    array: anything with a ``format``, ``shape``, ``indptr``, ``indices`` and
+    ``data``.  It is passed to HiGHS row-wise or column-wise as it stands.
+    HiGHS prints nothing and takes its defaults but for ``options``, a dict
+    of HiGHS option names and values (``"presolve": "off"``), each refused
+    with a ValueError if HiGHS refuses it.  Returns the objective value and
+    the row duals; any model status other than optimal raises a
+    RuntimeError.
     """
-    from scipy.optimize._highspy import _core as highs
+    highs = _scipy_extension("scipy.optimize._highspy._core")
 
     if (A_ub is None) == (A_eq is None):
         raise ValueError("pass exactly one of A_ub and A_eq")
@@ -627,13 +707,8 @@ def d_bl(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     dists = np.sqrt(_squared_distance(pts[iu], pts[ju]))
     near = dists < 1.0
     iu, ju, dists = iu[near], ju[near], dists[near]
-    from scipy import sparse
-
-    # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]: its two
-    # entries, in column order since iu < ju
-    rows = len(iu)
-    incidence = sparse.csr_array((np.tile([1.0, -1.0], rows), np.stack([iu, ju], axis=1).ravel(),
-                                  np.arange(0, 2 * rows + 1, 2)), shape=(rows, k))
+    # row r is f_iu[r] - f_ju[r], ranged in [-dists[r], dists[r]]
+    incidence = _two_per_line("csr", (len(iu), k), iu, ju, (1.0, -1.0))
     fun, _ = linprog(-signed, A_ub=incidence, b_lb=-dists, b_ub=dists, bounds=(-0.5, 0.5),
                      options={"presolve": "off", "primal_feasibility_tolerance": 1e-10})
     return max(0.0, -fun)
@@ -745,8 +820,6 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
         raise ValueError("dimension mismatch between measures")
     if not 1 <= p < math.inf:
         raise ValueError(f"p must lie in [1, inf), got {p!r}")
-    from scipy import sparse
-
     # p = 2 takes the squared distance as it is, with no square root to undo
     cost = _squared_distance(mu.atoms[:, None, :], nu.atoms[None, :, :]) ** (p / 2)
     ka, kb = mu.support_size, nu.support_size
@@ -763,9 +836,7 @@ def wasserstein_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
         # column r is the plan cell (ia[r], ib[r]): it enters the row sum ia[r]
         # of mu and the column sum ib[r] of nu
         ia, ib = np.nonzero(cells)
-        cols = len(ia)
-        a_eq = sparse.csc_array((np.ones(2 * cols), np.stack([ia, ka + ib], axis=1).ravel(),
-                                 np.arange(0, 2 * cols + 1, 2)), shape=(ka + kb, cols))
+        a_eq = _two_per_line("csc", (ka + kb, len(ia)), ia, ka + ib, (1.0, 1.0))
         fun, dual = linprog(cost[ia, ib], A_eq=a_eq, b_eq=marginals, bounds=(0.0, math.inf),
                             options={"presolve": "off", "dual_feasibility_tolerance": dual_tol})
         priced = cost - dual[:ka, None] - dual[None, ka:] < -dual_tol

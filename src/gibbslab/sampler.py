@@ -571,7 +571,9 @@ def _count_log_weights(pair, ell, n, beta_n):
     the counts; 0 times -inf is read as 0, so T[a, 0] = 0 and link_aa enters
     only from h = 2 on.  The finite off-diagonal links form the cross term,
     and a composition that occupies both atoms of a -inf link gets log
-    weight -inf, so every infinity sits where it arises.  The counts are
+    weight -inf, so every infinity sits where it arises.  Those compositions
+    are found in one pass per atom over a boolean (C, m) occupancy block:
+    the atom occupied, and any of its -inf partners after it.  The counts are
     read as floats only by the cross term's product, a (C, m) block that
     lives for that product alone.  ``ENUM_BUDGET`` bounds the entries of the
     count array.
@@ -592,10 +594,14 @@ def _count_log_weights(pair, ell, n, beta_n):
     log_weight = table[counts, np.arange(m)].sum(axis=1) + log_fact[n]
     if link is not None:
         off = np.where(np.eye(m, dtype=bool) | (link == -np.inf), 0.0, link)
-        hard = np.argwhere(np.triu(link == -np.inf, 1))
         log_weight += 0.5 * np.einsum("ij,ij->i", counts @ off, counts)
-        for a, b in hard:
-            log_weight[(counts[:, a] > 0) & (counts[:, b] > 0)] = -np.inf
+        hard = np.triu(link == -np.inf, 1)
+        if hard.any():
+            occupied = counts > 0
+            blocked = np.zeros(len(counts), dtype=bool)
+            for a in np.flatnonzero(hard.any(axis=1)):
+                blocked |= occupied[:, a] & occupied[:, hard[a]].any(axis=1)
+            log_weight[blocked] = -np.inf
     return counts, log_weight
 
 

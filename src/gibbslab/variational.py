@@ -55,9 +55,13 @@ off-diagonal-corrected objective plus a self-energy surrogate
 surrogate so downstream comparisons use the same convention.
 
 Importing this module loads numpy alone.  The one call that needs scipy is
-``_support_step``, the step of ``minimize_J``'s two QPs: it
-imports ``scipy.linalg`` for ``cho_factor`` and ``cho_solve`` when it runs.
-The certificate, ``minimize_I`` and mirror descent use numpy only.
+``_support_step``, the step of ``minimize_J``'s two QPs: it calls LAPACK's
+``dpotrf`` and ``dpotrs`` from scipy's compiled wrapper
+``scipy.linalg._flapack``, which ``measures._scipy_extension`` loads from
+its file on the first step, without ``scipy.linalg``.  Those are the calls
+``scipy.linalg.cho_factor`` and ``cho_solve`` make, with the same
+arguments, so every step is theirs bit for bit.  The certificate,
+``minimize_I`` and mirror descent use numpy only.
 """
 from __future__ import annotations
 
@@ -69,7 +73,7 @@ import numpy as np
 
 from ._enum import compositions_array
 from .measures import (DiscreteMeasure, ReferenceMeasure, _as_box, _as_points, _grid_points,
-                       _record_json, _squared_distance)
+                       _record_json, _scipy_extension, _squared_distance)
 from .potentials import PotentialPair, _check_dim, evaluate_V, evaluate_W, pair_matrix
 
 DEFAULT_TOL = 1e-8
@@ -354,18 +358,20 @@ def _support_step(KS, gS):
     direction of least curvature, zero or negative, along which the objective
     does not increase; the caller follows it until a weight reaches zero.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
+    lapack = _scipy_extension("scipy.linalg._flapack")
     H = _tangent_hessian(KS)
     r = gS[:-1] - gS[-1]
-    try:
-        y = -cho_solve(cho_factor(H), r)
-        newton = True
-    except np.linalg.LinAlgError:
+    # the LAPACK calls of scipy.linalg's cho_factor and cho_solve, made as they
+    # make them; info > 0 is where cho_factor raises.  A one-node support
+    # gives an empty system, which dpotrs refuses, and the empty step.
+    factor, info = lapack.dpotrf(H, lower=0, clean=0)
+    newton = info == 0
+    if newton:
+        y = -lapack.dpotrs(factor, r, lower=0)[0] if len(r) else -r
+    else:
         y = np.linalg.eigh(H)[1][:, 0]
         if r @ y > 0:
             y = -y
-        newton = False
     return np.append(y, -y.sum()), newton
 
 

@@ -739,15 +739,19 @@ class TestLinprog:
         # d_bl solves once unless mu = nu; wasserstein_lp at least once
         assert dbl_solves == (mu != nu) and len(solves) > dbl_solves
         for arguments, (fun, dual) in solves:
-            # scipy's front-ends take presolve as a bool
+            # scipy's front-ends take presolve as a bool, and the matrix as a
+            # sparse array built from the compressed arrays HiGHS was given
             options = dict(arguments["options"], presolve=False)
+            a = arguments.get("A_ub", arguments.get("A_eq"))
+            matrix = {"csr": sparse.csr_array, "csc": sparse.csc_array}[a.format](
+                (a.data, a.indices, a.indptr), shape=a.shape)
             if "A_ub" in arguments:
                 res = milp(arguments["c"], bounds=Bounds(*arguments["bounds"]), options=options,
-                           constraints=LinearConstraint(arguments["A_ub"], arguments["b_lb"],
+                           constraints=LinearConstraint(matrix, arguments["b_lb"],
                                                         arguments["b_ub"]))
                 assert res.success
             else:
-                res = linprog(arguments["c"], A_eq=arguments["A_eq"], b_eq=arguments["b_eq"],
+                res = linprog(arguments["c"], A_eq=matrix, b_eq=arguments["b_eq"],
                               bounds=arguments["bounds"], method="highs", options=options)
                 assert res.success
                 np.testing.assert_allclose(dual, res.eqlin.marginals, rtol=0, atol=1e-12)

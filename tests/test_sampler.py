@@ -636,6 +636,24 @@ def reference_count_log_weights(pair, ell, n, beta_n):
     return counts, log_weight
 
 
+def per_link_count_log_weights(pair, ell, n, beta_n):
+    """``_count_log_weights``' log weights, its -inf links applied one pass
+    over the counts per link, as they once were."""
+    m = len(ell.atoms)
+    counts = compositions_array(n, m)
+    site, link = sampler._atom_terms(pair, ell, n, beta_n)
+    h = np.arange(n + 1.0)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])[:, None]
+    table = np.multiply(h, site, out=np.zeros((n + 1, m)), where=h > 0) - log_fact
+    table[2:] += h[2:] * (h[2:] - 1.0) / 2.0 * np.diag(link)
+    log_weight = table[counts, np.arange(m)].sum(axis=1) + log_fact[n]
+    off = np.where(np.eye(m, dtype=bool) | (link == -np.inf), 0.0, link)
+    log_weight += 0.5 * np.einsum("ij,ij->i", counts @ off, counts)
+    for a, b in np.argwhere(np.triu(link == -np.inf, 1)):
+        log_weight[(counts[:, a] > 0) & (counts[:, b] > 0)] = -np.inf
+    return log_weight
+
+
 def count_law_case(case):
     """(pair, reference, n, beta_n): the three cases of the exact_finite
     benchmark, built as it builds them (10 atoms, n = 6), repeated atoms, a V
@@ -675,6 +693,30 @@ class TestCountLaw:
         assert 0 < live.sum() and (case in ("d1_speed_n", "d1_speed_n2", "n1")) == live.all()
         err = np.abs(log_weight[live] - expected[live])
         assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(expected[live])))
+
+    @pytest.mark.parametrize("radius", [10.0, 0.2], ids=["all_pairs", "few_pairs"])
+    def test_hard_core_links_equal_the_per_link_loop(self, radius):
+        # the -inf links, applied in one pass per atom, against the loop that
+        # made one pass over the counts per link; W is finite on the diagonal,
+        # so compositions with repeated atoms keep finite weights
+        rng = np.random.default_rng(5)
+        line = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (10, 1)), rng.uniform(0.5, 1.5, 10))
+        coulomb = coulomb_kernel(1)
+
+        def W(x, y):
+            dist = np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
+            return np.where((dist > 0) & (dist < radius), np.inf, coulomb(x, y))
+
+        pair = PotentialPair(v_quadratic, W, dim=1, symmetric=True)
+        n, beta = 6, 6.0
+        link = sampler._atom_terms(pair, line, n, beta)[1]
+        hard = np.argwhere(np.triu(link == -np.inf, 1))
+        assert len(hard) == 45 if radius == 10.0 else 2 <= len(hard) <= 6
+        counts, log_weight = _count_log_weights(pair, line, n, beta)
+        # a copy of the per-link loop, on the rest of the function as it stands
+        expected = per_link_count_log_weights(pair, line, n, beta)
+        np.testing.assert_array_equal(log_weight, expected)
+        assert 0 < np.isfinite(log_weight).sum() < len(log_weight)
 
     def test_takes_at_most_two_and_a_half_count_arrays(self):
         # 293930 compositions of 12 on 10 atoms, cached: the energy formula over
