@@ -37,6 +37,11 @@ nodes, 22.6 MB at 1681.
 * ``minimize_I`` -- entropy + interaction.
 * ``simplex_scan_oracle`` -- exhaustive scan of a weight lattice on at most
   four nodes, the brute-force ground truth the solvers are tested against.
+  It scans the lattice one block of rows at a time, the rows of one first
+  weight, so it holds at most C(R + k - 2, k - 2) rows for R = 1 / step on
+  k >= 3 nodes (5151 at step 0.01 on four, a 0.8 MiB traced peak, against
+  18.2 MiB for the 176851 rows of the whole lattice), and the R + 1 rows of
+  the whole lattice on two.
 
 Each problem class has one solver policy, ``_solve_J`` and ``_solve_I``,
 whose docstrings say which solver runs, from which starts, and what
@@ -89,8 +94,11 @@ SCAN_NODE_LIMIT = 4
 # [-1, 1]^2 needs 45 MB.  The w3 kernel of masked_interaction forms a few such
 # blocks.
 GRID_PAIR_BUDGET = 2**27
-# Largest weight lattice the scan oracle builds: about 64 MB of int64 rows on
-# four nodes.  Step 0.01 on four nodes needs 176851 rows; 1e-3 needs 1.7e8.
+# Largest weight lattice the scan oracle scans, a bound on its time: 2e6 rows
+# took 0.25-0.45 s on two nodes, 0.4-0.7 s on three and 0.3-0.5 s on four, for
+# J and I, one thread on a 2-core x86-64 Linux box.  Step 0.01 on four nodes
+# needs 176851 rows (about 30 ms); 1e-3 needs 1.7e8.  Memory is not what it
+# bounds: the scan holds one ``_lattice_blocks`` block at a time.
 SCAN_ROW_BUDGET = 2_000_000
 # Relative size of the Frank-Wolfe gap, and of the gradient differences, the
 # QPs treat as rounding.
@@ -681,6 +689,27 @@ def minimize_J(pair: PotentialPair, grid: GridSpec, tilt=None, tol=DEFAULT_TOL,
     return _solve_J(obj, feasible, grid, tol, max_iter)
 
 
+def _lattice_blocks(resolution, k):
+    """The rows of ``compositions_array(resolution, k)``, in their order, one
+    block per first entry h = 0..resolution when k >= 3: block h is h
+    followed by ``compositions_array(resolution - h, k - 1)``, the run of rows
+    whose first entry is h.
+
+    With k <= 2 the one block is the whole lattice, the single vertex or
+    resolution + 1 rows.  Blocks of k = 2 would be single rows, and numpy
+    evaluates ``value_batch`` on one row by other loops than on many:
+    5 of 48 two-node scans then returned a value one ulp off the full
+    scan's.  From three nodes on a single-row block is the vertex e_1, whose
+    value is exact either way.
+    """
+    if k <= 2:
+        yield compositions_array(resolution, k)
+        return
+    for h in range(resolution + 1):
+        tail = compositions_array(resolution - h, k - 1)
+        yield np.hstack([np.full((len(tail), 1), h, dtype=np.int64), tail])
+
+
 def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
     """Exhaustive weight-lattice scan: the brute-force ground truth.
 
@@ -688,7 +717,10 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
     builders above produce, on the points ``nodes``.  Supports at
     most four nodes and lattices of at most ``SCAN_ROW_BUDGET`` weight vectors
     (step 1e-3 on up to three nodes, 0.01 on four); ties resolve to the
-    lexicographically first weight vector in lattice order.
+    lexicographically first weight vector in lattice order.  The lattice is
+    scanned one ``_lattice_blocks`` block at a time, and the running minimum
+    moves only to a strictly lower value, so the first tie of the whole
+    lattice wins.  ``iterations`` is the lattice size.
     """
     nodes = _as_points(nodes)
     k = len(nodes)
@@ -701,11 +733,15 @@ def simplex_scan_oracle(objective, nodes, step) -> MinimizationResult:
     if rows > SCAN_ROW_BUDGET:
         raise ValueError(f"scan lattice of {rows} weight vectors exceeds the budget "
                          f"of {SCAN_ROW_BUDGET}")
-    lattice = compositions_array(resolution, k).astype(float) / resolution
-    vals = np.asarray(objective.value_batch(lattice), dtype=float)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    if np.all(vals == np.inf):
+    best, best_value = None, math.inf
+    for block in _lattice_blocks(resolution, k):
+        lattice = block.astype(float) / resolution
+        vals = np.asarray(objective.value_batch(lattice), dtype=float)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        idx = int(np.argmin(vals))      # argmin returns the first (lexicographic) tie
+        if vals[idx] < best_value:
+            best, best_value = lattice[idx].copy(), vals[idx]
+    if best is None:
         raise ValueError("objective is infinite on the entire lattice")
-    idx = int(np.argmin(vals))      # argmin returns the first (lexicographic) tie
-    return _finish(objective, [(lattice[idx], vals[idx], len(lattice), 0.0)], "simplex_scan",
+    return _finish(objective, [(best, best_value, rows, 0.0)], "simplex_scan",
                    np.arange(k), nodes, None, 0.0)

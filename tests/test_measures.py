@@ -437,6 +437,63 @@ class TestBoundedLipschitz:
             assert arguments["A_ub"].format == "csr"
             assert "A_eq" not in arguments
 
+    @staticmethod
+    def assert_rows_equal_the_triu_reference(monkeypatch, mu, nu):
+        """d_bl's Lipschitz rows and their ranges, bit for bit, against the
+        pairs of np.triu_indices (neighbours in d = 1) filtered on
+        sqrt(|x - y|^2) < 1; returns the row matrix."""
+        solves = spied_solves(monkeypatch)
+        d_bl(mu, nu)
+        pts, _ = _union_support(mu, nu)
+        k = len(pts)
+        if mu.dim == 1:
+            iu = np.arange(k - 1)
+            ju = iu + 1
+        else:
+            iu, ju = np.triu_indices(k, 1)
+        dists = np.sqrt(measures._squared_distance(pts[iu], pts[ju]))
+        near = dists < 1.0
+        iu, ju, dists = iu[near], ju[near], dists[near]
+        arguments = solves[-1][0]
+        a = arguments["A_ub"]
+        assert a.shape == (len(iu), k)
+        np.testing.assert_array_equal(a.indptr, np.arange(0, 2 * len(iu) + 1, 2))
+        np.testing.assert_array_equal(a.indices.reshape(-1, 2), np.column_stack([iu, ju]))
+        np.testing.assert_array_equal(a.data, np.tile([1.0, -1.0], len(iu)))
+        assert arguments["b_ub"].tobytes() == dists.tobytes()
+        assert arguments["b_lb"].tobytes() == (-dists).tobytes()
+        return a
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_triu_reference(self, d, data):
+        # indices into a small pool repeat atoms within and across the measures
+        coord = st.floats(-1.5, 1.5, allow_subnormal=False)
+        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10))
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20)
+        mu, nu = (empirical_measure(ParticleConfig([pool[i] for i in data.draw(index)]))
+                  for _ in range(2))
+        if mu != nu:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                self.assert_rows_equal_the_triu_reference(monkeypatch, mu, nu)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_at_squared_distance_just_below_and_at_one(self, monkeypatch, d):
+        # (1 - 2^-53, 1.2 * 2^-27) is at squared distance nextafter(1, 0), the
+        # largest below 1, and keeps its row; (1, 0) at exactly 1 keeps none
+        # (in d = 1, 1 - 2^-53 squares to nextafter(1, 0) - 2^-53)
+        below = [1.0 - 2.0**-53, 1.2 * 2.0**-27, 0.0][:d]
+        at = [1.0, 0.0, 0.0][:d]
+        origin = [0.0] * d
+        sq = measures._squared_distance(np.array(below), np.array(origin))
+        assert sq < 1.0 and (d == 1 or sq == np.nextafter(1.0, 0.0))
+        assert measures._squared_distance(np.array(at), np.array(origin)) == 1.0
+        shift = [2.5] + [0.0] * (d - 1)
+        mu = DiscreteMeasure([origin, np.add(shift, at)], [0.5, 0.5])
+        nu = DiscreteMeasure([below, shift], [0.25, 0.75])
+        assert self.assert_rows_equal_the_triu_reference(monkeypatch, mu, nu).shape[0] == 1
+
 
 class TestDPsi:
     def test_zero_on_equal(self):
@@ -777,6 +834,45 @@ class TestLinprog:
         a = sparse.csc_array(np.ones((1, 2)))
         with pytest.raises(ValueError, match="could not be broadcast"):
             measures.linprog(c, A_eq=a, b_eq=b_eq, bounds=(0.0, 1.0), options={})
+
+    @pytest.mark.parametrize("format", ["csr", "csc"])
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([0, 2], [0, 2, 1], [1.0, 1.0, 1.0]),           # indptr one entry short
+        ([0, 2, 3, 3], [0, 2, 1], [1.0, 1.0, 1.0]),     # indptr one entry long
+        ([0, 2, 3], [0, 2], [1.0, 1.0, 1.0]),           # indices short of indptr[-1]
+        ([0, 2, 3], [0, 2, 1], [1.0, 1.0]),             # data short of indptr[-1]
+        ([0, 2, 3], [0, 2], [1.0, 1.0]),                # both short of indptr[-1]
+        ([0, 2, 3], [0, 2, 1, 0], [1.0, 1.0, 1.0, 1.0]),  # both past indptr[-1]
+    ])
+    def test_refuses_compressed_arrays_of_the_wrong_lengths(self, monkeypatch, format, indptr,
+                                                               indices, data):
+        # HiGHS reads the arrays by the sizes it is told: a model that claimed
+        # 2 nonzeros with 1-entry index and value arrays was refused, and a
+        # run after it never returned.  Each is refused before HiGHS loads.
+        def no_highs(name):
+            raise AssertionError(f"{name} loaded")
+
+        monkeypatch.setattr(measures, "_scipy_extension", no_highs)
+        # [[1, 0, 1], [0, 1, 0]] row-wise, or its transpose column-wise
+        shape = (2, 3) if format == "csr" else (3, 2)
+        a = measures._Compressed(format, shape, np.array(indptr), np.array(indices),
+                                 np.array(data))
+        with pytest.raises(ValueError, match="indptr entries, the last the length"):
+            measures.linprog(np.ones(shape[1]), A_ub=a, b_lb=np.zeros(shape[0]),
+                             b_ub=np.ones(shape[0]), bounds=(0.0, 1.0), options={})
+
+    def test_passes_the_compressed_arrays_as_they_stand(self):
+        # int64 indices and a non-contiguous data view reach HiGHS as int32 and
+        # contiguous float64 copies; minimize -x1 - x2 - x3 subject to
+        # x1 + x3 <= 1 and x2 <= 1 on [0, 1]^3: the value is -2
+        dense = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        for a in (sparse.csr_array(dense), sparse.csc_array(dense)):
+            a = measures._Compressed(a.format, a.shape, a.indptr.astype(np.int64),
+                                     a.indices.astype(np.int64), np.repeat(a.data, 2)[::2])
+            fun, dual = measures.linprog(-np.ones(3), A_ub=a, b_lb=[0.0, 0.0],
+                                         b_ub=[1.0, 1.0], bounds=(0.0, 1.0), options={})
+            assert fun == -2.0
+            assert len(dual) == 2
 
     @pytest.mark.parametrize("key, value", [("presolve", False), ("presolve", "maybe"),
                                             ("primal_feasibility_tolerance", -1.0),

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CountingW, v_quadratic, w_sqdist
 from gibbslab import measures, variational
+from gibbslab._enum import compositions_array
 from gibbslab.measures import ReferenceMeasure
 from gibbslab.potentials import (
     PotentialPair,
@@ -507,6 +509,64 @@ def test_scan_oracle_refuses_a_lattice_over_budget():
         simplex_scan_oracle(obj, obj.nodes, 1e-3)
 
 
+def full_lattice_scan(objective, step):
+    """The scan oracle's weights, value and iterations before it scanned by
+    blocks: the whole lattice in one value_batch call."""
+    resolution = int(round(1.0 / step))
+    lattice = compositions_array(resolution, objective.k).astype(float) / resolution
+    vals = np.asarray(objective.value_batch(lattice), dtype=float)
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    idx = int(np.argmin(vals))
+    return lattice[idx], vals[idx], len(lattice)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("resolution", [1, 2, 7, 20, 100])
+def test_scan_blocks_are_the_lattice_in_order(k, resolution):
+    blocks = list(variational._lattice_blocks(resolution, k))
+    assert all(block.dtype == np.int64 and block.shape[1] == k for block in blocks)
+    np.testing.assert_array_equal(np.vstack(blocks), compositions_array(resolution, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("build", ["J", "I", "constant"])
+def test_scan_oracle_equals_the_full_lattice_scan(k, build):
+    # FOUR_NODES and random node sets; a constant objective ties everywhere,
+    # and the first lattice vector, all weight on the last node, must win
+    rng = np.random.default_rng(k)
+    for nodes in [FOUR_NODES[:k]] + [rng.uniform(-1, 1, (k, 2)) for _ in range(4)]:
+        grid = GridSpec.from_points(nodes)
+        if build == "J":
+            obj, _ = build_objective_J(coulomb_pair(2), grid)
+        elif build == "I":
+            obj, _ = build_objective_I(coulomb_pair(2), box(2), grid)
+        else:
+            obj = _Objective(grid.nodes, np.zeros((k, k)), np.zeros(k))
+        for step in (1.0, 1 / 7, 0.05, 0.01 if k == 4 else 0.002):
+            w, value, rows = full_lattice_scan(obj, step)
+            scan = simplex_scan_oracle(obj, obj.nodes, step)
+            expected = variational._finish(obj, [(w, value, rows, 0.0)], "simplex_scan",
+                                           np.arange(k), obj.nodes, None, 0.0)
+            assert scan.to_json() == expected.to_json()
+            if build == "constant":
+                np.testing.assert_array_equal(scan.minimizer.atoms, obj.nodes[-1:])
+
+
+def test_scan_oracle_holds_one_block_at_a_time():
+    # step 0.01 on four nodes: 176851 lattice rows, 18.2 MiB traced with the
+    # whole lattice at once; the largest block has 5151 rows
+    obj, _ = build_objective_I(coulomb_pair(2), box(2), GridSpec.from_points(FOUR_NODES))
+    simplex_scan_oracle(obj, obj.nodes, 0.01)
+    tracemalloc.start()
+    try:
+        scan = simplex_scan_oracle(obj, obj.nodes, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.iterations == 176851
+    assert peak <= 2 * 2**20
+
+
 @pytest.mark.parametrize("pair, certified", [(lambda: coulomb_pair(2), True),
                                              (sqdist_pair, False)],
                          ids=["certified", "uncertified"])
@@ -593,7 +653,12 @@ def kernel_build_calls():
     return W.calls
 
 
-@pytest.mark.parametrize("h", [0.1, 0.1 / math.sqrt(2)], ids=["h_0.1", "h_0.0707"])
+# the 3721-node grid of h = 0.05 takes about 4.5 s, 2.4 s of it the untilted
+# solve that builds the kernel, so it is a slow case; its errors measured
+# 4.75e-4, 9.4e-5 and 2.4e-4 at t = -1, 0.2 and 0.5, against 6.25e-4
+@pytest.mark.parametrize("h", [0.1, 0.1 / math.sqrt(2),
+                               pytest.param(0.05, marks=pytest.mark.slow)],
+                         ids=["h_0.1", "h_0.0707", "h_0.05"])
 def test_moment_tilts_trace_the_rate_of_the_second_moment(h):
     # the contraction principle for r = int |x|^2 dmu: the minimizer mu_t of
     # J - t int |x|^2 has the moment r_t, and J(mu_t) - J* is the rate of r_t,
