@@ -30,10 +30,11 @@ Three generators:
   particles are exchangeable, so H_n depends only on the counts of the m
   atoms, and ``exact_count_law`` gives the exact law of those counts on the
   C(n + m - 1, m - 1) compositions of n, with at most ``ENUM_BUDGET`` entries
-  in its count array.  Both exact laws are built from one set of per-atom
-  terms (``_atom_terms``): the site term site_a = -beta_n V_a / n + log w_a
-  and the link matrix link = -beta_n (W + W^T) / (2 n^2).  The log weight of
-  a composition c is separable over the atoms but for the cross term:
+  in its count array.  Both exact laws are built from one formula
+  (``_count_log_weights``) on the per-atom terms of ``_atom_terms``: the site
+  term site_a = -beta_n V_a / n + log w_a and the link matrix
+  link = -beta_n (W + W^T) / (2 n^2).  The log weight of a composition c is
+  separable over the atoms but for the cross term:
 
       log n! + sum_a T[a, c_a] + (1/2) sum_{a != b} c_a c_b link_ab,
       T[a, h] = h site_a + h (h - 1) / 2 link_aa - log h!,
@@ -42,14 +43,14 @@ Three generators:
   composition is expanded into atom indices and its row shuffled uniformly,
   which gives every ordering its exact probability; only the drawn rows are
   turned into atoms.
-  ``exact_gibbs_law`` keeps the law of all m^n index tuples, built one slot
-  at a time for m^n at most ``ENUM_BUDGET``, as the independent cross-check;
-  each new slot is prepended as the slowest digit, so every broadcast add
-  runs along the long axis of the tuples built so far, and the last slot's
-  law is built in place in the last interaction prefix, which is not read
-  again.  The index tuples and the compositions depend on (n, m) alone:
-  each is built once per (n, m), kept for the last (n, m) asked for, and
-  returned as a shared read-only array.
+  ``exact_gibbs_law`` gives the law of all m^n index tuples, for m^n at most
+  ``ENUM_BUDGET``: the count law read at each tuple's composition,
+  p(c) / multinomial(n; c).  A label per (n - 1)-tuple names the composition
+  of its first n - 1 slots, and the law gathers, by these labels, rows of m
+  probabilities, one per last atom, so one gather is its only per-tuple
+  work.  The index tuples, their labels and the compositions depend on
+  (n, m) alone: each is built once per (n, m), kept for the last (n, m)
+  asked for, and returned as a shared read-only array.
 * ``iid_sample``          -- n independent draws per sample from a given
   discrete measure (the product-control construction used for upper bounds).
 
@@ -74,7 +75,7 @@ from .potentials import (PotentialPair, _check_dim, _integer, evaluate_V, evalua
 from .functionals import hamiltonian  # noqa: F401  (callers reach it as sampler.hamiltonian)
 
 # Most m^n tuples of exact_gibbs_law, and most entries of exact_count_law's
-# (compositions, m) count array.
+# (compositions, m) count array (n times as many for exact_gibbs_law's).
 ENUM_BUDGET = 10**7
 INIT_RETRIES = 100
 
@@ -152,11 +153,14 @@ def effective_sample_size(trace) -> float:
     biased autocovariance).  The pair sums Gamma_k = rho_{2k} + rho_{2k+1} are
     cut at the first non-positive one and made non-increasing, and
     tau = 2 sum_k Gamma_k - 1 (Geyer 1992).  tau is floored at 1, so the ESS
-    never exceeds N.
+    never exceeds N.  The ESS is unchanged by x -> a + b x (b != 0), so a
+    trace counts as constant, with ESS N, only when all its entries are
+    equal: a tolerance test would call a trace of small fluctuations about
+    a large level constant.
     """
     x = np.asarray(trace, dtype=float)
     n = len(x)
-    if n < 4 or np.allclose(x, x[0]):
+    if n < 4 or np.ptp(x) == 0:  # constant only when every entry is equal
         return float(n)
     x = x - x.mean()
     f = np.fft.rfft(x, 2 * n)
@@ -505,12 +509,40 @@ def _check_exact_args(pair, ell, n, beta_n) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _index_tuples(n, m):
-    """The read-only (m^n, n) index tuples of ``exact_gibbs_law``, built once
-    per (n, m): the transposed (n, m^n) array of ``np.indices``."""
+def _tuple_tables(n, m):
+    """What ``exact_gibbs_law`` reads besides the count law, built once per
+    (n, m) and read-only.
+
+    Returns the (m^n, n) index tuples, the transposed (n, m^n) array of
+    ``np.indices``; a label per (n - 1)-tuple, in lexicographic order and
+    the smallest unsigned dtype, the row of its counts c' in
+    ``compositions_array(n - 1, m)``; the (L, m) rows of c' + e_j in
+    ``compositions_array(n, m)``, also in the smallest unsigned dtype; and
+    multinomial(n; c), the number of n-tuples of each composition c of n, as
+    floats.  The rows of a tuple (p, j) of prefix p and last atom j are
+    rows[label[p], j].
+
+    The labels are built one slot at a time from the empty tuple.  A
+    composition's key is its sorted tuple read as a base-m number, below m^k,
+    and ascending keys are the compositions in descending lexicographic
+    order.  Atom j goes into a sorted tuple after its atoms below j, and the
+    atoms above it move one place up, so the keys of c' + e_j give the rows
+    of the compositions of k.
+    """
     digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
-    digits.flags.writeable = False
-    return digits
+    label = key = np.zeros(1, dtype=np.uint8)  # the empty tuple
+    for k in range(1, n + 1):  # (compositions_array loops over the m parts)
+        counts = compositions_array(k - 1, m) if k > 1 else np.zeros((1, m), dtype=np.int64)
+        place = m ** (k - 1 - (np.cumsum(counts, axis=1) - counts))
+        high, low = np.divmod(key[:, None], place)
+        key, rows = np.unique(high * place * m + np.arange(m) * place + low, return_inverse=True)
+        rows = (len(key) - 1 - rows.reshape(counts.shape)).astype(np.min_scalar_type(len(key) - 1))
+        key = key[::-1]
+        label = rows[label].ravel() if k < n else label
+    multinomial = np.bincount(rows.ravel(), np.bincount(label).repeat(m))
+    for table in (digits, label, rows, multinomial):
+        table.flags.writeable = False
+    return digits, label, rows, multinomial
 
 
 @functools.lru_cache(maxsize=1)
@@ -527,12 +559,14 @@ def _compositions(n, m):
 def _normalize_log(log_prob) -> np.ndarray:
     """exp(log_prob) normalized to sum 1, in place; log_prob is finite or -inf.
 
-    numpy's ``exp`` takes a slow path on -inf (about 5 ms per 10^6 entries
-    when 85% are -inf, as in the d = 2 Coulomb tuple law, against 1 ms when
-    none is), so when some entry is -inf only the finite ones are
-    exponentiated and scattered into the zero-filled array.  exp(-inf) is 0
-    exactly and the sum runs over the same array in the same order, so the
-    law is bitwise the one of exponentiating every entry.
+    numpy's ``exp`` takes a slow path on -inf (4.5 ms per 10^6 entries when
+    96% are -inf, against 0.8 ms when none is), so when some entry is -inf
+    only the finite ones are exponentiated and scattered into the
+    zero-filled array.  96% is the share in the d = 2 Coulomb count law at
+    n = 6 on 10 atoms, where 1 - 210/5005 of the compositions put two
+    particles on one atom.  exp(-inf) is 0 exactly and the sum runs over the
+    same array in the same order, so the law is bitwise the one of
+    exponentiating every entry.
     """
     shift = log_prob.max()
     if shift == -np.inf:
@@ -563,9 +597,11 @@ def _atom_terms(pair, ell, n, beta_n):
     return site, -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
 
 
-def _count_log_weights(pair, ell, n, beta_n):
+def _count_log_weights(pair, ell, n, beta_n, slots=1):
     """The (C, m) compositions of n and their unnormalized log weights, by
-    the table T of ``exact_count_law``.
+    the table T of ``exact_count_law``: the one formula of both exact laws.
+    ``slots`` times ``ENUM_BUDGET`` bounds the entries of the count array,
+    checked before the cached compositions are looked up.
 
     T is held as an (n + 1, m) array, one row per count h, and gathered by
     the counts; 0 times -inf is read as 0, so T[a, 0] = 0 and link_aa enters
@@ -575,15 +611,14 @@ def _count_log_weights(pair, ell, n, beta_n):
     are found in one pass per atom over a boolean (C, m) occupancy block:
     the atom occupied, and any of its -inf partners after it.  The counts are
     read as floats only by the cross term's product, a (C, m) block that
-    lives for that product alone.  ``ENUM_BUDGET`` bounds the entries of the
-    count array.
+    lives for that product alone.
     """
     n = _check_exact_args(pair, ell, n, beta_n)
     m = len(ell.atoms)
     entries = math.comb(n + m - 1, m - 1) * m
-    if entries > ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"count law of {entries} entries (n = {n}, m = {m}) exceeds budget {ENUM_BUDGET}")
+    if entries > slots * ENUM_BUDGET:
+        raise BudgetExceededError(f"count law of {entries} entries (n = {n}, m = {m}) exceeds "
+                                  f"budget {slots * ENUM_BUDGET}")
     counts = _compositions(n, m)
     site, link = _atom_terms(pair, ell, n, beta_n)
     h = np.arange(n + 1.0)[:, None]
@@ -671,45 +706,35 @@ def exact_gibbs_law(pair: PotentialPair, ell: ReferenceMeasure, n: int, beta_n: 
     cached tuples are looked up.
 
     The probabilities, proportional to exp(-beta_n H_n) times the product of
-    reference weights, are built one slot at a time, so no per-tuple energy
-    sum is formed.  Each new slot is prepended as the slowest digit: putting
-    atom j in front of a tuple t adds j's site term -beta_n V_j / n + log w_j
-    and, through ``prefix[j, t]``, the interaction -beta_n (W + W^T)_{ja} /
-    (2 n^2) with every atom a of t.  Every broadcast add then runs its inner
-    loop over the m^slot tuples built so far, not over the m atoms.  The
-    site term and the link matrix (W + W^T) are the same for every slot, and
-    H_n and the weights are invariant under permuting the slots, so the
-    array built in this order is the law in lexicographic order.  The last
-    slot's law is built in place in the last prefix, an (m, m^(n-1)) block
-    that is not read again, by the adds a fresh block would take, in the
-    same order.  So besides the tuples and blocks m times smaller the law
-    takes one m^n block of floats, the probability vector returned.
-    evaluate_V and evaluate_W refuse NaN and -inf and the weights are
-    positive and finite, so the only non-finite value is -inf.
+    reference weights, are the count law read at each tuple's composition
+    c(t): the particles are exchangeable, so tuple t has probability
+    p(c(t)) / multinomial(n; c(t)), where p is ``exact_count_law``'s law from
+    ``_count_log_weights``, the one formula of both laws.  No per-tuple
+    arithmetic runs but one gather.  Per (n, m), ``_tuple_tables`` keeps,
+    besides the tuples, a label per (n - 1)-tuple for the composition c' of
+    the first n - 1 slots, in the smallest unsigned dtype (2 bytes each at
+    n = 6, m = 10: 200 KB), the (L, m) rows of the compositions c' + e_j and
+    multinomial(n; c) on the C compositions of n (40 KB each there).  The
+    law divides the count law by the multinomials, takes for each label its
+    row of m probabilities, one per last atom j, and gathers these rows by
+    the labels, which puts the last slot fastest: the lexicographic order.
+    So tuples of one composition read one float, and besides the tuples and
+    the count law the call takes one m^n block of floats, the probability
+    vector returned.  Besides m^n, ``ENUM_BUDGET`` times n bounds the
+    C(n + m - 1, n) m entries of the count array, the bound of the n m^n
+    index entries.  For m well above n that count array, not the tuples,
+    sets the cost (n = 2, m = 300: 0.35 s warm); for n = 1 the law is the
+    single site's, with no count array.
     """
     n = _check_exact_args(pair, ell, n, beta_n)
     m = len(ell.atoms)
     if m**n > ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration of {m}^{n} configurations exceeds budget {ENUM_BUDGET}")
-    site, link = _atom_terms(pair, ell, n, beta_n)
-    log_prob = site
-    if link is not None:
-        # symmetric, so prefix[j, t] sums link[j, a] over the atoms a of tuple t
-        prefix = link
-        for _ in range(1, n - 1):
-            law = prefix + site[:, None]
-            law += log_prob[None, :]
-            log_prob = law.ravel()
-            prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
-        # the last prefix is not read again, so the last slot's law is built
-        # in it by the same two adds in the same order: no second m^n block
-        law = prefix
-        law += site[:, None]
-        law += log_prob[None, :]
-        log_prob = law.ravel()
-    probs = _normalize_log(log_prob)
-    return _index_tuples(n, m), probs
+        raise BudgetExceededError(f"law of {m}^{n} configurations exceeds budget {ENUM_BUDGET}")
+    if n == 1:  # the law of one particle's atom, without m^2 count entries
+        return _tuple_tables(n, m)[0], _normalize_log(_atom_terms(pair, ell, n, beta_n)[0])
+    count_law = _normalize_log(_count_log_weights(pair, ell, n, beta_n, slots=n)[1])
+    digits, label, rows, multinomial = _tuple_tables(n, m)
+    return digits, (count_law / multinomial)[rows][label].ravel()
 
 
 def iid_sample(mu_star: DiscreteMeasure, n: int, seed: int, samples: int):

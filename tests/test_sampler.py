@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _exact import EmptyLawError, count_marginal, tuple_law
 from conftest import (CountingW, v_quadratic, v_wall_from, v_zero, w_nan_on_diagonal, w_sqdist,
                       w_zero)
 from gibbslab import sampler
@@ -32,6 +33,7 @@ from gibbslab.sampler import (
     mh_sample,
     mh_sample_chains,
 )
+from gibbslab.variational import GridSpec, minimize_I, minimize_J
 
 
 def reference_metropolis(pair, ref, cfg, seed, sweeps):
@@ -302,6 +304,19 @@ class TestExactFinite:
         with pytest.raises(BudgetExceededError, match="exceeds budget 1000"):
             exact_gibbs_law(pair, ell, n=4, beta_n=1.0)
 
+    def test_tuple_law_bounds_its_count_array(self, monkeypatch):
+        # the tuple law reads the count law, whose C(n + m - 1, n) m entries
+        # may reach n ENUM_BUDGET, the bound of its n m^n index entries: at
+        # budget 1000, n = 2 on 15 atoms has 1800 of them and 16 atoms 2176,
+        # though 256 tuples; one particle needs no count array
+        monkeypatch.setattr(sampler, "ENUM_BUDGET", 1000)
+        pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+        line = lambda m: ReferenceMeasure.finite(np.linspace(-1.0, 1.0, m)[:, None])
+        assert len(exact_gibbs_law(pair, line(15), n=2, beta_n=2.0)[1]) == 225
+        with pytest.raises(BudgetExceededError, match="count law of 2176 entries"):
+            exact_gibbs_law(pair, line(16), n=2, beta_n=2.0)
+        assert len(exact_gibbs_law(pair, line(1000), n=1, beta_n=1.0)[1]) == 1000
+
     def test_count_budget_guard(self, monkeypatch):
         # n = 9 on 10 atoms: C(18, 9) = 48620 compositions, 486200 count entries
         atoms = np.array([[float(i)] for i in range(10)])
@@ -382,21 +397,25 @@ class TestExactFinite:
         pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
         digits, _ = exact_gibbs_law(pair, ell, n=2, beta_n=1.0)
         counts, _ = exact_count_law(pair, ell, n=2, beta_n=1.0)
-        for table in (digits, counts):
+        tables = sampler._tuple_tables(2, 3)
+        assert tables[0] is digits
+        for table in (counts,) + tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1
+                table[(0,) * table.ndim] = 1
         assert exact_gibbs_law(pair, ell, n=2, beta_n=2.0)[0] is digits
         assert exact_count_law(pair, ell, n=2, beta_n=2.0)[0] is counts
+        assert all(a is b for a, b in zip(sampler._tuple_tables(2, 3), tables))
         # another (n, m) replaces the one cached entry; earlier results stay as they were
-        kept = digits.copy(), counts.copy()
+        kept = [table.copy() for table in (counts,) + tables]
         digits3, _ = exact_gibbs_law(pair, ell, n=3, beta_n=1.0)
         counts3, _ = exact_count_law(pair, ell, n=3, beta_n=1.0)
-        assert sampler._index_tuples.cache_info().currsize == 1
+        assert sampler._tuple_tables.cache_info().currsize == 1
         assert sampler._compositions.cache_info().currsize == 1
-        np.testing.assert_array_equal(digits, kept[0])
-        np.testing.assert_array_equal(counts, kept[1])
+        for table, copy in zip((counts,) + tables, kept):
+            np.testing.assert_array_equal(table, copy)
         assert digits3.shape == (27, 3) and counts3.shape == (10, 3)
+        assert sampler._tuple_tables(3, 3)[0] is digits3
         assert exact_gibbs_law(pair, ell, n=2, beta_n=1.0)[0] is not digits
         # with the n = 3 tables cached, the budget is still checked first:
         # 27 tuples and 30 count entries
@@ -406,16 +425,39 @@ class TestExactFinite:
         with pytest.raises(BudgetExceededError):
             exact_count_law(pair, ell, n=3, beta_n=1.0)
 
+    @pytest.mark.parametrize("m, n", [(3, 4), (10, 3), (1, 5), (4, 1)])
+    def test_labels_are_the_compositions_of_the_prefixes(self, m, n):
+        # label, rows and multinomial of _tuple_tables against counts taken
+        # tuple by tuple: row r of compositions_array(n - 1, m) for the first
+        # n - 1 slots, its row plus the last atom in compositions_array(n, m),
+        # and each composition's number of n-tuples
+        digits, label, rows, multinomial = sampler._tuple_tables(n, m)
+        prefix_counts = compositions_array(n - 1, m)
+        counts = compositions_array(n, m)
+        tuples = np.indices((m,) * n).reshape(n, -1).T
+        tally = np.stack([(tuples == a).sum(axis=1) for a in range(m)], axis=1)
+        np.testing.assert_array_equal(digits, tuples)
+        prefixes = tally[::m] - np.eye(m, dtype=np.int64)[0]
+        np.testing.assert_array_equal(prefix_counts[label], prefixes)
+        added = prefix_counts[:, None, :] + np.eye(m, dtype=np.int64)
+        np.testing.assert_array_equal(counts[rows], added)
+        orderings = [math.factorial(n) // math.prod(math.factorial(h) for h in c)
+                     for c in counts.tolist()]
+        np.testing.assert_array_equal(multinomial, orderings)
+        assert label.dtype == np.min_scalar_type(len(prefix_counts) - 1)
+        assert rows.dtype == np.min_scalar_type(len(counts) - 1)
+
     def test_law_takes_one_block_besides_the_tuples(self):
-        # 10^6 tuples: the law is built in its last prefix block, so the traced
-        # peak of a call that also builds the tuples is one m^n block of floats
-        # and the n m^n bytes of tuples, against 16.0 MiB with a fresh block
-        # for the last slot
+        # 10^6 tuples on cold caches: besides the n m^n bytes of tuples the
+        # traced peak is one m^n block of floats, the law returned, while the
+        # labels (2 bytes per 5-tuple), the composition rows, the count law and
+        # the row gather take under 1 MiB
         m, n = 10, 6
         rng = np.random.default_rng(5)
         ell = ReferenceMeasure.finite(rng.uniform(-2.0, 2.0, (m, 1)), rng.uniform(0.5, 1.5, m))
         pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
-        sampler._index_tuples.cache_clear()
+        sampler._tuple_tables.cache_clear()
+        sampler._compositions.cache_clear()
         tracemalloc.start()
         try:
             digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=float(n))
@@ -423,6 +465,7 @@ class TestExactFinite:
         finally:
             tracemalloc.stop()
         assert digits.nbytes == n * m**n and probs.nbytes == 8 * m**n
+        assert sampler._tuple_tables(n, m)[1].nbytes == 2 * m**(n - 1)
         assert peak <= 8 * m**n + n * m**n + 2**20
 
     def test_single_slot_many_atoms(self):
@@ -477,26 +520,12 @@ def w_hard_core_coulomb(d, radius):
     return W
 
 
-def count_marginal(digits, probs, counts):
-    """The tuple law's probabilities summed over the orderings of each row of counts."""
-    m = counts.shape[1]
-    tuple_counts = np.stack([(digits == a).sum(axis=1) for a in range(m)], axis=1)
-    row = {tuple(c): i for i, c in enumerate(counts.tolist())}
-    index = [row[tuple(c)] for c in tuple_counts.tolist()]
-    return np.bincount(index, weights=probs, minlength=len(counts))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
-       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), wall=st.booleans(),
-       hard_core=st.booleans(), data=st.data())
-def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated, wall,
-                                                     hard_core, data):
-    # up to 5 atoms, one of them copied when repeated: at least n distinct
-    # ones, so the d = 2 Coulomb kernel, +inf on its diagonal, leaves some
-    # tuple finite.  A wall adds a sixth atom beyond x_0 = 1, where V is +inf,
-    # and a hard core makes W +inf below a drawn distance between two
-    # distinct atoms; when they leave no tuple finite, both laws must refuse
+def draw_reference(seed, n, d, repeated, wall, hard_core, data):
+    """(pair, reference): up to 5 atoms in d dimensions, one of them copied
+    when repeated, at least n of them distinct, so the d = 2 Coulomb kernel,
+    +inf on its diagonal, leaves some tuple finite.  A wall adds a sixth atom
+    beyond x_0 = 1, where V is +inf, and a hard core makes W +inf below a
+    drawn distance between two distinct atoms."""
     distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
     rng = np.random.default_rng(seed)
     atoms = rng.uniform(-1.0, 1.0, (distinct, d))
@@ -506,91 +535,95 @@ def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated
         beyond = rng.uniform(-1.0, 1.0, d)
         beyond[0] += 2.0
         atoms = np.vstack([atoms, beyond])
-    m = len(atoms)
-    ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, m))
+    ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, len(atoms)))
     V = v_wall_from(1.0) if wall else v_quadratic
     W = coulomb_kernel(d)
     gaps = np.linalg.norm(atoms[:, None] - atoms[None, :], axis=-1)
     if hard_core and gaps.max() > 0:
         radius = data.draw(st.sampled_from(sorted(set(gaps[gaps > 0]))), label="radius")
         W = w_hard_core_coulomb(d, radius)
-    pair = PotentialPair(V, W, dim=d, symmetric=True)
+    return PotentialPair(V, W, dim=d, symmetric=True), ell
+
+
+def assert_log_ratios_equal(probs, expected):
+    """probs > 0 exactly where expected > 0, and their logs equal up to a
+    constant to 1e-12."""
+    np.testing.assert_array_equal(probs == 0, expected == 0)
+    live = np.flatnonzero(probs > 0)
+    got, want = np.log(probs[live]), np.log(expected[live])
+    top = np.argmax(want)
+    np.testing.assert_allclose(got - got[top], want - want[top], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
+       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), wall=st.booleans(),
+       hard_core=st.booleans(), data=st.data())
+def test_tuple_law_matches_hamiltonian_and_count_law(seed, n, d, speed, repeated, wall,
+                                                     hard_core, data):
+    # both exact laws against the per-tuple enumeration of tests/_exact.py,
+    # which shares none of their arithmetic: the tuple law to 1e-12 in log
+    # ratios, and the count law, and the tuple law's count marginal, to
+    # 1e-12 against the enumeration's count marginal.  When the references
+    # leave no tuple finite, both laws must refuse
+    pair, ell = draw_reference(seed, n, d, repeated, wall, hard_core, data)
     beta = float(n if speed == "n" else n * n)
-    tuples = np.indices((m,) * n).reshape(n, -1).T
-    H = np.array([hamiltonian(ParticleConfig(atoms[row]), pair) for row in tuples])
-    if np.all(H == np.inf):
+    try:
+        tuples, expected = tuple_law(pair, ell, n, beta)
+    except EmptyLawError:
         for law in (exact_gibbs_law, exact_count_law):
             with pytest.raises(SamplerError, match="the Gibbs law is empty"):
                 law(pair, ell, n=n, beta_n=beta)
         return
     digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
     np.testing.assert_array_equal(digits, tuples)
-    np.testing.assert_array_equal(probs == 0, H == np.inf)
-    live = np.flatnonzero(probs > 0)
-    expected = -beta * H[live] + np.log(ell.weights)[digits[live]].sum(axis=1)
-    got = np.log(probs[live])
-    top = np.argmax(got)
-    np.testing.assert_allclose(got - got[top], expected - expected[top], rtol=0, atol=1e-12)
+    assert_log_ratios_equal(probs, expected)
 
     counts, count_probs = exact_count_law(pair, ell, n=n, beta_n=beta)
-    marginal = count_marginal(digits, probs, counts)
+    marginal = count_marginal(tuples, expected, counts)
     np.testing.assert_array_equal(count_probs == 0, marginal == 0)
     np.testing.assert_allclose(count_probs, marginal, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(count_marginal(digits, probs, counts), count_probs,
+                               rtol=0, atol=1e-12)
 
 
-def reference_slot_recursion(pair, ell, n, beta_n):
-    """The tuple law built slot by slot with a fresh block for every slot,
-    the last one included, and normalized out of place, with its index
-    tuples from ``np.indices``: the arithmetic ``exact_gibbs_law`` must
-    repeat exactly."""
-    atoms = np.asarray(ell.atoms, dtype=float)
-    m = len(atoms)
-    site = -beta_n * evaluate_V(pair.V, atoms) / n + np.log(ell.weights)
-    log_prob = site
-    if n > 1:
-        Wmat = evaluate_W(pair.W, atoms[:, None, :], atoms[None, :, :])
-        link = -beta_n * (Wmat + Wmat.T) / (2.0 * n * n)
-        prefix = link
-        for slot in range(1, n):
-            extended = prefix + site[:, None]
-            extended += log_prob[None, :]
-            log_prob = extended.ravel()
-            if slot < n - 1:
-                prefix = (prefix[:, None, :] + link[:, :, None]).reshape(m, -1)
-    probs = np.exp(log_prob - log_prob.max())
-    probs /= probs.sum()
-    digits = np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
-    return digits, probs
-
-
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.sampled_from([1, 2]),
-       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), data=st.data())
-def test_tuple_law_equals_the_fresh_block_recursion(seed, n, d, speed, repeated, data):
-    # the references of test_tuple_law_matches_hamiltonian_and_count_law
-    # without its walls and hard cores: up to 5 atoms, one copied when
-    # repeated, and the d = 2 Coulomb kernel +inf on the diagonal
-    distinct = data.draw(st.integers(n, 5 - repeated), label="distinct")
-    rng = np.random.default_rng(seed)
-    atoms = rng.uniform(-1.0, 1.0, (distinct, d))
-    if repeated:
-        atoms = np.vstack([atoms, atoms[rng.integers(distinct)]])
-    ell = ReferenceMeasure.finite(atoms, rng.uniform(0.5, 1.5, len(atoms)))
-    pair = PotentialPair(v_quadratic, coulomb_kernel(d), dim=d, symmetric=True)
+       speed=st.sampled_from(["n", "n^2"]), repeated=st.booleans(), wall=st.booleans(),
+       hard_core=st.booleans(), asymmetric=st.booleans(), data=st.data())
+def test_tuple_law_is_one_value_per_composition(seed, n, d, speed, repeated, wall, hard_core,
+                                                asymmetric, data):
+    # every ordering of a composition reads one float of the count law, so
+    # tuples of one composition have bitwise equal probabilities; and the law
+    # equals the per-tuple enumeration to 1e-12 in log ratios, on the
+    # references above, also with W made asymmetric (and declared so)
+    pair, ell = draw_reference(seed, n, d, repeated, wall, hard_core, data)
+    if asymmetric:  # W(x, y) + 0.8 x_0 differs from W(y, x) off the diagonal
+        W = pair.W
+        pair = PotentialPair(pair.V, lambda x, y: W(x, y) + 0.8 * np.asarray(x)[..., 0], dim=d,
+                             symmetric=False)
     beta = float(n if speed == "n" else n * n)
+    try:
+        tuples, expected = tuple_law(pair, ell, n, beta)
+    except EmptyLawError:
+        return
     digits, probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
-    expected_digits, expected = reference_slot_recursion(pair, ell, n, beta)
-    assert digits.dtype == expected_digits.dtype
-    assert np.array_equal(digits, expected_digits)
-    assert np.array_equal(probs, expected)
+    # a tuple's composition, read as a base-(n + 1) number
+    composition = sum((tuples == a).sum(axis=1) * (n + 1)**a for a in range(len(ell.atoms)))
+    one = np.empty(composition.max() + 1)
+    one[composition] = probs
+    assert probs.tobytes() == one[composition].tobytes()
+    assert_log_ratios_equal(probs, expected)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("d, infinite_share", [(2, 0.8488), (1, 0.0)],
+@pytest.mark.parametrize("d, infinite_share", [(2, 1 - 210 / 5005), (1, 0.0)],
                          ids=["coulomb_d2", "all_finite"])
 def test_normalized_law_equals_exponentiating_every_entry(monkeypatch, d, infinite_share):
-    # the 10^6-tuple laws of the exact_finite benchmark: in d = 2 every tuple
-    # with two particles on one atom is -inf, 1 - 10!/(4! 10^6) of them, and
-    # only the finite entries are exponentiated; in d = 1 every entry is
+    # the count laws of the exact_finite benchmark, 5005 compositions of 6 on
+    # 10 atoms: in d = 2 every composition with two particles on one atom is
+    # -inf, all but the C(10, 6) = 210 with counts <= 1, and only the finite
+    # entries are exponentiated; in d = 1 every entry is
     rng = np.random.default_rng(11)
     m, n = 10, 6
     ell = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (m, d)), rng.uniform(0.5, 1.5, m))
@@ -599,9 +632,9 @@ def test_normalized_law_equals_exponentiating_every_entry(monkeypatch, d, infini
     normalize = sampler._normalize_log
     monkeypatch.setattr(sampler, "_normalize_log",
                         lambda log_prob: logs.append(log_prob.copy()) or normalize(log_prob))
-    _, probs = exact_gibbs_law(pair, ell, n=n, beta_n=float(n))
+    _, probs = exact_count_law(pair, ell, n=n, beta_n=float(n))
     log_prob, = logs
-    assert np.mean(log_prob == -np.inf) == pytest.approx(infinite_share, abs=1e-4)
+    assert np.mean(log_prob == -np.inf) == pytest.approx(infinite_share, abs=1e-12)
     expected = np.exp(log_prob - log_prob.max())
     expected /= expected.sum()
     assert np.array_equal(probs, expected)
@@ -767,11 +800,12 @@ class TestCountLaw:
             ell = ReferenceMeasure.finite([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0], [0.2, 0.9],
                                            [-0.8, 0.5]], [1.0, 2.0, 0.5, 1.5, 0.8])
             pair = PotentialPair(v_quadratic, w_hard_core_coulomb(2, 0.5), dim=2, symmetric=True)
+        # against the per-tuple enumeration of tests/_exact.py
         counts, probs = exact_count_law(pair, ell, n=n, beta_n=beta)
-        digits, tuple_probs = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+        tuples, tuple_probs = tuple_law(pair, ell, n, beta)
         assert counts.shape == (math.comb(n + len(ell.atoms) - 1, n), len(ell.atoms))
         np.testing.assert_array_equal(counts.sum(axis=1), n)
-        np.testing.assert_allclose(probs, count_marginal(digits, tuple_probs, counts),
+        np.testing.assert_allclose(probs, count_marginal(tuples, tuple_probs, counts),
                                    rtol=0, atol=1e-14)
         if case == "coulomb_d2":
             np.testing.assert_array_equal(probs == 0, counts.max(axis=1) >= 2)
@@ -876,6 +910,53 @@ class TestLDPOnExactLaws:
         assert all(a > b for a, b in zip(sups, sups[1:]))
 
 
+def w_minus_distance(x, y):
+    """-|x - y| in d = 1, the 1-D Coulomb interaction."""
+    return -np.abs(np.asarray(x)[..., 0] - np.asarray(y)[..., 0])
+
+
+class TestLaplacePrincipleOnCountLaw:
+    """The paper's Laplace principle, exactly at finite n on a finite reference.
+
+    Lambda_n(g) = (1/beta_n) log E exp(beta_n g . L_n) is a logsumexp of the
+    count law's log weights.  Its limit is -(inf(I - g) - inf I) at
+    beta_n = n and -(inf(J - g) - inf J) at beta_n = n^2 (and any faster
+    speed), from ``minimize_I`` and ``minimize_J`` with tilt -g on the atoms.
+    The gaps Lambda_n - limit measured at n = 25, 100, 400 and 1600 are
+    -0.067 / n at beta_n = n and -0.63 / n to -0.55 / n at beta_n = n^2.
+    """
+
+    atoms = np.array([[-1.0], [0.0], [0.7]])
+    weights = np.array([1.0, 2.0, 0.5])
+    g = np.array([1.0, -0.5, 0.3])
+
+    @pytest.mark.parametrize("rate, scale", [("I", 0.08), ("J", 0.7)], ids=["I", "J"])
+    def test_gaps_fall_like_one_over_n(self, rate, scale):
+        ell = ReferenceMeasure.finite(self.atoms, self.weights)
+        pair = PotentialPair(v_quadratic, w_minus_distance, dim=1, symmetric=True)
+        grid = GridSpec.from_points(self.atoms)
+        solve = ((lambda tilt: minimize_I(pair, ell, grid, tilt=tilt)) if rate == "I"
+                 else (lambda tilt: minimize_J(pair, grid, tilt=tilt)))
+        untilted, tilted = solve(None), solve(-self.g)
+        assert untilted.converged and tilted.converged
+        limit = untilted.value - tilted.value
+        assert limit == pytest.approx(0.0981833 if rate == "I" else 0.3195588, abs=1e-7)
+
+        def logsumexp(x):
+            top = x.max()
+            return top + math.log(np.exp(x - top).sum())
+
+        gaps = []
+        for n in (25, 100, 400):
+            beta = float(n if rate == "I" else n * n)
+            counts, log_weight = _count_log_weights(pair, ell, n, beta)
+            tilt = beta * (counts @ self.g) / n
+            laplace = (logsumexp(log_weight + tilt) - logsumexp(log_weight)) / beta
+            gaps.append(laplace - limit)
+            assert -scale / n <= gaps[-1] < 0.0
+        assert all(abs(a) > abs(b) for a, b in zip(gaps, gaps[1:]))
+
+
 class TestIIDSample:
     def test_dirac_gives_constant(self):
         mu = DiscreteMeasure.dirac([4.0])
@@ -918,7 +999,7 @@ class TestChainValidity:
         ell = ReferenceMeasure.finite(atoms, weights)
         pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
         n, m, beta = 2, 3, 3.0
-        digits, pi = exact_gibbs_law(pair, ell, n=n, beta_n=beta)
+        digits, pi = tuple_law(pair, ell, n, beta)
         energy = [hamiltonian(ParticleConfig(atoms[s]), pair) for s in digits]
         propose = weights / weights.sum()
         sweep = np.eye(m**n)
@@ -953,7 +1034,7 @@ class TestChainValidity:
         atoms = np.array([[0.0], [1.0], [2.0]])
         ell = ReferenceMeasure.finite(atoms, [1.0, 1.0, 1.0])
         pair = PotentialPair(v_quadratic, coulomb_kernel(1), dim=1, symmetric=True)
-        digits, probs = exact_gibbs_law(pair, ell, n=2, beta_n=2.0)
+        digits, probs = tuple_law(pair, ell, 2, 2.0)
         exact = {tuple(row): p for row, p in zip(digits.tolist(), probs)}
         # biased start: both particles on the last atom
         start_pts = np.array([[2.0], [2.0]])
@@ -1088,6 +1169,22 @@ class TestDiagnostics:
             taus.append(n / effective_sample_size(x))
         target = (1 + rho) / (1 - rho)
         assert abs(np.mean(taus) / target - 1) < 0.10
+
+    def test_ess_is_unchanged_by_shifts_and_scales(self):
+        # autocorrelations do not see x -> a + b x; a tolerance test for a
+        # constant trace took 1000 + 1e-3 x, 1e-9 x and 1e6 + x for constant
+        # and returned N = 400 for them, against 16.56 for x
+        rng = np.random.default_rng(7)
+        x = np.empty(400)
+        x[0] = rng.standard_normal()
+        for t in range(1, len(x)):
+            x[t] = 0.95 * x[t - 1] + rng.standard_normal()
+        ess = effective_sample_size(x)
+        assert 10.0 < ess < 25.0
+        for a, b in [(0.0, 1e-3), (1000.0, 1e-3), (0.0, 1e-9), (1e6, 1.0), (-3.5, 2.0),
+                     (0.0, -1.0), (5.0, 1e-6)]:
+            assert effective_sample_size(a + b * x) == pytest.approx(ess, rel=1e-9, abs=0)
+        assert effective_sample_size(np.full(400, 1e6)) == 400.0
 
 
 def w_asymmetric(x, y):
