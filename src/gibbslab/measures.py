@@ -52,9 +52,12 @@ become lists and numbers, a :class:`DiscreteMeasure` its own JSON object, a
 every non-finite number null.  A bare ``Infinity``, which a strict parser
 refuses, is never written.
 
-Inputs are checked by two functions here.  ``_as_points`` reads every point
+Inputs are checked by three functions here.  ``_as_points`` reads every point
 array the package takes (atoms, grid nodes, particles) and refuses
-coordinates that are not finite.  ``_as_box`` reads every box: a density
+coordinates that are not finite.  ``_as_atoms_weights`` reads the atoms and
+weights of a :class:`DiscreteMeasure` and of a finite reference, of one
+length and at least one atom; the measure then asks for weights >= 0 summing
+to 1, the reference for weights > 0.  ``_as_box`` reads every box: a density
 reference's (``ReferenceMeasure.density_on_box``, which ``lebesgue_box``
 calls), a regular grid's and a probe's; it refuses bounds that are not
 finite or not ordered.  ``_grid_points`` builds every product grid.
@@ -129,6 +132,18 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
     return arr + 0.0
 
 
+def _as_atoms_weights(atoms, weights):
+    """Coerce a measure's input to (k, d) finite atoms (``_as_points``) and k
+    float weights, k >= 1; the sign of the weights is the caller's rule."""
+    atoms = _as_points(atoms)
+    weights = np.asarray(weights, dtype=float).ravel()
+    if len(weights) != len(atoms):
+        raise ValueError("atoms and weights must have the same length")
+    if len(atoms) == 0:
+        raise ValueError("a measure needs at least one atom")
+    return atoms, weights
+
+
 def _as_box(bounds) -> np.ndarray:
     """Coerce bounds to a (d, 2) float array of (low, high) per axis, every
     bound finite and each low below its high."""
@@ -198,12 +213,7 @@ class DiscreteMeasure:
     __slots__ = ("_atoms", "_weights")
 
     def __init__(self, atoms, weights):
-        atoms = _as_points(atoms)
-        weights = np.asarray(weights, dtype=float).ravel()
-        if len(weights) != len(atoms):
-            raise ValueError("atoms and weights must have the same length")
-        if len(atoms) == 0:
-            raise ValueError("a probability measure needs at least one atom")
+        atoms, weights = _as_atoms_weights(atoms, weights)
         # NaN fails both comparisons
         if not (weights.min() >= 0.0 and weights.max() < np.inf):
             raise ValueError("weights must be non-negative and finite")
@@ -470,12 +480,11 @@ class ReferenceMeasure:
 
     @classmethod
     def finite(cls, atoms, weights=None) -> "ReferenceMeasure":
-        atoms = _as_points(atoms)
+        """A cloud of at least one atom with positive finite weights, of any
+        total mass; weights=None gives every atom weight 1."""
         if weights is None:
-            weights = np.ones(len(atoms))
-        weights = np.asarray(weights, dtype=float).ravel()
-        if len(weights) != len(atoms):
-            raise ValueError("atoms and weights must have the same length")
+            weights = np.ones(len(_as_points(atoms)))
+        atoms, weights = _as_atoms_weights(atoms, weights)
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ValueError("reference weights must be positive and finite")
         atoms.setflags(write=False)

@@ -549,14 +549,9 @@ class SuperlinearFunction:
             raise ValueError("argument must be non-negative")
         bp = self.breakpoints
         idx = np.searchsorted(bp, s, side="right")   # number of breakpoints <= s
-        idx = np.minimum(idx, len(bp))
-        flat = self.values_at_breakpoints[0]
-        out = np.where(
-            idx == 0,
-            flat,
-            self.values_at_breakpoints[np.maximum(idx - 1, 0)]
-            + idx * (s - bp[np.maximum(idx - 1, 0)]),
-        )
+        # at idx = 0 (s below M_1) this reads values[0] + 0 (s - M_1) = M_1, the flat part
+        last = np.maximum(idx - 1, 0)
+        out = self.values_at_breakpoints[last] + idx * (s - bp[last])
         return out if out.ndim else float(out)
 
 

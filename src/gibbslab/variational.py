@@ -330,12 +330,11 @@ def _mirror_descent(obj: _Objective, w0, tol, max_iter):
         for _ in range(60):
             e = -eta * g
             e -= e.max()
+            # g is finite or +inf, and finite somewhere, so exp(e) lies in
+            # [0, 1] and is 1 at the least g; w > 0 sums to 1, so the sum
+            # lies in (0, 1]
             trial = w * np.exp(e)
-            s = trial.sum()
-            if s <= 0 or not np.isfinite(s):
-                eta *= 0.5
-                continue
-            trial = trial / s
+            trial = trial / trial.sum()
             ftrial = obj.value(trial)
             if ftrial <= fval:
                 w = np.maximum(trial, 1e-300)

@@ -994,6 +994,19 @@ class TestReferenceMeasure:
         with pytest.raises(ValueError):
             ReferenceMeasure.finite([[0.0]], [0.0])
 
+    @pytest.mark.parametrize("weights", [None, []], ids=["unit_weights", "given_weights"])
+    def test_empty_finite_reference_refused(self, weights):
+        # it was accepted, and mh_sample, the exact laws and rate_I then
+        # failed deep inside: an IndexError, math.comb, a mass of 0.0
+        with pytest.raises(ValueError, match="^a measure needs at least one atom$"):
+            ReferenceMeasure.finite(np.empty((0, 1)), weights)
+        with pytest.raises(ValueError, match="^a measure needs at least one atom$"):
+            DiscreteMeasure(np.empty((0, 1)), [])
+
+    def test_finite_reference_needs_one_weight_per_atom(self):
+        with pytest.raises(ValueError, match="^atoms and weights must have the same length$"):
+            ReferenceMeasure.finite([[0.0], [1.0]], [1.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_finite_reference_of_non_finite_atoms_refused(self, bad):
         # a NaN atom was accepted and then matched no atom of any measure

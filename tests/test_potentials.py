@@ -660,6 +660,32 @@ class TestSuperlinearFunction:
         assert phi(4.0) == pytest.approx(6.0)       # 2 + 2*(4-2)
         assert phi(5.0) == pytest.approx(9.0)       # slope 3 beyond last
 
+    def test_values_equal_the_clamped_formula(self):
+        # the formula phi was evaluated by before it lost two redundant
+        # steps: idx clamped to len(bp), and the flat part as its own branch
+        def clamped(phi, s):
+            s = np.asarray(s, dtype=float)
+            bp, values = phi.breakpoints, phi.values_at_breakpoints
+            idx = np.minimum(np.searchsorted(bp, s, side="right"), len(bp))
+            out = np.where(idx == 0, values[0],
+                           values[np.maximum(idx - 1, 0)] + idx * (s - bp[np.maximum(idx - 1, 0)]))
+            return out if out.ndim else float(out)
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            # breakpoints drawn with replacement from a few values, so ties are common
+            pool = rng.uniform(1e-3, 10.0, int(rng.integers(1, 6)))
+            phi = SuperlinearFunction(np.sort(rng.choice(pool, int(rng.integers(1, 9)))))
+            bp = phi.breakpoints
+            points = np.concatenate([[0.0, 1e300, np.inf], bp, np.nextafter(bp, 0.0),
+                                     np.nextafter(bp, np.inf), rng.uniform(0.0, 12.0, 16)])
+            got, expected = phi(points), clamped(phi, points)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            for s in points:
+                value = phi(s)
+                assert type(value) is float and np.float64(value).tobytes() == \
+                    np.float64(clamped(phi, s)).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SuperlinearFunction([2.0, 1.0])

@@ -140,6 +140,25 @@ class TestMHGaussianTarget:
         with pytest.raises(SamplerError):
             mh_sample(pair, ref, cfg, samples=1)
 
+    @pytest.mark.parametrize("init", [[[0.5], [1.0]], [[0.0], [7.25]], [[1.0], [-1e-300]]],
+                             ids=["first", "last", "ulps_off"])
+    def test_finite_reference_init_off_the_atoms_raises(self, init):
+        # a finite reference has no log-density to refuse it: (0.5, 7.25) on
+        # the atoms {0, 1} ran, and every rejected move kept 0.5
+        pair = PotentialPair(v_quadratic, w_zero, dim=1, symmetric=True)
+        ref = ReferenceMeasure.finite([[0.0], [1.0]])
+        cfg = SamplerConfig(n=2, beta_n=200.0, burn_in=0, seed=0, init=ParticleConfig(init))
+        match = "^user initial configuration has infinite energy or lies outside"
+        with pytest.raises(SamplerError, match=match):
+            mh_sample(pair, ref, cfg, samples=3)
+        with pytest.raises(SamplerError, match=match):
+            mh_sample_chains(pair, ref, cfg, samples=3, chains=2)
+        # -0.0 is the atom 0.0, also on a cloud that repeats its atoms
+        on = replace(cfg, init=ParticleConfig([[-0.0], [1.0]]))
+        for cloud in (ref, ReferenceMeasure.finite([[1.0], [0.0], [1.0]])):
+            kept, _ = mh_sample(pair, cloud, on, samples=3)
+            assert all(set(k.points.ravel().tolist()) <= {0.0, 1.0} for k in kept)
+
     @pytest.mark.parametrize("points", [[[0.0], [0.5], [-0.5]], [[0.0, 0.0], [0.5, 0.5]]],
                              ids=["d1_on_2d", "wrong_n"])
     def test_init_of_another_shape_refused(self, points):
@@ -622,8 +641,8 @@ def test_tuple_law_is_one_value_per_composition(seed, n, d, speed, repeated, wal
 def test_normalized_law_equals_exponentiating_every_entry(monkeypatch, d, infinite_share):
     # the count laws of the exact_finite benchmark, 5005 compositions of 6 on
     # 10 atoms: in d = 2 every composition with two particles on one atom is
-    # -inf, all but the C(10, 6) = 210 with counts <= 1, and only the finite
-    # entries are exponentiated; in d = 1 every entry is
+    # -inf, all but the C(10, 6) = 210 with counts <= 1, and exp(-inf) is 0
+    # exactly; in d = 1 every entry is finite
     rng = np.random.default_rng(11)
     m, n = 10, 6
     ell = ReferenceMeasure.finite(rng.uniform(-1.0, 1.0, (m, d)), rng.uniform(0.5, 1.5, m))
@@ -987,6 +1006,24 @@ class TestIIDSample:
         b = iid_sample(mu, n=4, seed=9, samples=10)
         for x, y in zip(a, b):
             assert np.array_equal(x.points, y.points)
+
+
+def test_a_seed_sequence_seeds_every_sampler_as_its_int():
+    # exact_sample_finite and iid_sample wrapped their seed in SeedSequence
+    # again, which refuses a SeedSequence; mh_sample took one already
+    ell = ReferenceMeasure.finite([[0.0], [1.0], [2.5]], [1.0, 2.0, 0.5])
+    pair = PotentialPair(v_quadratic, w_sqdist, dim=1, symmetric=True)
+    mu = DiscreteMeasure([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3])
+    cfg = SamplerConfig(n=3, beta_n=3.0, burn_in=5)
+    draws = {
+        "exact": lambda seed: exact_sample_finite(pair, ell, n=3, beta_n=3.0, seed=seed,
+                                                  samples=20),
+        "iid": lambda seed: iid_sample(mu, n=4, seed=seed, samples=20),
+        "mh": lambda seed: mh_sample(pair, ell, replace(cfg, seed=seed), samples=20)[0],
+    }
+    for draw in draws.values():
+        expected = [c.points.tobytes() for c in draw(7)]
+        assert [c.points.tobytes() for c in draw(np.random.SeedSequence(7))] == expected
 
 
 class TestChainValidity:
